@@ -200,8 +200,45 @@ class Violation:
     e2: int
 
 
+def _page_sweeps(edges, members: list[int], stack: bool) -> bool:
+    """One sweep of a page over the vertex order (Heath & Rosenberg 1992).
+
+    At each vertex the edges ending there are closed first, then the edges
+    starting there are opened: longest first onto a stack, shortest first
+    into a queue.  Every close must remove an edge ending at the current
+    vertex: a stack closes LIFO and fails exactly when the page holds a
+    crossing pair, a queue closes FIFO and fails exactly when it holds a
+    nesting pair.  Edges not of the form u < v are left to the pairwise scan.
+    """
+    events = []
+    for e in members:
+        u, v = edges[e]
+        if not u < v:
+            return False
+        events.append((v, 0, 0, e))
+        events.append((u, 1, -v if stack else v, e))
+    events.sort()
+    held: list[int] = []
+    head = 0
+    for vertex, opening, _, e in events:
+        if opening:
+            held.append(e)
+        elif stack:
+            if edges[held.pop()][1] != vertex:
+                return False
+        else:
+            if edges[held[head]][1] != vertex:
+                return False
+            head += 1
+    return True
+
+
 def validate_assignment(g: OrderedGraph, a: PageAssignment) -> list[Violation]:
-    """Empty iff no stack page holds a crossing pair and no queue a nesting pair."""
+    """Empty iff no stack page holds a crossing pair and no queue a nesting pair.
+
+    Each page is checked by one sweep; only when a sweep fails does the
+    pairwise scan run, to list every violating pair.
+    """
     if len(a.page_of) != g.m:
         raise CoverageMismatchError(
             f"assignment covers {len(a.page_of)} edges, graph has {g.m}"
@@ -209,8 +246,13 @@ def validate_assignment(g: OrderedGraph, a: PageAssignment) -> list[Violation]:
     for e, p in enumerate(a.page_of):
         if not 0 <= p < len(a.spec):
             raise CoverageMismatchError(f"edge {e} mapped to missing page {p}")
-    violations = []
     pages = a.pages()
+    if all(
+        _page_sweeps(g.edges, members, kind is PageKind.STACK)
+        for members, kind in zip(pages, a.spec.kinds)
+    ):
+        return []
+    violations = []
     for p, members in enumerate(pages):
         kind = a.spec.kinds[p]
         bad = Relation.CROSS if kind is PageKind.STACK else Relation.NEST

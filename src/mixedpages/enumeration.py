@@ -9,6 +9,7 @@ the critical patterns is available.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
@@ -208,7 +209,10 @@ def find_critical(
                 result.runtime = time.monotonic() - started
                 _write_checkpoint(checkpoint, family, result)
         if progress and result.scanned % 100000 == 0:
-            print(f"scanned {result.scanned}, found {len(result.patterns)}")
+            print(
+                f"scanned {result.scanned}, found {len(result.patterns)}",
+                file=sys.stderr,
+            )
         if checkpoint and result.scanned % 50000 == 0:
             result.runtime = time.monotonic() - started
             _write_checkpoint(checkpoint, family, result)
@@ -230,14 +234,16 @@ def _shard_worker(args):
     family, mode, budget, jobs, shard = args
     specs = _modes_specs(mode)
     found = []
+    scanned = 0
     # Pruning uses only patterns this shard has seen; that is sound because
     # the deletion scan alone already decides criticality.
     for index, g in enumerate(family.stream()):
         if index % jobs != shard:
             continue
+        scanned += 1
         if _is_critical_candidate(g, specs, budget, found):
             found.append(canonicalize_pattern(g))
-    return [dump_olg(p) for p in found]
+    return scanned, [dump_olg(p) for p in found]
 
 
 def _find_critical_sharded(family, mode, budget, jobs) -> CriticalSet:
@@ -248,15 +254,15 @@ def _find_critical_sharded(family, mode, budget, jobs) -> CriticalSet:
 
     started = time.monotonic()
     with Pool(jobs) as pool:
-        chunks = pool.map(
+        shards = pool.map(
             _shard_worker, [(family, mode, budget, jobs, shard) for shard in range(jobs)]
         )
-    merged = sorted({text for chunk in chunks for text in chunk})
+    merged = sorted({text for _, chunk in shards for text in chunk})
     result = CriticalSet(parameters=mode)
     result.patterns = [parse_olg(text) for text in merged]
     result.patterns.sort(key=lambda p: (p.m, p.n, p.edges))
     result.complete_up_to = _bounds(family)
-    result.scanned = sum(1 for _ in family.stream())
+    result.scanned = sum(scanned for scanned, _ in shards)
     result.runtime = time.monotonic() - started
     return result
 

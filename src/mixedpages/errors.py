@@ -45,6 +45,11 @@ class SizeLimitError(MixedPagesError):
     """An exact search exceeded its configured budget."""
 
 
+class InternalError(MixedPagesError):
+    """A result failed the package's own consistency check: a defect here,
+    not in the input."""
+
+
 class BudgetExceededError(MixedPagesError):
     """A solver or enumeration run hit its node budget before finishing."""
 

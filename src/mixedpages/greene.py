@@ -20,6 +20,7 @@ from .core import (
     PageKind,
     PageSpec,
 )
+from .errors import InternalError
 from .patterns import PatternKind, PatternWitness
 
 
@@ -198,7 +199,11 @@ def max_family(grid: GridMatching, kind: FamilyKind, k: int) -> ChainFamily:
         if chain:
             parts.append(tuple(chain))
     family = ChainFamily(kind, tuple(parts), -cost)
-    assert family.covered == sum(len(p) for p in parts)
+    if family.covered != sum(len(p) for p in parts):
+        raise InternalError(
+            f"flow covers {family.covered} elements, its chains hold "
+            f"{sum(len(p) for p in parts)}"
+        )
     return family
 
 

@@ -165,51 +165,82 @@ def largest_rainbow(g) -> PatternWitness:
     return _single_group(PatternKind.RAINBOW, tuple(chain))
 
 
+def _color_classes(masks: list[int], cands: list[int]) -> list[tuple[int, int]]:
+    """Greedy sequential coloring of `cands` in list order, as (vertex,
+    color) pairs sorted by color (colors from 1, ties in list order); a
+    clique among them has at most max-color vertices.
+
+    Built one color class at a time, which for a symmetric relation gives
+    the same classes as coloring vertex by vertex: a class takes, in list
+    order, each uncolored vertex with no neighbour in the class so far.  A class stops as soon as
+    no uncolored vertex outside the neighbourhoods of its members is left,
+    so on a dense candidate set each class costs a few mask operations.
+    """
+    uncolored = 0
+    for v in cands:
+        uncolored |= 1 << v
+    out = []
+    color = 0
+    first = 0
+    size = len(cands)
+    while uncolored:
+        color += 1
+        while not uncolored >> cands[first] & 1:
+            first += 1
+        v = cands[first]
+        uncolored ^= 1 << v
+        out.append((v, color))
+        room = uncolored & ~masks[v]
+        i = first + 1
+        while room and i < size:
+            u = cands[i]
+            if room >> u & 1:
+                uncolored ^= 1 << u
+                out.append((u, color))
+                room &= ~masks[u] & ~(1 << u)
+            i += 1
+    return out
+
+
 def _max_clique(masks: list[int], budget: int) -> tuple[int, ...]:
-    """Maximum clique via branch and bound with a greedy coloring bound."""
-    m = len(masks)
+    """Maximum clique via branch and bound with a greedy coloring bound.
+
+    Depth-first on an explicit stack of colored candidate lists, so a clique
+    of any size is found without recursion.  Branches take the candidate of
+    highest color first and are cut when the color bound cannot beat the
+    best clique so far.  Each expanded candidate list counts as one node.
+    """
+    order = sorted(range(len(masks)), key=lambda v: -bin(masks[v]).count("1"))
+    if not order:
+        return ()
     best: list[int] = []
-    nodes = 0
-
-    def color_bound(cands: list[int]) -> list[tuple[int, int]]:
-        # (vertex, color) pairs, colors from 1; clique <= max color
-        colors: list[int] = []
-        classes: list[int] = []
-        out = []
-        for v in cands:
-            for c, cls in enumerate(classes):
-                if not (masks[v] & cls):
-                    classes[c] |= 1 << v
-                    out.append((v, c + 1))
-                    break
-            else:
-                classes.append(1 << v)
-                out.append((v, len(classes)))
-        out.sort(key=lambda vc: vc[1])
-        return out
-
-    def expand(current: list[int], cands: list[int]):
-        nonlocal nodes, best
-        nodes += 1
-        if nodes > budget:
-            raise SizeLimitError(f"clique search exceeded {budget} nodes")
-        colored = color_bound(cands)
-        while colored:
+    current: list[int] = []
+    nodes = 1
+    if nodes > budget:
+        raise SizeLimitError(f"clique search exceeded {budget} nodes")
+    frames = [_color_classes(masks, order)]
+    while frames:
+        colored = frames[-1]
+        if colored:
             v, c = colored.pop()
-            if len(current) + c <= len(best):
-                return
-            current.append(v)
-            rest = [u for u, _ in colored if masks[v] >> u & 1]
-            if not rest:
+            if len(current) + c > len(best):
+                current.append(v)
+                neighbours = masks[v]
+                rest = [u for u, _ in colored if neighbours >> u & 1]
+                if rest:
+                    nodes += 1
+                    if nodes > budget:
+                        raise SizeLimitError(f"clique search exceeded {budget} nodes")
+                    frames.append(_color_classes(masks, rest))
+                    continue
                 if len(current) > len(best):
                     best = current[:]
-            else:
-                expand(current, rest)
+                current.pop()
+                continue
+        # The frame is exhausted or cut by its bound: return to the parent.
+        frames.pop()
+        if frames:
             current.pop()
-
-    order = sorted(range(m), key=lambda v: -bin(masks[v]).count("1"))
-    if order:
-        expand([], order)
     return tuple(sorted(best))
 
 

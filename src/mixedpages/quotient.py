@@ -341,13 +341,6 @@ class TransferReport:
             1 + 14 * (k + 1) * math.log2(k + 1) + k
         ) + 2 * self.m_intra
 
-    @property
-    def bound_low_variant(self) -> float:
-        """Same bound with the k-based log term (the L-branch reading)."""
-        k = self.k
-        log_k = math.log2(k) if k > 1 else 0.0
-        return 6 * self.ell * 2 * k**7 * (1 + 14 * k * log_k + k) + 2 * self.m_intra
-
 
 def transfer_layout(
     g: OrderedGraph,

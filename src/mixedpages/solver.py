@@ -17,8 +17,8 @@ from .core import (
     conflict_masks,
     validate_assignment,
 )
-from .errors import BudgetExceededError
-from .patterns import largest_rainbow
+from .errors import BudgetExceededError, InternalError, SizeLimitError
+from .patterns import _max_clique, largest_rainbow
 
 DEFAULT_BUDGET = 10**8
 
@@ -49,49 +49,91 @@ def _solve_masks(
     Only the edges listed in `active` are placed; masks may mention inactive
     edges, which simply never enter any page set.  Returns (page_of or None,
     nodes, budget_hit).
+
+    The search runs on an explicit stack.  Edges are placed in order of
+    descending conflict degree, each tried on the pages in index order; a
+    node is one placement attempt (plus the root), and the budget is checked
+    before success, so `nodes` is exact and at most budget + 1.  Same-kind
+    empty pages are interchangeable, so only the first empty page of a kind
+    may be opened.  Pages of one kind are therefore opened in index order
+    and closed in reverse, so the used pages of a kind are always a prefix
+    of that kind's pages: an empty page is the first empty one of its kind
+    exactly when the previous page of its kind is in use.
     """
     if not active:
         return {}, 0, False
-    conflict = {e: bin(cross[e] | nest[e]).count("1") for e in active}
-    order = sorted(active, key=lambda e: (-conflict[e], e))
-    kinds = spec.kinds
-    page_members = [0] * len(kinds)
-    page_of: dict[int, int] = {}
-    nodes = 0
-    hit = False
+    order = sorted(active, key=lambda e: (-(cross[e] | nest[e]).bit_count(), e))
+    count = len(order)
+    is_stack = [kind is PageKind.STACK for kind in spec.kinds]
+    npages = len(is_stack)
+    prev_same = []  # the previous page of the same kind, or -1
+    last_stack = last_queue = -1
+    for p, st in enumerate(is_stack):
+        if st:
+            prev_same.append(last_stack)
+            last_stack = p
+        else:
+            prev_same.append(last_queue)
+            last_queue = p
+    # bad[d][p]: the edges that page p must not hold for order[d] to join it.
+    bad = [[cross[e] if st else nest[e] for st in is_stack] for e in order]
+    bits = [1 << e for e in order]
+    members = [0] * npages
+    page_at = [0] * count
+    nodes = 1
+    if nodes > budget:
+        return None, nodes, True
+    depth = 0
+    p = 0
+    while True:
+        conflicts = bad[depth]
+        while p < npages:
+            held = members[p]
+            if held:
+                if not conflicts[p] & held:
+                    break
+            else:
+                before = prev_same[p]
+                if before < 0 or members[before]:
+                    break
+            p += 1
+        if p < npages:
+            members[p] |= bits[depth]
+            page_at[depth] = p
+            depth += 1
+            nodes += 1
+            if nodes > budget:
+                return None, nodes, True
+            if depth == count:
+                return dict(zip(order, page_at)), nodes, False
+            p = 0
+        else:
+            depth -= 1
+            if depth < 0:
+                return None, nodes, False
+            p = page_at[depth]
+            members[p] ^= bits[depth]
+            p += 1
 
-    def place(pos: int) -> bool:
-        nonlocal nodes, hit
-        nodes += 1
-        if nodes > budget:
-            hit = True
-            return False
-        if pos == len(order):
-            return True
-        e = order[pos]
-        opened = {PageKind.STACK: False, PageKind.QUEUE: False}
-        for p, kind in enumerate(kinds):
-            if page_members[p] == 0:
-                # Same-kind empty pages are interchangeable: only the first
-                # may be opened.
-                if opened[kind]:
-                    continue
-                opened[kind] = True
-            bad = cross[e] if kind is PageKind.STACK else nest[e]
-            if bad & page_members[p]:
-                continue
-            page_members[p] |= 1 << e
-            page_of[e] = p
-            if place(pos + 1):
-                return True
-            page_members[p] &= ~(1 << e)
-            del page_of[e]
-            if hit:
-                return False
-        return False
 
-    ok = place(0)
-    return (page_of if ok else None), nodes, hit
+def _feasible_masks(
+    g: OrderedGraph,
+    cross: list[int],
+    nest: list[int],
+    spec: PageSpec,
+    budget: int,
+) -> SolveResult:
+    """`feasible` over conflict masks the caller has already built."""
+    m = g.m
+    if m == 0:
+        return SolveResult(True, PageAssignment(spec, ()), 0, False)
+    page_of, nodes, hit = _solve_masks(cross, nest, list(range(m)), spec, budget)
+    if page_of is not None:
+        assignment = PageAssignment(spec, tuple(page_of[e] for e in range(m)))
+        if validate_assignment(g, assignment):
+            raise InternalError(f"search returned an invalid layout on {spec}")
+        return SolveResult(True, assignment, nodes, False)
+    return SolveResult(False, None, nodes, hit)
 
 
 def feasible(
@@ -102,16 +144,20 @@ def feasible(
     Edges are placed in order of descending conflict degree; among pages of
     the same kind a new (empty) page may only be opened in index order.
     """
-    m = g.m
-    if m == 0:
-        return SolveResult(True, PageAssignment(spec, ()), 0, False)
     cross, nest = conflict_masks(g)
-    page_of, nodes, hit = _solve_masks(cross, nest, list(range(m)), spec, budget)
-    if page_of is not None:
-        assignment = PageAssignment(spec, tuple(page_of[e] for e in range(m)))
-        assert not validate_assignment(g, assignment)
-        return SolveResult(True, assignment, nodes, False)
-    return SolveResult(False, None, nodes, hit)
+    return _feasible_masks(g, cross, nest, spec, budget)
+
+
+def _twist_bound(cross: list[int], budget: int) -> int:
+    """Size of the largest twist, or 0 if the clique search runs out.
+
+    A twist of size w needs w stacks when there is no queue, so every
+    pure-stack split with fewer stacks is infeasible without search.
+    """
+    try:
+        return len(_max_clique(cross, budget))
+    except SizeLimitError:
+        return 0
 
 
 def splits(k: int) -> list[PageSpec]:
@@ -122,12 +168,20 @@ def splits(k: int) -> list[PageSpec]:
 def mixed_page_number(
     g: OrderedGraph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, PageAssignment]:
-    """Smallest k such that some split s+q=k is feasible, with a witness."""
+    """Smallest k such that some split s+q=k is feasible, with a witness.
+
+    Pure-stack splits with fewer stacks than the largest twist are skipped
+    unsearched; they are infeasible.
+    """
+    cross, nest = conflict_masks(g)
+    omega = _twist_bound(cross, budget)
     total_nodes = 0
     for k in range(g.m + 1):
         unknown = False
         for spec in splits(k):
-            res = feasible(g, spec, budget)
+            if spec.q == 0 and k < omega:
+                continue
+            res = _feasible_masks(g, cross, nest, spec, budget)
             total_nodes += res.nodes
             if res.feasible:
                 return k, res.assignment
@@ -136,21 +190,23 @@ def mixed_page_number(
             raise BudgetExceededError(
                 f"mixed page number at k={k} undecided", nodes=total_nodes
             )
-    raise AssertionError("a graph always fits on one page per edge")
+    raise InternalError("a graph always fits on one page per edge")
 
 
 def stack_number(
     g: OrderedGraph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, PageAssignment]:
+    """Exact stack number, searching upward from the largest twist."""
+    cross, nest = conflict_masks(g)
     total_nodes = 0
-    for s in range(g.m + 1):
-        res = feasible(g, PageSpec.split(s, 0), budget)
+    for s in range(_twist_bound(cross, budget), g.m + 1):
+        res = _feasible_masks(g, cross, nest, PageSpec.split(s, 0), budget)
         total_nodes += res.nodes
         if res.feasible:
             return s, res.assignment
         if res.budget_hit:
             raise BudgetExceededError(f"stack number at s={s} undecided", nodes=total_nodes)
-    raise AssertionError("unreachable")
+    raise InternalError("a graph always fits on one stack per edge")
 
 
 def queue_layout(g: OrderedGraph) -> PageAssignment:
@@ -177,8 +233,11 @@ def queue_number(g: OrderedGraph) -> tuple[int, PageAssignment]:
     """Exact queue number; equals the largest rainbow (checked)."""
     a = queue_layout(g)
     q = len(a.spec)
-    assert q == largest_rainbow(g).k
-    assert not validate_assignment(g, a)
+    rainbow = largest_rainbow(g).k
+    if q != rainbow:
+        raise InternalError(f"{q} queue levels but a largest rainbow of {rainbow}")
+    if validate_assignment(g, a):
+        raise InternalError("queue layout by nesting depth is invalid")
     return q, a
 
 

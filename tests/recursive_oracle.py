@@ -1,0 +1,116 @@
+"""Recursive solver and clique search as they were before the explicit-stack
+rewrite, kept verbatim as oracles for the differential tests.
+
+The package must return exactly what these return, node counts and budget
+flags included.
+"""
+
+from __future__ import annotations
+
+from mixedpages.core import PageKind, PageSpec
+from mixedpages.errors import SizeLimitError
+
+
+def _solve_masks(
+    cross: list[int],
+    nest: list[int],
+    active: list[int],
+    spec: PageSpec,
+    budget: int,
+) -> tuple[dict[int, int] | None, int, bool]:
+    """Backtracking core over precomputed conflict masks.
+
+    Only the edges listed in `active` are placed; masks may mention inactive
+    edges, which simply never enter any page set.  Returns (page_of or None,
+    nodes, budget_hit).
+    """
+    if not active:
+        return {}, 0, False
+    conflict = {e: bin(cross[e] | nest[e]).count("1") for e in active}
+    order = sorted(active, key=lambda e: (-conflict[e], e))
+    kinds = spec.kinds
+    page_members = [0] * len(kinds)
+    page_of: dict[int, int] = {}
+    nodes = 0
+    hit = False
+
+    def place(pos: int) -> bool:
+        nonlocal nodes, hit
+        nodes += 1
+        if nodes > budget:
+            hit = True
+            return False
+        if pos == len(order):
+            return True
+        e = order[pos]
+        opened = {PageKind.STACK: False, PageKind.QUEUE: False}
+        for p, kind in enumerate(kinds):
+            if page_members[p] == 0:
+                # Same-kind empty pages are interchangeable: only the first
+                # may be opened.
+                if opened[kind]:
+                    continue
+                opened[kind] = True
+            bad = cross[e] if kind is PageKind.STACK else nest[e]
+            if bad & page_members[p]:
+                continue
+            page_members[p] |= 1 << e
+            page_of[e] = p
+            if place(pos + 1):
+                return True
+            page_members[p] &= ~(1 << e)
+            del page_of[e]
+            if hit:
+                return False
+        return False
+
+    ok = place(0)
+    return (page_of if ok else None), nodes, hit
+
+
+def _max_clique(masks: list[int], budget: int) -> tuple[int, ...]:
+    """Maximum clique via branch and bound with a greedy coloring bound."""
+    m = len(masks)
+    best: list[int] = []
+    nodes = 0
+
+    def color_bound(cands: list[int]) -> list[tuple[int, int]]:
+        # (vertex, color) pairs, colors from 1; clique <= max color
+        colors: list[int] = []
+        classes: list[int] = []
+        out = []
+        for v in cands:
+            for c, cls in enumerate(classes):
+                if not (masks[v] & cls):
+                    classes[c] |= 1 << v
+                    out.append((v, c + 1))
+                    break
+            else:
+                classes.append(1 << v)
+                out.append((v, len(classes)))
+        out.sort(key=lambda vc: vc[1])
+        return out
+
+    def expand(current: list[int], cands: list[int]):
+        nonlocal nodes, best
+        nodes += 1
+        if nodes > budget:
+            raise SizeLimitError(f"clique search exceeded {budget} nodes")
+        colored = color_bound(cands)
+        while colored:
+            v, c = colored.pop()
+            if len(current) + c <= len(best):
+                return
+            current.append(v)
+            rest = [u for u, _ in colored if masks[v] >> u & 1]
+            if not rest:
+                if len(current) > len(best):
+                    best = current[:]
+            else:
+                expand(current, rest)
+            current.pop()
+
+    order = sorted(range(m), key=lambda v: -bin(masks[v]).count("1"))
+    if order:
+        expand([], order)
+    return tuple(sorted(best))

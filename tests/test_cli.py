@@ -180,6 +180,12 @@ class TestCommands:
         ]) == 0
         manifest = json.loads(capsys.readouterr().out.splitlines()[0])
         assert manifest["count"] == 9
+        assert main([
+            "enumerate-critical", "--separated", "--k", "1",
+            "--max-grid", "3", "--max-edges", "4",
+        ]) == 0
+        sequential = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert manifest["scanned"] == sequential["scanned"]
 
     def test_conjecture_flag(self, capsys):
         assert main(["enumerate-critical", "--matchings", "--conjecture", "--max-m", "3"]) == 0

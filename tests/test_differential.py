@@ -1,0 +1,126 @@
+"""Differential tests of the fast paths against the slow code they replace:
+the explicit-stack search and clique search against their recursive
+originals (kept in recursive_oracle.py), and the page sweep of
+validate_assignment against the plain pairwise scan."""
+
+import random
+
+import recursive_oracle
+from mixedpages.core import (
+    PageAssignment,
+    PageKind,
+    PageSpec,
+    Relation,
+    Violation,
+    build_graph,
+    classify_pair,
+    conflict_masks,
+    validate_assignment,
+)
+from mixedpages.errors import SizeLimitError
+from mixedpages.patterns import _max_clique
+from mixedpages.solver import _solve_masks
+
+KINDS = (PageKind.STACK, PageKind.QUEUE)
+
+
+def rand_multigraph(rng, max_n, max_m):
+    """Edges drawn with replacement: parallel edges and shared endpoints."""
+    n = rng.randint(2, max_n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return build_graph(
+        n, [rng.choice(pairs) for _ in range(rng.randint(0, max_m))], multi=True
+    )
+
+
+def rand_spec(rng, max_pages):
+    return PageSpec(tuple(rng.choice(KINDS) for _ in range(rng.randint(0, max_pages))))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SizeLimitError:
+        return "size limit"
+
+
+def test_search_matches_recursive_oracle():
+    rng = random.Random(11)
+    for _ in range(1500):
+        g = rand_multigraph(rng, 13, 15)
+        cross, nest = conflict_masks(g)
+        active = [e for e in range(g.m) if rng.random() < 0.85]
+        spec = rand_spec(rng, 4)
+        budget = rng.choice([0, 1, 2, 3, 7, 30, 200, 10**6])
+        want = recursive_oracle._solve_masks(cross, nest, active, spec, budget)
+        got = _solve_masks(cross, nest, active, spec, budget)
+        assert got == want, (g, str(spec), budget)
+        if got[0] is not None:
+            assert list(got[0].items()) == list(want[0].items())
+
+
+def test_search_matches_oracle_on_larger_matchings():
+    rng = random.Random(12)
+    for _ in range(20):
+        m = 18
+        points = list(range(2 * m))
+        rng.shuffle(points)
+        g = build_graph(2 * m, [(points[2 * i], points[2 * i + 1]) for i in range(m)])
+        cross, nest = conflict_masks(g)
+        for spec in ("SS", "SQ", "QS", "QQ", "SSQ", "SQS"):
+            spec = PageSpec.from_string(spec)
+            budget = rng.choice([50, 10**6])
+            args = (cross, nest, list(range(m)), spec, budget)
+            assert _solve_masks(*args) == recursive_oracle._solve_masks(*args)
+
+
+def test_clique_matches_recursive_oracle():
+    rng = random.Random(13)
+    for _ in range(600):
+        g = rand_multigraph(rng, 12, 16)
+        cross, nest = conflict_masks(g)
+        for masks in (cross, nest, [c | q for c, q in zip(cross, nest)]):
+            budget = rng.choice([1, 2, 3, 10, 10**6])
+            assert outcome(_max_clique, masks, budget) == outcome(
+                recursive_oracle._max_clique, masks, budget
+            )
+
+
+def test_clique_matches_oracle_on_random_dense_graphs():
+    rng = random.Random(14)
+    for _ in range(60):
+        m = rng.randint(1, 40)
+        masks = [0] * m
+        density = rng.random()
+        for i in range(m):
+            for j in range(i + 1, m):
+                if rng.random() < density:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        assert _max_clique(masks, 10**6) == recursive_oracle._max_clique(masks, 10**6)
+
+
+def pairwise_scan(g, a):
+    out = []
+    for p, members in enumerate(a.pages()):
+        kind = a.spec.kinds[p]
+        bad = Relation.CROSS if kind is PageKind.STACK else Relation.NEST
+        for i, e1 in enumerate(members):
+            for e2 in members[i + 1:]:
+                if classify_pair(g, e1, e2).kind is bad:
+                    out.append(Violation(p, kind, e1, e2))
+    return out
+
+
+def test_validation_matches_pairwise_scan():
+    rng = random.Random(15)
+    invalid = 0
+    for _ in range(4000):
+        g = rand_multigraph(rng, 9, 11)
+        spec = PageSpec(tuple(rng.choice(KINDS) for _ in range(rng.randint(1, 3))))
+        a = PageAssignment(spec, tuple(rng.randrange(len(spec)) for _ in range(g.m)))
+        want = pairwise_scan(g, a)
+        assert validate_assignment(g, a) == want
+        invalid += bool(want)
+    assert 500 < invalid < 3500
+

@@ -108,6 +108,15 @@ class TestFindCritical:
         with pytest.raises(BudgetExceededError):
             find_critical(EnumFamily("separated", 5, 3, 3), ("k", 1), node_budget=5)
 
+    def test_progress_goes_to_stderr(self, capsys, monkeypatch):
+        # A stream of 10^5 single edges reaches the first progress line fast.
+        edge = build_graph(2, [(0, 1)])
+        monkeypatch.setattr(EnumFamily, "stream", lambda self: [edge] * 100000)
+        find_critical(EnumFamily("matchings", 1), ("k", 1), progress=True)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scanned 100000, found ")
+
     def test_checkpoint_written(self, tmp_path):
         path = tmp_path / "check.json"
         find_critical(EnumFamily("separated", 4, 2, 2), ("k", 1), checkpoint=str(path))

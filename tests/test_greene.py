@@ -1,8 +1,10 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_grids, brute_cover
 from mixedpages.core import GridMatching, grid_to_graph, validate_assignment, PageKind
+from mixedpages.errors import InternalError
 from mixedpages.greene import (
     ChainFamily,
     FamilyKind,
@@ -117,6 +119,19 @@ class TestMaxFamily:
                 for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
                     assert x1 < x2
                     assert (y1 < y2) if kind is FamilyKind.CHAINS else (y1 > y2)
+
+    def test_coverage_mismatch_is_an_internal_error(self, monkeypatch):
+        from mixedpages import greene
+
+        real = greene.nx.network_simplex
+
+        def off_by_one(g):
+            cost, flow = real(g)
+            return cost - 1, flow
+
+        monkeypatch.setattr(greene.nx, "network_simplex", off_by_one)
+        with pytest.raises(InternalError):
+            max_family(GridMatching((3, 4, 1, 2)), FamilyKind.CHAINS, 1)
 
 
 class TestDiamondWitness:

@@ -3,13 +3,14 @@ import pytest
 from conftest import rand_graph, rand_matching
 from mixedpages.core import (
     GridMatching,
+    PageAssignment,
     PageSpec,
     build_graph,
     grid_to_graph,
     validate_assignment,
 )
-from mixedpages.errors import BudgetExceededError
-from mixedpages.patterns import largest_rainbow
+from mixedpages.errors import BudgetExceededError, InternalError
+from mixedpages.patterns import largest_rainbow, largest_twist
 from mixedpages.constructions import gen_2critical, gen_diamond, gen_stack_critical, gen_thick_twist
 from mixedpages.solver import (
     brute_force_mixed_page_number,
@@ -124,3 +125,91 @@ class TestCriticality:
     def test_budget_surfaces_as_error(self):
         with pytest.raises(BudgetExceededError):
             criticality(gen_2critical(4), ("k", 2), budget=3)
+
+
+class TestLargeInputs:
+    """Inputs deeper than the interpreter's recursion limit."""
+
+    def test_one_stack_holds_1200_disjoint_edges(self):
+        g = build_graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+        res = feasible(g, PageSpec.from_string("S"))
+        assert res.feasible and res.nodes == 1201
+        assert stack_number(g)[0] == 1
+
+    def test_1200_twist(self):
+        g = twist(1200)
+        k, a = mixed_page_number(g)
+        assert k == 1 and str(a.spec) == "Q"
+        assert largest_twist(g).k == 1200
+
+
+class TestTwistRefutation:
+    def test_same_witness_as_a_plain_split_scan(self, rng):
+        for _ in range(15):
+            g = rand_matching(rng, 9)
+            k, a = mixed_page_number(g)
+            first = next(
+                res.assignment
+                for j in range(g.m + 1)
+                for spec in splits(j)
+                if (res := feasible(g, spec)).feasible
+            )
+            assert a == first and len(a.spec) == k
+            s, b = stack_number(g)
+            assert b == next(
+                res.assignment
+                for j in range(g.m + 1)
+                if (res := feasible(g, PageSpec.split(j, 0))).feasible
+            )
+
+    def test_pure_stack_splits_below_the_twist_are_not_searched(self, monkeypatch):
+        from mixedpages import solver
+
+        searched = []
+        real = solver._solve_masks
+
+        def spy(cross, nest, active, spec, budget):
+            searched.append(str(spec))
+            return real(cross, nest, active, spec, budget)
+
+        monkeypatch.setattr(solver, "_solve_masks", spy)
+        assert stack_number(twist(4))[0] == 4
+        assert searched == ["SSSS"]
+        searched.clear()
+        assert mixed_page_number(twist(4))[0] == 1
+        assert searched == ["Q"]
+
+
+class TestInternalChecks:
+    """The result checks are raises, so they also run under python -O."""
+
+    def test_invalid_search_result_is_an_internal_error(self, monkeypatch):
+        from mixedpages import solver
+
+        def everything_on_page_zero(cross, nest, active, spec, budget):
+            return {e: 0 for e in active}, 1, False
+
+        monkeypatch.setattr(solver, "_solve_masks", everything_on_page_zero)
+        with pytest.raises(InternalError):
+            feasible(twist(2), PageSpec.from_string("S"))
+        with pytest.raises(InternalError):
+            mixed_page_number(build_graph(8, [(0, 2), (1, 3), (4, 7), (5, 6)]))
+        assert feasible(twist(2), PageSpec.from_string("Q")).feasible
+
+    def test_queue_number_checks_its_layout(self, monkeypatch):
+        from mixedpages import solver
+
+        monkeypatch.setattr(
+            solver,
+            "queue_layout",
+            lambda g: PageAssignment(PageSpec.split(0, 1), (0,) * g.m),
+        )
+        with pytest.raises(InternalError):
+            queue_number(rainbow(2))
+        monkeypatch.setattr(
+            solver,
+            "queue_layout",
+            lambda g: PageAssignment(PageSpec.split(0, 2), (0,) * g.m),
+        )
+        with pytest.raises(InternalError):
+            queue_number(rainbow(2))
