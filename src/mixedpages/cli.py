@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import enumeration, greene, quotient, solver
@@ -384,7 +383,6 @@ def main(argv=None) -> int:
         prog="mixedpages",
         description="Stack/queue/mixed page numbers of ordered graphs",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("solve", help="exact feasibility and page numbers")
@@ -428,7 +426,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("layout", help="lay out a matching via iterated quotients")
     p.add_argument("input")
-    p.add_argument("--via-quotient", action="store_true")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_layout)
@@ -475,7 +472,6 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.func(args)
     except MixedPagesError as exc:

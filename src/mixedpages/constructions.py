@@ -2,7 +2,7 @@
 thick patterns, the 2k-tightness matching, the alternating subdivision
 family, and the critical constructions.
 
-Each generator is paired with post-generation assertions or verification so
+Each generator is paired with post-generation checks or verification so
 that correctness is enforced by checking, not trusted from the formulas.
 """
 
@@ -16,7 +16,7 @@ from .core import (
     classify_pair,
     grid_to_graph,
 )
-from .errors import BadParamsError, RealizationNotFoundError
+from .errors import BadParamsError, InternalError, RealizationNotFoundError
 from .patterns import PatternKind
 
 
@@ -85,10 +85,14 @@ def gen_tight_2k(k: int) -> GridMatching:
 
     from .greene import ferrers, lds_length, lis_length
 
-    assert grid.m == 2 * k**3 - k**2 + 2 * k
-    assert lis_length(grid.pi) == k * k + 1
-    assert lds_length(grid.pi) == k * k + 1
-    assert ferrers(grid).square == k
+    if grid.m != 2 * k**3 - k**2 + 2 * k:
+        raise InternalError(f"tight 2k matching has {grid.m} edges")
+    if lis_length(grid.pi) != k * k + 1:
+        raise InternalError(f"tight 2k matching has LIS {lis_length(grid.pi)}")
+    if lds_length(grid.pi) != k * k + 1:
+        raise InternalError(f"tight 2k matching has LDS {lds_length(grid.pi)}")
+    if ferrers(grid).square != k:
+        raise InternalError(f"tight 2k matching has square {ferrers(grid).square}")
     return grid
 
 

@@ -9,13 +9,15 @@ the critical patterns is available.
 from __future__ import annotations
 
 import json
+import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
 from .core import OrderedGraph, build_graph, canonicalize_pattern, dump_olg
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ParseError
 from . import solver
 
 
@@ -268,36 +270,52 @@ def _find_critical_sharded(family, mode, budget, jobs) -> CriticalSet:
 
 
 def _write_checkpoint(path: str, family: EnumFamily, result: CriticalSet):
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "family": {
-                    "shape": family.shape,
-                    **_bounds(family),
-                },
-                "manifest": result.to_manifest(),
-                "patterns": [dump_olg(p) for p in result.patterns],
-            },
-            fh,
-            indent=2,
-        )
+    """Write beside `path`, then rename over it: a write that fails or is
+    cut short leaves the previous checkpoint whole."""
+    data = {
+        "family": {
+            "shape": family.shape,
+            **_bounds(family),
+        },
+        "manifest": result.to_manifest(),
+        "patterns": [dump_olg(p) for p in result.patterns],
+    }
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(data, fh, indent=2)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _load_checkpoint(path: str, family: EnumFamily, mode, result: CriticalSet) -> int:
-    import os
-
     if not os.path.exists(path):
         return 0
-    with open(path) as fh:
-        data = json.load(fh)
-    if data["family"] != {"shape": family.shape, **_bounds(family)} or data[
-        "manifest"
-    ]["parameters"] != list(mode):
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"checkpoint {path}: {exc.msg}", exc.lineno) from None
+    try:
+        manifest = data["manifest"]
+        same_run = data["family"] == {
+            "shape": family.shape,
+            **_bounds(family),
+        } and manifest["parameters"] == list(mode)
+        scanned, patterns = manifest["scanned"], data["patterns"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"checkpoint {path} is malformed: {exc!r}", 1) from None
+    if not same_run:
         return 0
+    if not isinstance(scanned, int) or not isinstance(patterns, list):
+        raise ParseError(f"checkpoint {path} has a malformed manifest", 1)
     from .core import parse_olg
 
-    result.patterns = [parse_olg(text) for text in data["patterns"]]
-    return data["manifest"]["scanned"]
+    result.patterns = [parse_olg(olg) for olg in patterns]
+    return scanned
 
 
 def conjecture_report(max_m: int, budget: int = solver.DEFAULT_BUDGET) -> dict:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-
-import networkx as nx
+from itertools import chain
+from math import ceil, sqrt
 
 from .core import (
     GridMatching,
@@ -152,11 +152,234 @@ def _hasse_covers(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return covers
 
 
+def _network_simplex(
+    demand: list[int],
+    sources: list[int],
+    targets: list[int],
+    capacity: list[int],
+    weight: list[int],
+) -> tuple[int, list[int]]:
+    """Minimum-cost flow by the primal network simplex; returns (cost, flows).
+
+    Nodes are 0..n-1 with n = len(demand) (negative demand is supply); edge
+    e runs sources[e] -> targets[e].  Ported from NetworkX 3.x
+    `network_simplex` (BSD-3-Clause; Kiraly & Kovacs 2012).  It makes the
+    same pivots on the same numbering: an artificial root n joined to every
+    node, block search for the entering edge with blocks of ceil(sqrt(E))
+    edges (the first edge of least reduced cost in a block), the first
+    minimum residual capacity over the reversed cycle for the leaving edge,
+    and the same depth-first thread updates.  So it returns the very flow
+    NetworkX returns, not merely one of the same cost.
+    """
+    n = len(demand)
+    edges = len(sources)
+    root = n
+    src = list(sources)
+    tgt = list(targets)
+    for v, d in enumerate(demand):
+        # Zero-demand nodes point towards the root: a strongly feasible tree.
+        if d > 0:
+            src.append(root)
+            tgt.append(v)
+        else:
+            src.append(v)
+            tgt.append(root)
+    faux_inf = 3 * max(sum(capacity), sum(map(abs, weight)), sum(map(abs, demand))) or 1
+    cap = list(capacity) + [faux_inf] * n
+    wt = list(weight) + [faux_inf] * n
+    flow = [0] * edges + [abs(d) for d in demand]
+    pot = [faux_inf if d <= 0 else -faux_inf for d in demand] + [0]
+    # The spanning tree: every node a child of the root, threaded 0..n-1.
+    parent = [root] * n + [-1]
+    parent_edge = list(range(edges, edges + n)) + [-1]
+    size = [1] * n + [n + 1]
+    next_dft = list(range(1, n + 1)) + [0]
+    prev_dft = [root] + list(range(n))
+    last_dft = list(range(n)) + [n - 1]
+
+    block = ceil(sqrt(edges)) or 1
+    blocks = (edges + block - 1) // block
+    misses = 0
+    f = 0
+    while misses < blocks:
+        # Entering edge: the first of least reduced cost in the next block.
+        l = f + block
+        if l <= edges:
+            scan = range(f, l)
+        else:
+            l -= edges
+            scan = chain(range(f, edges), range(l))
+        f = l
+        best = 0
+        i = -1
+        for e in scan:
+            c = wt[e] - pot[src[e]] + pot[tgt[e]]
+            if flow[e]:
+                c = -c
+            if c < best:
+                best = c
+                i = e
+        if i < 0:
+            misses += 1
+            continue
+        misses = 0
+        if flow[i] == 0:
+            p, q = src[i], tgt[i]
+        else:
+            p, q = tgt[i], src[i]
+
+        # The cycle through i, oriented from p to q: down from the apex w
+        # to p, edge i, then up from q to w.  Tree edges keep reduced cost
+        # 0, so i is never one of them.
+        a, b = p, q
+        size_a, size_b = size[a], size[b]
+        while a != b:
+            while size_a < size_b:
+                a = parent[a]
+                size_a = size[a]
+            while size_a > size_b:
+                b = parent[b]
+                size_b = size[b]
+            if size_a == size_b and a != b:
+                a = parent[a]
+                size_a = size[a]
+                b = parent[b]
+                size_b = size[b]
+        w = a
+        cycle_nodes = [p]
+        cycle_edges = []
+        v = p
+        while v != w:
+            cycle_edges.append(parent_edge[v])
+            v = parent[v]
+            cycle_nodes.append(v)
+        cycle_nodes.reverse()
+        cycle_edges.reverse()
+        cycle_edges.append(i)
+        cycle_nodes.append(q)
+        v = q
+        while v != w:
+            cycle_edges.append(parent_edge[v])
+            v = parent[v]
+            cycle_nodes.append(v)
+        del cycle_nodes[-1]
+
+        # Leaving edge: the first least residual capacity, read backwards.
+        j = s = -1
+        least = None
+        for e, u in zip(reversed(cycle_edges), reversed(cycle_nodes)):
+            r = cap[e] - flow[e] if src[e] == u else flow[e]
+            if least is None or r < least:
+                least, j, s = r, e, u
+        if least:
+            for e, u in zip(cycle_edges, cycle_nodes):
+                if src[e] == u:
+                    flow[e] += least
+                else:
+                    flow[e] -= least
+        if i == j:
+            continue
+        t = tgt[j] if src[j] == s else src[j]
+        if parent[t] != s:
+            s, t = t, s
+        if cycle_edges.index(i) > cycle_edges.index(j):
+            p, q = q, p
+
+        # Remove the tree edge (s, t): cut t's subtree out of the thread.
+        size_t = size[t]
+        prev_t = prev_dft[t]
+        last_t = last_dft[t]
+        next_last_t = next_dft[last_t]
+        parent[t] = -1
+        parent_edge[t] = -1
+        next_dft[prev_t] = next_last_t
+        prev_dft[next_last_t] = prev_t
+        next_dft[last_t] = t
+        prev_dft[t] = last_t
+        while s != -1:
+            size[s] -= size_t
+            if last_dft[s] == last_t:
+                last_dft[s] = prev_t
+            s = parent[s]
+
+        # Make q the root of its subtree by reversing the path up to t.
+        path = []
+        v = q
+        while v != -1:
+            path.append(v)
+            v = parent[v]
+        path.reverse()
+        for a, b in zip(path, path[1:]):
+            size_a = size[a]
+            last_a = last_dft[a]
+            prev_b = prev_dft[b]
+            last_b = last_dft[b]
+            next_last_b = next_dft[last_b]
+            parent[a] = b
+            parent[b] = -1
+            parent_edge[a] = parent_edge[b]
+            parent_edge[b] = -1
+            size[a] = size_a - size[b]
+            size[b] = size_a
+            next_dft[prev_b] = next_last_b
+            prev_dft[next_last_b] = prev_b
+            next_dft[last_b] = b
+            prev_dft[b] = last_b
+            if last_a == last_b:
+                last_dft[a] = prev_b
+                last_a = prev_b
+            prev_dft[a] = last_b
+            next_dft[last_b] = a
+            next_dft[last_a] = b
+            prev_dft[b] = last_a
+            last_dft[b] = last_a
+
+        # Hang q's subtree below p by the entering edge i.
+        last_p = last_dft[p]
+        next_last_p = next_dft[last_p]
+        size_q = size[q]
+        last_q = last_dft[q]
+        parent[q] = p
+        parent_edge[q] = i
+        next_dft[last_p] = q
+        prev_dft[q] = last_p
+        prev_dft[next_last_p] = last_q
+        next_dft[last_q] = next_last_p
+        v = p
+        while v != -1:
+            size[v] += size_q
+            if last_dft[v] == last_p:
+                last_dft[v] = last_q
+            v = parent[v]
+
+        # Shift the potentials of q's subtree so that i has reduced cost 0.
+        if q == tgt[i]:
+            d = pot[p] - wt[i] - pot[q]
+        else:
+            d = pot[p] + wt[i] - pot[q]
+        v = q
+        pot[v] += d
+        while v != last_q:
+            v = next_dft[v]
+            pot[v] += d
+
+    if any(flow[edges:]):
+        raise InternalError("network simplex left flow on an artificial edge")
+    del flow[edges:]
+    return sum(w * x for w, x in zip(weight, flow)), flow
+
+
 def max_family(grid: GridMatching, kind: FamilyKind, k: int) -> ChainFamily:
     """Maximum k-family of disjoint chains (antichains) by min-cost flow.
 
     Coverage equals the Greene prefix sum c_k (a_k); cross-checked against
     the RSK shape in the test suite.
+
+    The network has a source 0 and a sink 1 and, for element i, the nodes
+    in = 3i+2, rw = 3i+3 and out = 3i+4; rw splits off the unit-capacity,
+    weight -1 arc that rewards covering i.  Edges are numbered by source
+    node and, per node, in insertion order, which is the numbering the flow
+    (and so the family it returns) depends on.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -168,36 +391,49 @@ def max_family(grid: GridMatching, kind: FamilyKind, k: int) -> ChainFamily:
     if m == 0:
         return ChainFamily(kind, (), 0)
 
-    g = nx.DiGraph()
-    g.add_node("s", demand=-k)
-    g.add_node("t", demand=k)
-    g.add_edge("s", "t", capacity=k, weight=0)
-    for i in range(m):
-        g.add_edge("s", ("in", i), capacity=k, weight=0)
-        g.add_edge(("in", i), ("rw", i), capacity=1, weight=-1)
-        g.add_edge(("rw", i), ("out", i), capacity=1, weight=0)
-        g.add_edge(("in", i), ("out", i), capacity=k, weight=0)
-        g.add_edge(("out", i), "t", capacity=k, weight=0)
+    covers: list[list[int]] = [[] for _ in range(m)]
     for i, j in _hasse_covers(points):
-        g.add_edge(("out", i), ("in", j), capacity=k, weight=0)
+        covers[i].append(j)
+    sources = [0] * (m + 1)
+    targets = [1] + [3 * i + 2 for i in range(m)]
+    capacity = [k] * (m + 1)
+    weight = [0] * (m + 1)
+    for i in range(m):
+        node_in, node_rw, node_out = 3 * i + 2, 3 * i + 3, 3 * i + 4
+        sources += (node_in, node_in, node_rw, node_out)
+        targets += (node_rw, node_out, node_out, 1)
+        capacity += (1, k, 1, k)
+        weight += (-1, 0, 0, 0)
+        for j in covers[i]:
+            sources.append(node_out)
+            targets.append(3 * j + 2)
+            capacity.append(k)
+            weight.append(0)
+    demand = [-k, k] + [0] * (3 * m)
+    cost, flow = _network_simplex(demand, sources, targets, capacity, weight)
 
-    cost, flow = nx.network_simplex(g)
+    # Out-edges of node u are first_out[u] .. first_out[u + 1] - 1.
+    first_out = [0] * (len(demand) + 1)
+    for u in sources:
+        first_out[u + 1] += 1
+    for u in range(len(demand)):
+        first_out[u + 1] += first_out[u]
     parts = []
     for _ in range(k):
-        node = "s"
-        chain = []
-        while node != "t":
-            for succ, units in flow[node].items():
-                if units > 0:
-                    flow[node][succ] -= 1
-                    if isinstance(succ, tuple) and succ[0] == "rw":
-                        chain.append(succ[1])
-                    node = succ
+        node = 0
+        part = []
+        while node != 1:
+            for e in range(first_out[node], first_out[node + 1]):
+                if flow[e] > 0:
+                    flow[e] -= 1
+                    node = targets[e]
+                    if node % 3 == 0:
+                        part.append(node // 3 - 1)
                     break
             else:
-                raise AssertionError("flow decomposition stuck")
-        if chain:
-            parts.append(tuple(chain))
+                raise InternalError("flow decomposition stuck")
+        if part:
+            parts.append(tuple(part))
     family = ChainFamily(kind, tuple(parts), -cost)
     if family.covered != sum(len(p) for p in parts):
         raise InternalError(
@@ -223,10 +459,10 @@ def _diamond_matrix(grid: GridMatching, elements: list[int], nrows: int, ncols: 
     matrix: list[list[int | None]] = [[None] * ncols for _ in range(nrows)]
     for e, u, d in zip(pts, ups, downs):
         if not (1 <= u <= ncols and 1 <= d <= nrows) or matrix[d - 1][u - 1] is not None:
-            raise AssertionError("diamond statistics are not a bijection")
+            raise InternalError("diamond statistics are not a bijection")
         matrix[d - 1][u - 1] = e
     if any(cell is None for row in matrix for cell in row):
-        raise AssertionError("diamond statistics are not a bijection")
+        raise InternalError("diamond statistics are not a bijection")
     return matrix
 
 
@@ -260,7 +496,7 @@ def diamond_matrix(grid: GridMatching) -> list[list[int]]:
     antichains = max_family(grid, FamilyKind.ANTICHAINS, side)
     shared = sorted(chains.covered_set() & antichains.covered_set())
     if len(shared) != side * side:
-        raise AssertionError(
+        raise InternalError(
             f"maximum {side}-families share {len(shared)} != {side * side} elements"
         )
     return _diamond_matrix(grid, shared, side, side)
@@ -300,7 +536,7 @@ def approx_mixed_layout(grid: GridMatching) -> PageAssignment:
             for e in rest:
                 page_of[e] = len(pages) - 1
     if len(page_of) != m:
-        raise AssertionError("chain and antichain families fail to cover the edges")
+        raise InternalError("chain and antichain families fail to cover the edges")
     return PageAssignment(
         PageSpec(tuple(kind for kind, _ in pages)),
         tuple(page_of[e] for e in range(m)),

@@ -125,7 +125,7 @@ class TestCommands:
         g = rand_matching(random.Random(7), 12)
         path = tmp_path / "m.olg"
         path.write_text(dump_olg(g))
-        assert main(["layout", str(path), "--via-quotient", "--k", "3"]) == 0
+        assert main(["layout", str(path), "--k", "3"]) == 0
         out = capsys.readouterr().out
         assert "level" in out or json.loads(out.splitlines()[0])["pages"]
 

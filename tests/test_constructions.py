@@ -1,8 +1,8 @@
 import pytest
 
 from mixedpages.core import Relation, classify_pair, grid_to_graph, to_grid
-from mixedpages.errors import BadParamsError
-from mixedpages.greene import ferrers, lds_length, lis_length
+from mixedpages.errors import BadParamsError, InternalError
+from mixedpages.greene import FerrersDiagram, ferrers, lds_length, lis_length
 from mixedpages.patterns import (
     PatternKind,
     largest_diamond,
@@ -202,3 +202,27 @@ def test_generators_have_separated_realizations():
         assert to_grid(grid_to_graph(grid)).pi == grid.pi
     g = gen_thick_rainbow(2, 3)
     assert to_grid(g).m == 6
+
+
+@pytest.mark.parametrize("helper, lie, message", [
+    ("lis_length", lambda pi: 0, "LIS"),
+    ("lds_length", lambda pi: 0, "LDS"),
+    ("ferrers", lambda grid: FerrersDiagram(()), "square"),
+])
+def test_tight_2k_check_raises_internal_error(monkeypatch, helper, lie, message):
+    from mixedpages import greene
+
+    monkeypatch.setattr(greene, helper, lie)
+    with pytest.raises(InternalError, match=message):
+        gen_tight_2k(2)
+
+
+def test_tight_2k_edge_count_check_raises_internal_error(monkeypatch):
+    from mixedpages import constructions
+
+    real = constructions.GridMatching
+    monkeypatch.setattr(
+        constructions, "GridMatching", lambda pi: real(pi + (len(pi) + 1,))
+    )
+    with pytest.raises(InternalError, match="edges"):
+        gen_tight_2k(2)

@@ -1,12 +1,18 @@
 """Differential tests of the fast paths against the slow code they replace:
 the explicit-stack search and clique search against their recursive
-originals (kept in recursive_oracle.py), and the page sweep of
-validate_assignment against the plain pairwise scan."""
+originals (kept in recursive_oracle.py), the page sweep of
+validate_assignment against the plain pairwise scan, and the in-package
+network simplex of max_family against the networkx flow it replaced (kept in
+flow_oracle.py)."""
 
 import random
 
+import pytest
+
 import recursive_oracle
+from mixedpages.constructions import gen_diamond, gen_tight_2k
 from mixedpages.core import (
+    GridMatching,
     PageAssignment,
     PageKind,
     PageSpec,
@@ -18,6 +24,7 @@ from mixedpages.core import (
     validate_assignment,
 )
 from mixedpages.errors import SizeLimitError
+from mixedpages.greene import FamilyKind, ferrers, max_family
 from mixedpages.patterns import _max_clique
 from mixedpages.solver import _solve_masks
 
@@ -124,3 +131,41 @@ def test_validation_matches_pairwise_scan():
         invalid += bool(want)
     assert 500 < invalid < 3500
 
+
+
+def rand_grid(rng, m):
+    pi = list(range(1, m + 1))
+    rng.shuffle(pi)
+    return GridMatching(tuple(pi))
+
+
+def test_max_family_matches_networkx_oracle():
+    pytest.importorskip("networkx")
+    import flow_oracle
+
+    rng = random.Random(16)
+    grids = [rand_grid(rng, m) for m in range(41)]
+    # Many ties between equally good flows: one chain, one antichain, blocks.
+    grids += [
+        GridMatching(tuple(range(1, 21))),
+        GridMatching(tuple(range(20, 0, -1))),
+        gen_diamond(4),
+        gen_tight_2k(2),
+    ]
+    for grid in grids:
+        for kind in FamilyKind:
+            for k in range(1, grid.m + 2):
+                assert max_family(grid, kind, k) == flow_oracle.max_family(grid, kind, k)
+
+
+def test_max_family_matches_networkx_oracle_at_m200():
+    pytest.importorskip("networkx")
+    import flow_oracle
+
+    rng = random.Random(17)
+    for _ in range(3):
+        grid = rand_grid(rng, 200)
+        square = ferrers(grid).square
+        for kind in FamilyKind:
+            for k in (1, square, 2 * square):
+                assert max_family(grid, kind, k) == flow_oracle.max_family(grid, kind, k)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mixedpages.core import build_graph, canonicalize_pattern, grid_to_graph, GridMatching
-from mixedpages.errors import BudgetExceededError
+from mixedpages.errors import BudgetExceededError, ParseError
 from mixedpages.enumeration import (
     EnumFamily,
     conjecture_report,
@@ -122,6 +122,32 @@ class TestFindCritical:
         find_critical(EnumFamily("separated", 4, 2, 2), ("k", 1), checkpoint=str(path))
         data = json.loads(path.read_text())
         assert data["manifest"]["count"] == len(data["patterns"])
+
+    @pytest.mark.parametrize("text", [
+        '{"family": {"shape": "separated", "max_edges"',
+        "",
+        "[]",
+        '{"family": {}, "patterns": []}',
+    ])
+    def test_corrupt_checkpoint_is_a_parse_error(self, tmp_path, text):
+        path = tmp_path / "check.json"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            find_critical(EnumFamily("separated", 4, 2, 2), ("k", 1), checkpoint=str(path))
+
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path):
+        from mixedpages import enumeration
+
+        path = tmp_path / "check.json"
+        family = EnumFamily("separated", 4, 2, 2)
+        find_critical(family, ("k", 1), checkpoint=str(path))
+        before = path.read_text()
+        result = enumeration.CriticalSet(parameters=("k", 1))
+        result.complete_up_to = {"max_edges": object()}  # not JSON: dump fails midway
+        with pytest.raises(TypeError):
+            enumeration._write_checkpoint(str(path), family, result)
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["check.json"]
 
 
 class TestConjectureReport:

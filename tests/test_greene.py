@@ -123,15 +123,89 @@ class TestMaxFamily:
     def test_coverage_mismatch_is_an_internal_error(self, monkeypatch):
         from mixedpages import greene
 
-        real = greene.nx.network_simplex
+        real = greene._network_simplex
 
-        def off_by_one(g):
-            cost, flow = real(g)
+        def off_by_one(*network):
+            cost, flow = real(*network)
             return cost - 1, flow
 
-        monkeypatch.setattr(greene.nx, "network_simplex", off_by_one)
+        monkeypatch.setattr(greene, "_network_simplex", off_by_one)
         with pytest.raises(InternalError):
             max_family(GridMatching((3, 4, 1, 2)), FamilyKind.CHAINS, 1)
+
+    def test_stuck_decomposition_is_an_internal_error(self, monkeypatch):
+        from mixedpages import greene
+
+        def no_flow(demand, sources, targets, capacity, weight):
+            return 0, [0] * len(sources)
+
+        monkeypatch.setattr(greene, "_network_simplex", no_flow)
+        with pytest.raises(InternalError, match="stuck"):
+            max_family(GridMatching((3, 4, 1, 2)), FamilyKind.CHAINS, 1)
+
+    def test_infeasible_network_is_an_internal_error(self):
+        from mixedpages import greene
+
+        with pytest.raises(InternalError, match="artificial"):
+            greene._network_simplex([-1, 1], [], [], [], [])
+
+
+class TestInternalChecks:
+    """Each consistency check in greene raises InternalError, which callers
+    catch as a MixedPagesError, rather than a bare AssertionError."""
+
+    def test_diamond_statistics_collision(self, monkeypatch):
+        from mixedpages import greene
+
+        monkeypatch.setattr(greene, "_increasing_levels", lambda pts: [1] * len(pts))
+        with pytest.raises(InternalError, match="bijection"):
+            greene._diamond_matrix(GridMatching((3, 4, 1, 2)), [0, 1, 2, 3], 2, 2)
+
+    def test_diamond_statistics_leave_a_hole(self):
+        from mixedpages import greene
+
+        # One element for a 1x2 matrix: no collision, one cell stays empty.
+        with pytest.raises(InternalError, match="bijection"):
+            greene._diamond_matrix(GridMatching((3, 4, 1, 2)), [0], 1, 2)
+
+    def test_families_that_share_too_little(self, monkeypatch):
+        from mixedpages import greene
+
+        monkeypatch.setattr(
+            greene, "max_family", lambda grid, kind, k: ChainFamily(kind, (), 0)
+        )
+        with pytest.raises(InternalError, match="share"):
+            diamond_witness(GridMatching(FERRER_FIGURE_PERM))
+
+    def test_families_that_fail_to_cover(self, monkeypatch):
+        from mixedpages import greene
+
+        monkeypatch.setattr(
+            greene, "max_family", lambda grid, kind, k: ChainFamily(kind, (), 0)
+        )
+        with pytest.raises(InternalError, match="cover"):
+            approx_mixed_layout(GridMatching((3, 4, 1, 2)))
+
+
+def test_no_module_imports_networkx():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mixedpages
+
+    code = (
+        "import importlib, pkgutil, sys, mixedpages\n"
+        "for mod in pkgutil.walk_packages(mixedpages.__path__, 'mixedpages.'):\n"
+        "    importlib.import_module(mod.name)\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    src = str(Path(mixedpages.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestDiamondWitness:
