@@ -1,7 +1,8 @@
 """Command-line frontend: solving, detection, generation, layout transfer,
 enumeration, rendering, and verification.
 
-Exit codes: 0 ok/feasible, 1 infeasible/violation, 2 unknown/budget.
+Exit codes: 0 ok/feasible, 1 infeasible/violation, 2 unknown/budget,
+3 error (malformed input, bad arguments or a failed internal check).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .patterns import (
     witness_violations,
 )
 
-OK, INFEASIBLE, UNKNOWN = 0, 1, 2
+OK, INFEASIBLE, UNKNOWN, ERROR = 0, 1, 2, 3
 
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -300,6 +301,14 @@ def cmd_critical(args) -> int:
 
 
 def cmd_enumerate_critical(args) -> int:
+    try:
+        return _enumerate_critical(args)
+    except BudgetExceededError:
+        print("unknown (budget exceeded)")
+        return UNKNOWN
+
+
+def _enumerate_critical(args) -> int:
     if args.conjecture:
         report = enumeration.conjecture_report(args.max_m, args.budget)
         summary = {
@@ -320,18 +329,14 @@ def cmd_enumerate_critical(args) -> int:
             "separated", args.max_edges, args.max_grid, args.max_grid
         )
     mode = ("k", args.k) if args.k is not None else ("sq", args.s, args.q)
-    try:
-        result = enumeration.find_critical(
-            family,
-            mode,
-            budget=args.budget,
-            checkpoint=args.checkpoint,
-            progress=args.progress,
-            jobs=args.jobs,
-        )
-    except BudgetExceededError:
-        print("unknown (budget exceeded)")
-        return UNKNOWN
+    result = enumeration.find_critical(
+        family,
+        mode,
+        budget=args.budget,
+        checkpoint=args.checkpoint,
+        progress=args.progress,
+        jobs=args.jobs,
+    )
     print(json.dumps(result.to_manifest()))
     if args.out:
         with open(args.out, "w") as fh:
@@ -476,7 +481,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except MixedPagesError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return INFEASIBLE
+        return ERROR
 
 
 if __name__ == "__main__":

@@ -11,13 +11,20 @@ from __future__ import annotations
 import json
 import os
 import sys
+import time
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterator
 
-from .core import OrderedGraph, build_graph, canonicalize_pattern, dump_olg
-from .errors import BudgetExceededError, ParseError
+from .core import (
+    OrderedGraph,
+    build_graph,
+    canonicalize_pattern,
+    conflict_masks,
+    dump_olg,
+    parse_olg,
+)
+from .errors import BudgetExceededError, InvalidInputError, ParseError
 from . import solver
 
 
@@ -45,28 +52,66 @@ def enumerate_separated(
     max_rows: int, max_cols: int, max_edges: int
 ) -> Iterator[OrderedGraph]:
     """All separated bipartite patterns: 0-1 matrices without empty rows or
-    columns, emitted in order of edge count.
+    columns, up to the given size, in order of edge count.
 
-    Rows are the left vertices, columns the right ones, so every matrix is
-    its own canonical form and no cross-grid deduplication is needed.
+    Within one edge count m the shapes come rows first, then columns, and
+    each shape's matrices in the order of `combinations(range(rows * cols),
+    m)` over the cells numbered row by row; only full matrices are
+    generated. Rows are the left vertices, columns the right ones, so every
+    matrix is its own canonical form and no cross-grid deduplication is
+    needed.
     """
     for m in range(1, max_edges + 1):
-        for rows in range(1, min(m, max_rows) + 1):
-            for cols in range(1, min(m, max_cols) + 1):
-                if m > rows * cols:
-                    continue
-                for cells in combinations(range(rows * cols), m):
-                    row_seen = [False] * rows
-                    col_seen = [False] * cols
-                    for c in cells:
-                        row_seen[c // cols] = True
-                        col_seen[c % cols] = True
-                    if not (all(row_seen) and all(col_seen)):
-                        continue
-                    yield build_graph(
-                        rows + cols,
-                        [(c // cols, rows + c % cols) for c in cells],
-                    )
+        yield from _separated_level(max_rows, max_cols, m)
+
+
+def _separated_level(max_rows: int, max_cols: int, m: int) -> Iterator[OrderedGraph]:
+    for rows in range(1, min(m, max_rows) + 1):
+        for cols in range(1, min(m, max_cols) + 1):
+            if m <= rows * cols:
+                yield from _full_matrices(rows, cols, m)
+
+
+def _full_matrices(rows: int, cols: int, m: int) -> Iterator[OrderedGraph]:
+    """The rows x cols matrices with m ones and no empty row or column.
+
+    A depth-first walk over ascending cells that enters no branch without a
+    full completion. Cells ascend, so the next cell lies at most one row
+    below the last one, or a row would stay empty. The picks left after a
+    cell must cover every row below it and every empty column; in the last
+    row the empty columns must also lie right of the cell. The cells are
+    sorted and distinct, so the graph is built directly.
+    """
+    n, size, full = rows + cols, rows * cols, (1 << cols) - 1
+    edge = [(c // cols, rows + c % cols) for c in range(size)]
+    cells = [0] * m
+    covered = [0] * m  # covered[d]: the columns of cells[:d]
+    start = [0] * m  # start[d]: the first cell still to try at depth d
+    d = 0
+    while d >= 0:
+        left = m - 1 - d
+        row = cells[d - 1] // cols if d else -1
+        hi = min(size - 1 - left, (row + 2) * cols - 1)
+        c = start[d]
+        while c <= hi:
+            r, col = divmod(c, cols)
+            empty = full & ~(covered[d] | 1 << col)
+            if left >= empty.bit_count() and (
+                left >= rows - 1 - r if r < rows - 1 else not empty & ((1 << col) - 1)
+            ):
+                break
+            c += 1
+        else:
+            d -= 1
+            continue
+        cells[d] = c
+        start[d] = c + 1
+        if left:
+            d += 1
+            covered[d] = full & ~empty
+            start[d] = c + 1
+        else:
+            yield OrderedGraph(n, tuple([edge[x] for x in cells]))
 
 
 def contains_pattern(g: OrderedGraph, pattern: OrderedGraph) -> bool:
@@ -108,6 +153,14 @@ class EnumFamily:
             return enumerate_separated(self.max_rows, self.max_cols, self.max_edges)
         raise ValueError(f"unknown family shape {self.shape!r}")
 
+    def level(self, m: int) -> Iterator[OrderedGraph]:
+        """The graphs of the stream with exactly m edges, in stream order."""
+        if self.shape == "matchings":
+            return enumerate_matchings(m)
+        if self.shape == "separated":
+            return _separated_level(self.max_rows, self.max_cols, m)
+        raise ValueError(f"unknown family shape {self.shape!r}")
+
 
 @dataclass
 class CriticalSet:
@@ -137,37 +190,51 @@ def _modes_specs(mode: tuple):
     raise ValueError(f"bad criticality mode {mode!r}")
 
 
-def _is_critical_candidate(g: OrderedGraph, specs, budget: int, known) -> bool:
-    """Full criticality decision for one candidate.
+def _deletion_keys(edges, flat: list[int]) -> Iterator[bytes]:
+    """Table keys of the one-edge deletions of a graph without isolated
+    vertices, whose key is `flat`: the endpoints of its edges, flattened.
 
-    Feasible candidates (the vast majority) are rejected by a single solver
-    call.  Infeasible candidates that properly contain a known critical
-    pattern are skipped as non-minimal: a spare edge plus the contained
-    pattern keeps some deletion infeasible.
+    Deleting an edge keeps the order of the others. Only an endpoint left
+    without edges drops out, and the vertices above it move down by one.
     """
-    from .core import conflict_masks
+    degree = [0] * (max(flat) + 1)
+    for v in flat:
+        degree[v] += 1
+    top = len(degree)  # above every vertex: moves nothing
+    for i, (u, v) in enumerate(edges):
+        rest = flat[:2 * i] + flat[2 * i + 2:]
+        a = u if degree[u] == 1 else top
+        b = v if degree[v] == 1 else top
+        if a != top or b != top:
+            rest = [w - (w > a) - (w > b) for w in rest]
+        yield bytes(rest)
 
-    m = g.m
-    if m < 2:
-        return False
+
+def _decide(g: OrderedGraph, specs, budget: int, below: set, infeasible: set) -> bool:
+    """Solve g once, trying the specs in order, and add its key to
+    `infeasible` when no spec lays it out. True when g is critical: it is
+    infeasible, has at least two edges, and none of its one-edge deletions
+    is in `below`, the infeasible keys of the level one edge down.
+
+    Feasibility is monotone under edge deletion and every deletion is in the
+    level below, so a deletion missing from `below` is feasible. A key is
+    the flattened edge list of the canonical form, as bytes; stream graphs
+    are canonical.
+    """
     cross, nest = conflict_masks(g)
-    everything = list(range(m))
-
-    def solvable(active, spec) -> bool:
-        page_of, _, hit = solver._solve_masks(cross, nest, active, spec, budget)
+    everything = list(range(g.m))
+    for spec in specs:
+        page_of, _, hit = solver._solve_masks(cross, nest, everything, spec, budget)
         if hit:
             raise BudgetExceededError("criticality check undecided")
-        return page_of is not None
-
-    if any(solvable(everything, spec) for spec in specs):
-        return False
-    if any(found.m < m and contains_pattern(g, found) for found in known):
-        return False
-    for e in range(m):
-        active = everything[:e] + everything[e + 1:]
-        if not any(solvable(active, spec) for spec in specs):
+        if page_of is not None:
             return False
-    return True
+    edges = g.edges
+    flat = [v for e in edges for v in e]
+    infeasible.add(bytes(flat))
+    return len(edges) >= 2 and not any(
+        key in below for key in _deletion_keys(edges, flat)
+    )
 
 
 def find_critical(
@@ -179,50 +246,124 @@ def find_critical(
     progress: bool = False,
     jobs: int = 1,
 ) -> CriticalSet:
-    """Filter the enumeration stream through the criticality check.
+    """The critical patterns of the family's stream for `mode`, level by
+    level in edge count.
 
-    The stream is ordered by edge count, so found patterns are complete
-    below the current candidate size.  With jobs > 1 the stream is sharded
-    round-robin over worker processes; the merge is an order-insensitive
-    union, so the result is identical to a sequential run.  A checkpoint
-    file makes an interrupted sequential run resumable.
+    Each candidate is solved once. An infeasible one enters its level's
+    table of infeasible canonical keys, and it is critical exactly when none
+    of its one-edge deletions is in the table of the level below. Only two
+    tables are alive at a time, and none outlives the call. `node_budget`
+    caps the number of candidates; `scanned` counts them.
+
+    A finished level is the unit of every other feature:
+    - `checkpoint`: after each level the file records that level's edge
+      count, `scanned`, the patterns so far and the level's infeasible
+      keys; a run with the same family and mode resumes at the next level.
+    - `jobs` > 1: the candidates of each level are sharded by index modulo
+      `jobs` over worker processes, and the tables and patterns are merged
+      before the next level. The result equals the sequential one.
+    - `progress`: a line on stderr per finished level, and in a sequential
+      run one per 100000 candidates.
     """
-    import time
-
-    if jobs > 1:
-        return _find_critical_sharded(family, mode, budget, jobs)
-
-    specs = _modes_specs(mode)
-    result = CriticalSet(parameters=mode)
-    result.complete_up_to = _bounds(family)
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
+    m = family.max_edges
+    if family.shape == "matchings":
+        widest = 2 * m
+    else:
+        widest = min(family.max_rows, m) + min(family.max_cols, m)
+    if widest > 256:
+        raise InvalidInputError(
+            f"patterns of up to {widest} vertices: the level tables store vertices as bytes"
+        )
+    result = CriticalSet(parameters=mode, complete_up_to=_bounds(family))
     started = time.monotonic()
-    skip = 0
+    done, below = 0, set()
     if checkpoint:
-        skip = _load_checkpoint(checkpoint, family, mode, result)
+        done, below = _load_checkpoint(checkpoint, family, mode, result)
+    if jobs > 1:
+        levels = _sharded_levels(family, mode, budget, node_budget, jobs, result, done, below)
+    else:
+        levels = _sequential_levels(
+            family, _modes_specs(mode), budget, node_budget, progress, result, done, below
+        )
+    for level, infeasible in levels:
+        result.patterns.sort(key=lambda p: (p.m, p.n, p.edges))
+        result.runtime = time.monotonic() - started
+        if progress:
+            print(
+                f"level {level}: scanned {result.scanned}, found {len(result.patterns)}",
+                file=sys.stderr,
+            )
+        if checkpoint:
+            _write_checkpoint(checkpoint, family, result, level, infeasible)
+    result.runtime = time.monotonic() - started
+    return result
+
+
+def _sequential_levels(family, specs, budget, node_budget, progress, result, done, below):
+    """Run the levels above `done` on `family.stream()`, yielding each
+    finished level's edge count and infeasible keys."""
+    level, infeasible = done, below
     for g in family.stream():
-        result.scanned += 1
-        if result.scanned <= skip:
+        m = g.m
+        if m <= done:
             continue
+        if m != level:
+            if level > done:
+                yield level, infeasible
+            below, level, infeasible = infeasible, m, set()
+        result.scanned += 1
         if node_budget is not None and result.scanned > node_budget:
             raise BudgetExceededError("enumeration budget exceeded", nodes=result.scanned)
-        if _is_critical_candidate(g, specs, budget, result.patterns):
+        if _decide(g, specs, budget, below, infeasible):
             result.patterns.append(canonicalize_pattern(g))
-            if checkpoint:
-                result.runtime = time.monotonic() - started
-                _write_checkpoint(checkpoint, family, result)
         if progress and result.scanned % 100000 == 0:
             print(
                 f"scanned {result.scanned}, found {len(result.patterns)}",
                 file=sys.stderr,
             )
-        if checkpoint and result.scanned % 50000 == 0:
-            result.runtime = time.monotonic() - started
-            _write_checkpoint(checkpoint, family, result)
-    result.patterns.sort(key=lambda p: (p.m, p.n, p.edges))
-    result.runtime = time.monotonic() - started
-    if checkpoint:
-        _write_checkpoint(checkpoint, family, result)
-    return result
+    if level > done:
+        yield level, infeasible
+
+
+def _sharded_levels(family, mode, budget, node_budget, jobs, result, done, below):
+    """`_sequential_levels` with each level's candidates spread over `jobs`
+    worker processes, started fresh: the caller may have threads."""
+    from multiprocessing import get_context
+
+    with get_context("spawn").Pool(jobs) as pool:
+        for level in range(done + 1, family.max_edges + 1):
+            limit = None if node_budget is None else node_budget - result.scanned
+            shards = pool.map(
+                _level_shard,
+                [(family, mode, budget, level, jobs, shard, below, limit)
+                 for shard in range(jobs)],
+            )
+            if any(over for *_, over in shards):
+                raise BudgetExceededError("enumeration budget exceeded", nodes=node_budget + 1)
+            result.scanned += sum(count for count, *_ in shards)
+            result.patterns.extend(p for _, _, found, _ in shards for p in found)
+            below = set().union(*(keys for _, keys, _, _ in shards))
+            yield level, below
+
+
+def _level_shard(args):
+    """One worker's share of a level: the candidates whose index in the level
+    is `shard` modulo `jobs`. Returns the number decided, their infeasible
+    keys, the critical ones, and whether the level reaches `limit`
+    candidates."""
+    family, mode, budget, level, jobs, shard, below, limit = args
+    specs = _modes_specs(mode)
+    count, infeasible, found = 0, set(), []
+    for index, g in enumerate(family.level(level)):
+        if limit is not None and index >= limit:
+            return count, infeasible, found, True
+        if index % jobs == shard:
+            count += 1
+            if _decide(g, specs, budget, below, infeasible):
+                found.append(canonicalize_pattern(g))
+    return count, infeasible, found, False
 
 
 def _bounds(family: EnumFamily) -> dict:
@@ -232,44 +373,9 @@ def _bounds(family: EnumFamily) -> dict:
     return bounds
 
 
-def _shard_worker(args):
-    family, mode, budget, jobs, shard = args
-    specs = _modes_specs(mode)
-    found = []
-    scanned = 0
-    # Pruning uses only patterns this shard has seen; that is sound because
-    # the deletion scan alone already decides criticality.
-    for index, g in enumerate(family.stream()):
-        if index % jobs != shard:
-            continue
-        scanned += 1
-        if _is_critical_candidate(g, specs, budget, found):
-            found.append(canonicalize_pattern(g))
-    return scanned, [dump_olg(p) for p in found]
-
-
-def _find_critical_sharded(family, mode, budget, jobs) -> CriticalSet:
-    import time
-    from multiprocessing import Pool
-
-    from .core import parse_olg
-
-    started = time.monotonic()
-    with Pool(jobs) as pool:
-        shards = pool.map(
-            _shard_worker, [(family, mode, budget, jobs, shard) for shard in range(jobs)]
-        )
-    merged = sorted({text for _, chunk in shards for text in chunk})
-    result = CriticalSet(parameters=mode)
-    result.patterns = [parse_olg(text) for text in merged]
-    result.patterns.sort(key=lambda p: (p.m, p.n, p.edges))
-    result.complete_up_to = _bounds(family)
-    result.scanned = sum(scanned for scanned, _ in shards)
-    result.runtime = time.monotonic() - started
-    return result
-
-
-def _write_checkpoint(path: str, family: EnumFamily, result: CriticalSet):
+def _write_checkpoint(
+    path: str, family: EnumFamily, result: CriticalSet, level: int, infeasible: set
+):
     """Write beside `path`, then rename over it: a write that fails or is
     cut short leaves the previous checkpoint whole."""
     data = {
@@ -279,6 +385,7 @@ def _write_checkpoint(path: str, family: EnumFamily, result: CriticalSet):
         },
         "manifest": result.to_manifest(),
         "patterns": [dump_olg(p) for p in result.patterns],
+        "level": {"edges": level, "infeasible": sorted(key.hex() for key in infeasible)},
     }
     tmp = f"{path}.tmp"
     try:
@@ -291,9 +398,14 @@ def _write_checkpoint(path: str, family: EnumFamily, result: CriticalSet):
         raise
 
 
-def _load_checkpoint(path: str, family: EnumFamily, mode, result: CriticalSet) -> int:
+def _load_checkpoint(
+    path: str, family: EnumFamily, mode, result: CriticalSet
+) -> tuple[int, set]:
+    """The finished level and its infeasible keys from a checkpoint of the
+    same family and mode, with `result` restored to that level; (0, empty)
+    when there is no such checkpoint."""
     if not os.path.exists(path):
-        return 0
+        return 0, set()
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -306,16 +418,22 @@ def _load_checkpoint(path: str, family: EnumFamily, mode, result: CriticalSet) -
             **_bounds(family),
         } and manifest["parameters"] == list(mode)
         scanned, patterns = manifest["scanned"], data["patterns"]
+        level, keys = data["level"]["edges"], data["level"]["infeasible"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"checkpoint {path} is malformed: {exc!r}", 1) from None
     if not same_run:
-        return 0
-    if not isinstance(scanned, int) or not isinstance(patterns, list):
+        return 0, set()
+    if not all(isinstance(x, int) for x in (scanned, level)) or not all(
+        isinstance(x, list) for x in (patterns, keys)
+    ):
         raise ParseError(f"checkpoint {path} has a malformed manifest", 1)
-    from .core import parse_olg
-
+    try:
+        below = {bytes.fromhex(key) for key in keys}
+    except (TypeError, ValueError):
+        raise ParseError(f"checkpoint {path} has a malformed level table", 1) from None
     result.patterns = [parse_olg(olg) for olg in patterns]
-    return scanned
+    result.scanned = scanned
+    return level, below
 
 
 def conjecture_report(max_m: int, budget: int = solver.DEFAULT_BUDGET) -> dict:

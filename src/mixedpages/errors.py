@@ -71,7 +71,8 @@ class InvalidPageError(MixedPagesError):
 
 
 class InvalidInputError(MixedPagesError):
-    """Inconsistent arguments to a layout-transfer routine."""
+    """Inconsistent or out-of-range arguments, such as a layout that does not
+    fit its graph or a worker count below one."""
 
 
 class DepthExceededError(MixedPagesError):

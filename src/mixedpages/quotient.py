@@ -23,6 +23,7 @@ from .core import (
 from .errors import (
     BudgetExceededError,
     DepthExceededError,
+    InternalError,
     InvalidInputError,
     InvalidPageError,
 )
@@ -481,15 +482,15 @@ def transfer_layout(
         kinds.append(kind)
         for e in members:
             if e in page_of:
-                raise AssertionError(f"edge {e} assigned twice")
+                raise InternalError(f"transfer assigned edge {e} twice")
             page_of[e] = kept
         kept += 1
     if len(page_of) != g.m:
-        raise AssertionError("transfer missed some edges")
+        raise InternalError("transfer missed some edges")
     assignment = PageAssignment(PageSpec(tuple(kinds)), tuple(page_of[e] for e in range(g.m)))
     bad = validate_assignment(g, assignment)
     if bad:
-        raise AssertionError(f"transfer produced an invalid layout: {bad[:3]}")
+        raise InternalError(f"transfer produced an invalid layout: {bad[:3]}")
     report.pages_used = kept
     return assignment, report
 
@@ -643,16 +644,21 @@ def edge_color(g: OrderedGraph) -> list[list[int]]:
     return _fan_rotation_color(g, delta)
 
 
+def _free_color(used: dict[int, int], palette) -> int:
+    """The first color of the palette that `used` does not hold."""
+    for c in palette:
+        if c not in used:
+            return c
+    raise InternalError("no free color within Delta+1")
+
+
 def _fan_rotation_color(g: OrderedGraph, delta: int) -> list[list[int]]:
     palette = range(1, delta + 2)
     color: dict[tuple[int, int], int] = {}
     incident: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}  # v -> color -> other
 
     def free(v: int) -> int:
-        for c in palette:
-            if c not in incident[v]:
-                return c
-        raise AssertionError("no free color within Delta+1")
+        return _free_color(incident[v], palette)
 
     def set_color(u: int, v: int, c: int | None):
         old = color.pop((min(u, v), max(u, v)), None)
@@ -710,7 +716,7 @@ def _fan_rotation_color(g: OrderedGraph, delta: int) -> list[list[int]]:
                 w_idx = i
                 break
         if w_idx is None:
-            raise AssertionError("fan rotation failed to find a target")
+            raise InternalError("fan rotation failed to find a target")
         shifted = [get_color(u, fan[i + 1]) for i in range(w_idx)]
         for i in range(w_idx + 1):
             if get_color(u, fan[i]) is not None:
@@ -727,7 +733,9 @@ def _fan_rotation_color(g: OrderedGraph, delta: int) -> list[list[int]]:
         seen = set()
         for e in matching:
             a, b = g.edges[e]
-            assert a not in seen and b not in seen
+            if a in seen or b in seen:
+                raise InternalError(f"color class {matching} is not a matching")
             seen.update((a, b))
-    assert len(matchings) <= delta + 1
+    if len(matchings) > delta + 1:
+        raise InternalError(f"{len(matchings)} colors exceed Delta+1 = {delta + 1}")
     return matchings

@@ -289,24 +289,3 @@ def criticality(
                 False, f"deleting edge {e} stays infeasible", total
             )
     return CriticalityVerdict(True, "critical", total)
-
-
-def brute_force_mixed_page_number(g: OrderedGraph) -> int:
-    """Independent oracle: enumerate every page assignment, smallest k first,
-    and accept via the pairwise validity scan.
-
-    Exponential; intended for cross-checking the backtracking solver on
-    small instances only.
-    """
-    from itertools import product
-
-    m = g.m
-    if m == 0:
-        return 0
-    for k in range(1, m + 1):
-        for spec in splits(k):
-            for pages in product(range(k), repeat=m):
-                a = PageAssignment(spec, pages)
-                if not validate_assignment(g, a):
-                    return k
-    raise AssertionError("unreachable")

@@ -1,9 +1,16 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from mixedpages.core import GridMatching, OrderedGraph, build_graph
+from mixedpages.core import (
+    GridMatching,
+    OrderedGraph,
+    PageAssignment,
+    build_graph,
+    validate_assignment,
+)
+from mixedpages.solver import splits
 
 
 def rand_matching(rng: random.Random, m: int) -> OrderedGraph:
@@ -60,6 +67,22 @@ def brute_cover(grid: GridMatching, i: int, antichains: bool = False) -> int:
         return memo[key]
 
     return best((1 << grid.m) - 1, i)
+
+
+def brute_force_mixed_page_number(g: OrderedGraph) -> int:
+    """Independent oracle: enumerate every page assignment, smallest k first,
+    and accept via the page validity check.
+
+    Exponential; for cross-checking the backtracking solver on small
+    instances only. m pages always suffice: one edge per page.
+    """
+    m = g.m
+    for k in range(1, m):
+        for spec in splits(k):
+            for pages in product(range(k), repeat=m):
+                if not validate_assignment(g, PageAssignment(spec, pages)):
+                    return k
+    return m
 
 
 @pytest.fixture

@@ -8,7 +8,13 @@ import random
 from contextlib import contextmanager
 from itertools import permutations
 
-from conftest import all_grids, brute_cover, rand_graph, rand_matching
+from conftest import (
+    all_grids,
+    brute_cover,
+    brute_force_mixed_page_number,
+    rand_graph,
+    rand_matching,
+)
 from mixedpages.core import (
     GridMatching,
     grid_to_graph,
@@ -273,8 +279,8 @@ def test_criterion_13_solver_exactness_oracle():
     with criterion(13, "backtracking page numbers match brute-force enumeration"):
         for m in range(1, 5):
             for g in enumerate_matchings(m):
-                assert solver.mixed_page_number(g)[0] == solver.brute_force_mixed_page_number(g)
+                assert solver.mixed_page_number(g)[0] == brute_force_mixed_page_number(g)
         rng = random.Random(13)
         for _ in range(1000):
             g = rand_graph(rng, rng.randint(2, 8), rng.randint(1, 5))
-            assert solver.mixed_page_number(g)[0] == solver.brute_force_mixed_page_number(g)
+            assert solver.mixed_page_number(g)[0] == brute_force_mixed_page_number(g)

@@ -159,7 +159,7 @@ class TestCommands:
     def test_error_reported_cleanly(self, capsys, tmp_path):
         path = tmp_path / "broken.olg"
         path.write_text("not a graph\n")
-        assert main(["solve", str(path), "--mn"]) == 1
+        assert main(["solve", str(path), "--mn"]) == 3
         assert "error" in capsys.readouterr().err
 
     def test_critical_verb(self, capsys, tmp_path):
@@ -187,10 +187,40 @@ class TestCommands:
         sequential = json.loads(capsys.readouterr().out.splitlines()[0])
         assert manifest["scanned"] == sequential["scanned"]
 
+    def test_enumerate_critical_jobs_below_one(self, capsys, monkeypatch):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert main([
+            "enumerate-critical", "--separated", "--k", "1", "--jobs", "0",
+        ]) == 3
+        assert "jobs" in capsys.readouterr().err
+
+    def test_enumerate_critical_jobs_with_checkpoint_and_progress(self, capsys, tmp_path):
+        path = tmp_path / "ck.json"
+        assert main([
+            "enumerate-critical", "--separated", "--k", "1",
+            "--max-grid", "3", "--max-edges", "4", "--jobs", "2",
+            "--checkpoint", str(path), "--progress",
+        ]) == 0
+        captured = capsys.readouterr()
+        manifest = json.loads(captured.out.splitlines()[0])
+        assert captured.err.splitlines()[-1] == f"level 4: scanned {manifest['scanned']}, found 9"
+        assert json.loads(path.read_text())["manifest"]["count"] == 9
+
     def test_conjecture_flag(self, capsys):
         assert main(["enumerate-critical", "--matchings", "--conjecture", "--max-m", "3"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["k1"]["consistent"] is True
+
+    def test_conjecture_out_of_budget_is_unknown(self, capsys):
+        assert main([
+            "enumerate-critical", "--matchings", "--conjecture", "--max-m", "3", "--budget", "0",
+        ]) == 2
+        assert capsys.readouterr().out == "unknown (budget exceeded)\n"
 
     def test_arc_colors_match_page_count(self, tmp_path):
         from mixedpages.constructions import gen_2critical

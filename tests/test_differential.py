@@ -1,15 +1,20 @@
 """Differential tests of the fast paths against the slow code they replace:
 the explicit-stack search and clique search against their recursive
 originals (kept in recursive_oracle.py), the page sweep of
-validate_assignment against the plain pairwise scan, and the in-package
+validate_assignment against the plain pairwise scan, the in-package
 network simplex of max_family against the networkx flow it replaced (kept in
-flow_oracle.py)."""
+flow_oracle.py), and the level-wise critical-pattern engine and its stream
+of full matrices against the per-candidate check and combinations stream
+they replaced (kept in critical_oracle.py)."""
 
+import json
 import random
 
 import pytest
 
+import critical_oracle
 import recursive_oracle
+from mixedpages import enumeration
 from mixedpages.constructions import gen_diamond, gen_tight_2k
 from mixedpages.core import (
     GridMatching,
@@ -23,7 +28,7 @@ from mixedpages.core import (
     conflict_masks,
     validate_assignment,
 )
-from mixedpages.errors import SizeLimitError
+from mixedpages.errors import BudgetExceededError, SizeLimitError
 from mixedpages.greene import FamilyKind, ferrers, max_family
 from mixedpages.patterns import _max_clique
 from mixedpages.solver import _solve_masks
@@ -169,3 +174,94 @@ def test_max_family_matches_networkx_oracle_at_m200():
         for kind in FamilyKind:
             for k in (1, square, 2 * square):
                 assert max_family(grid, kind, k) == flow_oracle.max_family(grid, kind, k)
+
+
+MODES = [("k", 1), ("sq", 1, 1), ("sq", 2, 0), ("sq", 0, 2), ("k", 2)]
+FAMILIES = [
+    enumeration.EnumFamily("separated", 6, 4, 4),
+    enumeration.EnumFamily("separated", 6, 2, 4),
+    enumeration.EnumFamily("separated", 5, 4, 3),
+    enumeration.EnumFamily("matchings", 5),
+]
+
+
+def test_separated_stream_matches_combinations_oracle():
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            assert list(enumeration.enumerate_separated(rows, cols, 6)) == list(
+                critical_oracle.enumerate_separated(rows, cols, 6)
+            ), (rows, cols)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_find_critical_matches_per_candidate_oracle(family):
+    for mode in MODES:
+        want = critical_oracle.find_critical(family, mode)
+        got = enumeration.find_critical(family, mode)
+        assert got.patterns == want.patterns, mode
+        assert got.scanned == want.scanned, mode
+
+
+@pytest.mark.parametrize("family", [FAMILIES[1], FAMILIES[3]], ids=str)
+def test_sharded_find_critical_matches_oracle(family):
+    for mode in MODES:
+        want = critical_oracle.find_critical(family, mode)
+        got = enumeration.find_critical(family, mode, jobs=2)
+        assert got.patterns == want.patterns, mode
+        assert got.scanned == want.scanned, mode
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_node_budget_matches_oracle(jobs):
+    family = enumeration.EnumFamily("separated", 5, 3, 3)
+    for node_budget in (0, 1, 40, 200):
+        with pytest.raises(BudgetExceededError) as want:
+            critical_oracle.find_critical(family, ("k", 1), node_budget=node_budget)
+        with pytest.raises(BudgetExceededError) as got:
+            enumeration.find_critical(family, ("k", 1), node_budget=node_budget, jobs=jobs)
+        assert (str(got.value), got.value.nodes) == (str(want.value), want.value.nodes)
+    total = critical_oracle.find_critical(family, ("k", 1)).scanned
+    result = enumeration.find_critical(family, ("k", 1), node_budget=total, jobs=jobs)
+    assert result.scanned == total
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("resume_jobs", [1, 2])
+def test_resume_after_level_three(tmp_path, monkeypatch, resume_jobs):
+    family = enumeration.EnumFamily("separated", 6, 4, 4)
+    path = str(tmp_path / "check.json")
+    real = enumeration._write_checkpoint
+
+    def stop_after_level_three(path, family, result, level, infeasible):
+        real(path, family, result, level, infeasible)
+        if level == 3:
+            raise Interrupted
+
+    monkeypatch.setattr(enumeration, "_write_checkpoint", stop_after_level_three)
+    with pytest.raises(Interrupted):
+        enumeration.find_critical(family, ("k", 1), checkpoint=path)
+    monkeypatch.setattr(enumeration, "_write_checkpoint", real)
+    with open(path) as fh:
+        stopped = json.load(fh)
+    assert stopped["level"]["edges"] == 3
+    assert stopped["level"]["infeasible"]  # resuming without them would go wrong
+    decided = []
+    real_decide = enumeration._decide
+
+    def counted(g, *args):
+        decided.append(g.m)
+        return real_decide(g, *args)
+
+    if resume_jobs == 1:
+        monkeypatch.setattr(enumeration, "_decide", counted)
+    resumed = enumeration.find_critical(family, ("k", 1), checkpoint=path, jobs=resume_jobs)
+    monkeypatch.setattr(enumeration, "_decide", real_decide)
+    whole = enumeration.find_critical(family, ("k", 1))
+    assert resumed.patterns == whole.patterns
+    assert resumed.scanned == whole.scanned
+    if resume_jobs == 1:
+        assert min(decided) == 4
+        assert len(decided) == whole.scanned - stopped["manifest"]["scanned"]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mixedpages.core import build_graph, canonicalize_pattern, grid_to_graph, GridMatching
-from mixedpages.errors import BudgetExceededError, ParseError
+from mixedpages.errors import BudgetExceededError, InvalidInputError, ParseError
 from mixedpages.enumeration import (
     EnumFamily,
     conjecture_report,
@@ -104,6 +104,14 @@ class TestFindCritical:
         }
         assert manifest["scanned"] == 10
 
+    def test_vertices_beyond_a_byte_are_rejected(self):
+        with pytest.raises(InvalidInputError):
+            find_critical(EnumFamily("separated", 300, 1, 300), ("k", 1))
+        with pytest.raises(InvalidInputError):
+            find_critical(EnumFamily("matchings", 129), ("k", 1))
+        one_row = find_critical(EnumFamily("separated", 255, 1, 255), ("k", 1))
+        assert one_row.scanned == 255 and one_row.patterns == []
+
     def test_node_budget(self):
         with pytest.raises(BudgetExceededError):
             find_critical(EnumFamily("separated", 5, 3, 3), ("k", 1), node_budget=5)
@@ -145,7 +153,7 @@ class TestFindCritical:
         result = enumeration.CriticalSet(parameters=("k", 1))
         result.complete_up_to = {"max_edges": object()}  # not JSON: dump fails midway
         with pytest.raises(TypeError):
-            enumeration._write_checkpoint(str(path), family, result)
+            enumeration._write_checkpoint(str(path), family, result, 0, set())
         assert path.read_text() == before
         assert [p.name for p in tmp_path.iterdir()] == ["check.json"]
 

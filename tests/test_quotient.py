@@ -9,7 +9,12 @@ from mixedpages.core import (
     grid_to_graph,
     validate_assignment,
 )
-from mixedpages.errors import DepthExceededError, InvalidInputError, InvalidPageError
+from mixedpages.errors import (
+    DepthExceededError,
+    InternalError,
+    InvalidInputError,
+    InvalidPageError,
+)
 from mixedpages.patterns import PatternKind, largest_twist, witness_violations
 from mixedpages.constructions import gen_thick_rainbow, gen_thick_twist
 from mixedpages.quotient import (
@@ -301,3 +306,83 @@ class TestEdgeColor:
 
     def test_empty_graph(self):
         assert edge_color(build_graph(3, [])) == []
+
+
+class TestInternalChecks:
+    """Each consistency check in quotient raises InternalError, which callers
+    catch as a MixedPagesError and `python -O` keeps, rather than an
+    AssertionError."""
+
+    @staticmethod
+    def whole_layout():
+        g = gen_thick_twist(2, 3)
+        part = IntervalPartition.whole(g.n)
+        _, hlayout = solver.mixed_page_number(quotient_graph(g, part).h)
+        return g, part, hlayout
+
+    def test_edge_assigned_twice(self, monkeypatch):
+        from mixedpages import quotient
+
+        g, part, hlayout = self.whole_layout()
+        real = quotient.subgraph
+
+        def same_edge(graph, ids):
+            sub, idmap = real(graph, ids)
+            return sub, [idmap[0]] * len(idmap)
+
+        monkeypatch.setattr(quotient, "subgraph", same_edge)
+        with pytest.raises(InternalError, match="twice"):
+            transfer_layout(g, part, hlayout, 2)
+
+    def test_edge_left_out(self, monkeypatch):
+        from mixedpages import quotient
+
+        g, part, hlayout = self.whole_layout()
+        real = quotient.subgraph
+        monkeypatch.setattr(quotient, "subgraph", lambda graph, ids: real(graph, list(ids)[:-1]))
+        with pytest.raises(InternalError, match="missed"):
+            transfer_layout(g, part, hlayout, 2)
+
+    def test_invalid_lifted_layout(self, monkeypatch):
+        from mixedpages import quotient
+
+        g, part, hlayout = self.whole_layout()
+        real = quotient.validate_assignment
+
+        def reject_lift(graph, a):
+            return ["bad"] if graph is g else real(graph, a)
+
+        monkeypatch.setattr(quotient, "validate_assignment", reject_lift)
+        with pytest.raises(InternalError, match="invalid layout"):
+            transfer_layout(g, part, hlayout, 2)
+
+    def test_palette_too_small(self):
+        from mixedpages.quotient import _fan_rotation_color
+
+        star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        with pytest.raises(InternalError, match="no free color"):
+            _fan_rotation_color(star, 1)
+
+    def test_fan_without_target(self, monkeypatch):
+        from mixedpages import quotient
+
+        monkeypatch.setattr(quotient, "_free_color", lambda used, palette: palette[0])
+        with pytest.raises(InternalError, match="fan rotation"):
+            quotient._fan_rotation_color(build_graph(3, [(0, 2), (1, 2)]), 2)
+
+    def test_color_class_not_a_matching(self, monkeypatch):
+        from mixedpages import quotient
+
+        monkeypatch.setattr(quotient, "_free_color", lambda used, palette: palette[0])
+        with pytest.raises(InternalError, match="not a matching"):
+            quotient._fan_rotation_color(build_graph(3, [(0, 1), (1, 2)]), 2)
+
+    def test_too_many_colors(self, monkeypatch):
+        from itertools import count
+
+        from mixedpages import quotient
+
+        fresh = count(1)
+        monkeypatch.setattr(quotient, "_free_color", lambda used, palette: next(fresh))
+        with pytest.raises(InternalError, match="exceed"):
+            quotient._fan_rotation_color(build_graph(6, [(0, 1), (2, 3), (4, 5)]), 1)

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import rand_graph, rand_matching
+from conftest import brute_force_mixed_page_number, rand_graph, rand_matching
 from mixedpages.core import (
     GridMatching,
     PageAssignment,
@@ -13,7 +13,6 @@ from mixedpages.errors import BudgetExceededError, InternalError
 from mixedpages.patterns import largest_rainbow, largest_twist
 from mixedpages.constructions import gen_2critical, gen_diamond, gen_stack_critical, gen_thick_twist
 from mixedpages.solver import (
-    brute_force_mixed_page_number,
     criticality,
     feasible,
     mixed_page_number,
