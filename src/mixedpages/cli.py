@@ -28,7 +28,7 @@ from .core import (
     to_grid,
     validate_assignment,
 )
-from .errors import BudgetExceededError, MixedPagesError
+from .errors import BudgetExceededError, MixedPagesError, SizeLimitError
 from .patterns import (
     PatternWitness,
     largest_diamond,
@@ -205,22 +205,27 @@ def cmd_solve(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    if args.kind in ("diamond",):
-        host = load_grid(args.input)
-        w = largest_diamond(host, exact=args.exact, budget=args.budget)
-    else:
-        host = load_graph(args.input)
-        if args.kind == "twist":
-            w = largest_twist(host, args.budget)
-        elif args.kind == "rainbow":
-            w = largest_rainbow(host)
-        elif args.kind == "thick":
-            if args.t:
-                w = largest_thick(host, args.t, args.budget)
-            else:
-                w = largest_square_thick(host, args.budget)
+    try:
+        if args.kind in ("diamond",):
+            host = load_grid(args.input)
+            w = largest_diamond(host, exact=args.exact, budget=args.budget)
         else:
-            raise MixedPagesError(f"unknown kind {args.kind}")
+            host = load_graph(args.input)
+            if args.kind == "twist":
+                w = largest_twist(host, args.budget)
+            elif args.kind == "rainbow":
+                w = largest_rainbow(host)
+            elif args.kind == "thick":
+                if args.t:
+                    w = largest_thick(host, args.t, args.budget)
+                else:
+                    w = largest_square_thick(host, args.budget)
+            else:
+                raise MixedPagesError(f"unknown kind {args.kind}")
+    except SizeLimitError as exc:
+        # The searches of --kind twist, thick and diamond --exact ran out.
+        print(f"unknown (budget exceeded): {exc}", file=sys.stderr)
+        return UNKNOWN
     if args.json:
         print(w.to_json())
     else:

@@ -2,6 +2,14 @@
 
 Vertices of an ordered graph are 0..n-1 and the index order *is* the layout
 order, so no separate order array is carried around.
+
+On the layout paths the package builds small tuples from lists, as in
+`tuple([f(x) for x in xs])`, not from generators.  CPython allocates a
+tuple built from a generator at a guessed length and resizes it, so it is
+not taken from the free list of its final length, yet when freed it parks
+there; only a full garbage collection empties those lists.  Code that
+makes little cyclic garbage rarely runs one, so with generators the free
+lists, and the peak memory of a long run, grow pass after pass.
 """
 
 from __future__ import annotations
@@ -9,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 from .errors import (
     BadEdgeIdError,
@@ -147,6 +156,38 @@ def conflict_masks(g: OrderedGraph) -> tuple[list[int], list[int]]:
                     cross[i] |= 1 << j
                     cross[j] |= bit_i
     return cross, nest
+
+
+def nesting_depths(edges) -> list[int]:
+    """Nesting depth of each (u, v) pair: 1 + the deepest pair nested
+    strictly inside it (x > u and y < v), so depths start at 1.
+
+    Pairs at one depth never nest, and the largest depth is the largest
+    rainbow.  Left endpoints are taken in decreasing groups: a group first
+    reads a Fenwick prefix maximum over the right endpoints of the pairs
+    strictly to its right, then enters its own depths; O(m log m).
+    """
+    depth = [0] * len(edges)
+    size = max((v for _, v in edges), default=-1) + 1
+    tree = [0] * (size + 1)  # tree[i] covers right endpoints below i
+    order = sorted(range(len(edges)), key=lambda i: -edges[i][0])
+    for _, group in groupby(order, key=lambda i: edges[i][0]):
+        group = list(group)
+        for i in group:
+            best = 0
+            pos = edges[i][1]
+            while pos > 0:
+                if tree[pos] > best:
+                    best = tree[pos]
+                pos &= pos - 1
+            depth[i] = best + 1
+        for i in group:
+            pos = edges[i][1] + 1
+            while pos <= size:
+                if tree[pos] < depth[i]:
+                    tree[pos] = depth[i]
+                pos += pos & -pos
+    return depth
 
 
 @dataclass(frozen=True)
@@ -307,7 +348,7 @@ def to_grid(g: OrderedGraph) -> GridMatching:
         e: r + 1
         for r, e in enumerate(sorted(range(g.m), key=lambda e: g.edges[e][1]))
     }
-    return GridMatching(tuple(right_rank[e] for e in by_left))
+    return GridMatching(tuple([right_rank[e] for e in by_left]))
 
 
 def grid_to_graph(grid: GridMatching) -> OrderedGraph:

@@ -37,13 +37,13 @@ def rsk_shape(grid: GridMatching) -> tuple[int, ...]:
             row[pos], value = value, row[pos]
         if value != -1:
             rows.append([value])
-    return tuple(len(row) for row in rows)
+    return tuple([len(row) for row in rows])
 
 
 def conjugate_partition(rows: tuple[int, ...]) -> tuple[int, ...]:
     if not rows:
         return ()
-    return tuple(sum(1 for r in rows if r >= j) for j in range(1, rows[0] + 1))
+    return tuple([sum(1 for r in rows if r >= j) for j in range(1, rows[0] + 1)])
 
 
 @dataclass(frozen=True)
@@ -538,6 +538,6 @@ def approx_mixed_layout(grid: GridMatching) -> PageAssignment:
     if len(page_of) != m:
         raise InternalError("chain and antichain families fail to cover the edges")
     return PageAssignment(
-        PageSpec(tuple(kind for kind, _ in pages)),
-        tuple(page_of[e] for e in range(m)),
+        PageSpec(tuple([kind for kind, _ in pages])),
+        tuple([page_of[e] for e in range(m)]),
     )

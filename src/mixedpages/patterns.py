@@ -245,37 +245,38 @@ def _max_clique(masks: list[int], budget: int) -> tuple[int, ...]:
 
 
 def _clique_of_size(masks: list[int], size: int, budget: int) -> tuple[int, ...] | None:
-    """Some clique of exactly the given size, or None."""
+    """Some clique of exactly the given size, or None.
+
+    Depth-first on an explicit stack, so a clique of any size is found
+    without recursion.  A node is one candidate set entered (the root
+    included); each set tries its vertices lowest first, each with the
+    higher candidates it is adjacent to, and gives up as soon as fewer
+    candidates are left than the clique still needs.
+    """
     if size == 0:
         return ()
-    m = len(masks)
+    current: list[int] = []
+    pending: list[int] = []  # per open set: its candidates above the vertex tried
     nodes = 0
-
-    def expand(current: list[int], cands: int):
-        nonlocal nodes
+    cands = (1 << len(masks)) - 1
+    while True:
         nodes += 1
         if nodes > budget:
             raise SizeLimitError(f"clique search exceeded {budget} nodes")
         if len(current) == size:
             return tuple(current)
-        need = size - len(current)
-        c = cands
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            if bin(cands).count("1") < need:
+        # Try the lowest candidate of the entered set, else back up to the
+        # nearest open set that still has enough candidates.
+        while not cands or cands.bit_count() < size - len(current):
+            if not pending:
                 return None
-            current.append(v)
-            found = expand(current, c & masks[v])
+            cands = pending.pop()
             current.pop()
-            if found:
-                return found
-            cands &= ~(1 << v)
-            if bin(cands).count("1") < need:
-                return None
-        return None
-
-    return expand([], (1 << m) - 1)
+        v = (cands & -cands).bit_length() - 1
+        cands &= cands - 1
+        pending.append(cands)
+        current.append(v)
+        cands &= masks[v]
 
 
 def largest_twist(g, budget: int = DEFAULT_SEARCH_BUDGET) -> PatternWitness:

@@ -14,9 +14,11 @@ from .core import (
     PageKind,
     PageSpec,
     Relation,
+    _page_sweeps,
     classify_pair,
     conflict_masks,
     grid_edge_order,
+    nesting_depths,
     to_grid,
     validate_assignment,
 )
@@ -27,7 +29,13 @@ from .errors import (
     InvalidInputError,
     InvalidPageError,
 )
-from .patterns import DEFAULT_SEARCH_BUDGET, PatternKind, PatternWitness, has_twist
+from .patterns import (
+    DEFAULT_SEARCH_BUDGET,
+    PatternKind,
+    PatternWitness,
+    _lis_indices,
+    has_twist,
+)
 from . import greene, solver
 
 
@@ -68,7 +76,7 @@ class IntervalPartition:
 def subgraph(g: OrderedGraph, edge_ids) -> tuple[OrderedGraph, list[int]]:
     """Subgraph on the same vertex set; returns it with sub->global id map."""
     ids = sorted(edge_ids, key=lambda e: g.edges[e])
-    return OrderedGraph(g.n, tuple(g.edges[e] for e in ids), g.multi), ids
+    return OrderedGraph(g.n, tuple([g.edges[e] for e in ids]), g.multi), ids
 
 
 def interval_partition_by_twists(
@@ -79,6 +87,17 @@ def interval_partition_by_twists(
     The last block may lack one.  Returns the partition and, per block, the
     defining twist (global edge ids) or None.  Since a vertex contributes at
     most one edge to any twist, no block can induce a (k+2)-twist.
+
+    The block grows one vertex v at a time, and before v joins it holds no
+    (k+1)-twist.  A twist that appears with v therefore has an edge e = (a, v)
+    ending at v.  The new edges share v and never cross one another, so the
+    other k edges all cross e: they are block edges (x, y) with x < a < y < v.
+    Edges that all contain the point a cross exactly when both endpoints
+    increase, so the test is a longest increasing subsequence.  A vertex
+    that brings no edge costs nothing; one that does costs O(b log b) per
+    distinct left endpoint of its new edges, for a block of b edges.  Only
+    the vertex that closes a block runs the clique search over the whole
+    block (`has_twist`, with `budget`), which picks the reported twist.
     """
     if k < 1:
         raise InvalidInputError("k must be positive")
@@ -90,22 +109,43 @@ def interval_partition_by_twists(
         by_right.setdefault(v, []).append(e)
     start = 0
     for v in range(g.n):
+        lefts = set()
         for e in by_right.get(v, ()):
             if g.edges[e][0] >= start:
                 block_edges.append(e)
-        if not block_edges:
+                lefts.add(g.edges[e][0])
+        if not any(_twist_through(g, block_edges, a, v, k) for a in lefts):
             continue
         sub, ids = subgraph(g, block_edges)
         found = has_twist(sub, k + 1, budget)
-        if found is not None:
-            twists.append(tuple(ids[e] for e in found))
-            if v + 1 < g.n:
-                starts.append(v + 1)
-            start = v + 1
-            block_edges = []
+        if found is None:
+            raise InternalError(
+                f"a {k + 1}-twist through vertex {v} escaped the clique search"
+            )
+        twists.append(tuple([ids[e] for e in found]))
+        if v + 1 < g.n:
+            starts.append(v + 1)
+        start = v + 1
+        block_edges = []
     if len(twists) < len(starts):
         twists.append(None)
     return IntervalPartition(g.n, tuple(starts)), twists
+
+
+def _twist_through(g: OrderedGraph, block_edges: list[int], a: int, v: int, k: int) -> bool:
+    """Do the block edges that cross (a, v) hold a k-twist?  Every block
+    edge ends at or before v, so these are the edges with x < a < y < v."""
+    stabbed = []
+    for e in block_edges:
+        x, y = g.edges[e]
+        if x < a < y < v:
+            stabbed.append((x, y))
+    if len(stabbed) < k:
+        return False
+    # Equal left endpoints in decreasing right order: two edges that share a
+    # vertex never both join a strictly increasing run.
+    stabbed.sort(key=lambda xy: (xy[0], -xy[1]))
+    return len(_lis_indices(stabbed)) >= k
 
 
 @dataclass(frozen=True)
@@ -129,8 +169,8 @@ def quotient_graph(g: OrderedGraph, partition: IntervalPartition) -> QuotientRes
         else:
             inter.append(((bu, bv), e))
     inter.sort()
-    h = OrderedGraph(len(partition.starts), tuple(p for p, _ in inter), multi=True)
-    return QuotientResult(h, tuple(e for _, e in inter), tuple(intra))
+    h = OrderedGraph(len(partition.starts), tuple([p for p, _ in inter]), multi=True)
+    return QuotientResult(h, tuple([e for _, e in inter]), tuple(intra))
 
 
 # Star forests
@@ -207,14 +247,19 @@ def star_forests(
 
     2-degeneracy elimination gives stars (each vertex keeps its successor
     edges); the stars are colored into few vertex-disjoint groups and each
-    group is split by center side.
+    group is split by center side.  Validity is decided by one sweep of the
+    page (as in `validate_assignment`); only a failed sweep, or a repeated or
+    unknown edge id, runs the pairwise scan that names the offending pair.
     """
     page_edges = sorted(page_edges)
-    bad = Relation.CROSS if kind is PageKind.STACK else Relation.NEST
-    for i, e1 in enumerate(page_edges):
-        for e2 in page_edges[i + 1:]:
-            if classify_pair(h, e1, e2).kind is bad:
-                raise InvalidPageError(f"edges {e1},{e2} conflict on a {kind.value} page")
+    ids_ok = not page_edges or (0 <= page_edges[0] and page_edges[-1] < h.m)
+    ids_ok = ids_ok and all(e1 < e2 for e1, e2 in zip(page_edges, page_edges[1:]))
+    if not (ids_ok and _page_sweeps(h.edges, page_edges, kind is PageKind.STACK)):
+        bad = Relation.CROSS if kind is PageKind.STACK else Relation.NEST
+        for i, e1 in enumerate(page_edges):
+            for e2 in page_edges[i + 1:]:
+                if classify_pair(h, e1, e2).kind is bad:
+                    raise InvalidPageError(f"edges {e1},{e2} conflict on a {kind.value} page")
     if not page_edges:
         return []
 
@@ -269,18 +314,10 @@ def star_forests(
 def queue_cover(g: OrderedGraph, edge_ids) -> list[list[int]]:
     """Partition into queues by nesting depth; uses exactly largest-rainbow
     many queues, which is optimal."""
-    ids = sorted(edge_ids, key=lambda e: (g.edges[e][1] - g.edges[e][0], e))
-    depth: dict[int, int] = {}
-    for pos, e in enumerate(ids):
-        u, v = g.edges[e]
-        depth[e] = 1
-        for f in ids[:pos]:
-            x, y = g.edges[f]
-            if u < x and y < v:
-                depth[e] = max(depth[e], depth[f] + 1)
+    ids = sorted(edge_ids)
     levels: dict[int, list[int]] = {}
-    for e in sorted(edge_ids):
-        levels.setdefault(depth[e], []).append(e)
+    for e, d in zip(ids, nesting_depths([g.edges[e] for e in ids])):
+        levels.setdefault(d, []).append(e)
     return [levels[d] for d in sorted(levels)]
 
 
@@ -487,7 +524,7 @@ def transfer_layout(
         kept += 1
     if len(page_of) != g.m:
         raise InternalError("transfer missed some edges")
-    assignment = PageAssignment(PageSpec(tuple(kinds)), tuple(page_of[e] for e in range(g.m)))
+    assignment = PageAssignment(PageSpec(tuple(kinds)), tuple([page_of[e] for e in range(g.m)]))
     bad = validate_assignment(g, assignment)
     if bad:
         raise InternalError(f"transfer produced an invalid layout: {bad[:3]}")
@@ -517,19 +554,30 @@ def iterated_quotient_layout_detailed(
     exact_limit: int = 16,
     budget: int = solver.DEFAULT_BUDGET,
 ):
+    """`iterated_quotient_layout` with the per-level `TransferReport`s,
+    outermost level last.
+
+    Each level partitions the current graph with
+    `interval_partition_by_twists` and contracts it.  The levels stop when
+    the first block holds no (k+1)-twist: that block is then the whole
+    graph, so the graph has no (k+1)-twist and its layout is the top
+    quotient's.  If the graph still holds one after k-1 contractions,
+    DepthExceededError is raised; only then is a (k+1)-twist of the whole
+    current graph searched for, as the top of the witness chain.
+    """
     if not g.is_matching():
         raise InvalidInputError("iterated quotient layout needs a matching")
     levels = []
     current = g
     origin = list(range(g.m))
     while True:
-        top_twist = has_twist(current, k + 1, DEFAULT_SEARCH_BUDGET)
-        if top_twist is None:
-            break
         partition, twists = interval_partition_by_twists(current, k)
+        if not twists or twists[0] is None:
+            break
         if len(levels) == k - 1:
             # A further contraction would exceed k quotient levels, which
             # certifies a thick rainbow via the nested-twist chain.
+            top_twist = has_twist(current, k + 1, DEFAULT_SEARCH_BUDGET)
             raise DepthExceededError(
                 f"more than {k} quotient levels needed",
                 witness=_nested_twists_witness(
@@ -553,7 +601,7 @@ def iterated_quotient_layout_detailed(
                 page_of[e] = p
         top = PageAssignment(
             PageSpec.split(len(stacks), 0),
-            tuple(page_of[e] for e in range(current.m)),
+            tuple([page_of[e] for e in range(current.m)]),
         )
 
     reports = []

@@ -15,6 +15,7 @@ from .core import (
     PageKind,
     PageSpec,
     conflict_masks,
+    nesting_depths,
     validate_assignment,
 )
 from .errors import BudgetExceededError, InternalError, SizeLimitError
@@ -129,7 +130,7 @@ def _feasible_masks(
         return SolveResult(True, PageAssignment(spec, ()), 0, False)
     page_of, nodes, hit = _solve_masks(cross, nest, list(range(m)), spec, budget)
     if page_of is not None:
-        assignment = PageAssignment(spec, tuple(page_of[e] for e in range(m)))
+        assignment = PageAssignment(spec, tuple([page_of[e] for e in range(m)]))
         if validate_assignment(g, assignment):
             raise InternalError(f"search returned an invalid layout on {spec}")
         return SolveResult(True, assignment, nodes, False)
@@ -215,14 +216,7 @@ def queue_layout(g: OrderedGraph) -> PageAssignment:
     Edges at the same nesting depth never nest, and the number of depths
     equals the largest rainbow, which is also a lower bound.
     """
-    order = sorted(range(g.m), key=lambda e: (g.edges[e][1] - g.edges[e][0], e))
-    depth = [1] * g.m
-    for pos, e in enumerate(order):
-        u, v = g.edges[e]
-        for f in order[:pos]:
-            x, y = g.edges[f]
-            if u < x and y < v:
-                depth[e] = max(depth[e], depth[f] + 1)
+    depth = nesting_depths(g.edges)
     q = max(depth, default=0)
     return PageAssignment(
         PageSpec.split(0, q), tuple(d - 1 for d in depth)

@@ -1,4 +1,4 @@
-"""Recursive solver and clique search as they were before the explicit-stack
+"""Recursive solver and clique searches as they were before the explicit-stack
 rewrite, kept verbatim as oracles for the differential tests.
 
 The package must return exactly what these return, node counts and budget
@@ -114,3 +114,37 @@ def _max_clique(masks: list[int], budget: int) -> tuple[int, ...]:
     if order:
         expand([], order)
     return tuple(sorted(best))
+
+
+def _clique_of_size(masks: list[int], size: int, budget: int) -> tuple[int, ...] | None:
+    """Some clique of exactly the given size, or None."""
+    if size == 0:
+        return ()
+    m = len(masks)
+    nodes = 0
+
+    def expand(current: list[int], cands: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SizeLimitError(f"clique search exceeded {budget} nodes")
+        if len(current) == size:
+            return tuple(current)
+        need = size - len(current)
+        c = cands
+        while c:
+            v = (c & -c).bit_length() - 1
+            c &= c - 1
+            if bin(cands).count("1") < need:
+                return None
+            current.append(v)
+            found = expand(current, c & masks[v])
+            current.pop()
+            if found:
+                return found
+            cands &= ~(1 << v)
+            if bin(cands).count("1") < need:
+                return None
+        return None
+
+    return expand([], (1 << m) - 1)

@@ -11,6 +11,7 @@ from mixedpages.core import (
     build_graph,
     dump_assignment,
     dump_olg,
+    dump_perm,
     grid_to_graph,
 )
 from mixedpages.constructions import gen_diamond
@@ -94,6 +95,22 @@ class TestCommands:
     def test_detect_diamond_exact(self, capsys, diamond_file):
         assert main(["detect", diamond_file, "--kind", "diamond", "--exact", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["k"] == 2
+
+    @pytest.mark.parametrize(
+        "kind", [["twist"], ["thick"], ["thick", "--t", "2"], ["diamond", "--exact"]]
+    )
+    def test_detect_out_of_budget_is_unknown(self, capsys, tmp_path, kind):
+        from mixedpages.constructions import gen_tight_2k
+
+        path = tmp_path / "tight.olg"
+        path.write_text(dump_olg(grid_to_graph(gen_tight_2k(2))))
+        if kind[0] == "diamond":
+            path = tmp_path / "tight.perm"
+            path.write_text(dump_perm(gen_tight_2k(2)))
+        assert main(["detect", str(path), "--kind", *kind, "--budget", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unknown (budget exceeded)" in out.err and "exceeded 1 nodes" in out.err
 
     def test_ferrers_json(self, capsys, diamond_file):
         assert main(["ferrers", diamond_file, "--json"]) == 0

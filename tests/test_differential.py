@@ -5,7 +5,11 @@ validate_assignment against the plain pairwise scan, the in-package
 network simplex of max_family against the networkx flow it replaced (kept in
 flow_oracle.py), and the level-wise critical-pattern engine and its stream
 of full matrices against the per-candidate check and combinations stream
-they replaced (kept in critical_oracle.py)."""
+they replaced (kept in critical_oracle.py), the explicit-stack
+`_clique_of_size` against its recursive original, and the quotient layer
+(incremental interval partition, lazy twist probe, one-sweep star-forest
+check, Fenwick nesting depths) against the code it replaced (kept in
+quotient_oracle.py)."""
 
 import json
 import random
@@ -13,8 +17,10 @@ import random
 import pytest
 
 import critical_oracle
+import quotient_oracle
 import recursive_oracle
-from mixedpages import enumeration
+from conftest import rand_matching
+from mixedpages import enumeration, quotient, solver
 from mixedpages.constructions import gen_diamond, gen_tight_2k
 from mixedpages.core import (
     GridMatching,
@@ -28,9 +34,9 @@ from mixedpages.core import (
     conflict_masks,
     validate_assignment,
 )
-from mixedpages.errors import BudgetExceededError, SizeLimitError
+from mixedpages.errors import BudgetExceededError, MixedPagesError, SizeLimitError
 from mixedpages.greene import FamilyKind, ferrers, max_family
-from mixedpages.patterns import _max_clique
+from mixedpages.patterns import _clique_of_size, _max_clique
 from mixedpages.solver import _solve_masks
 
 KINDS = (PageKind.STACK, PageKind.QUEUE)
@@ -265,3 +271,102 @@ def test_resume_after_level_three(tmp_path, monkeypatch, resume_jobs):
     if resume_jobs == 1:
         assert min(decided) == 4
         assert len(decided) == whole.scanned - stopped["manifest"]["scanned"]
+
+
+def test_clique_of_size_matches_recursive_oracle():
+    rng = random.Random(18)
+    for _ in range(2500):
+        m = rng.randint(0, 16)
+        masks = [0] * m
+        density = rng.random()
+        for i in range(m):
+            for j in range(i + 1, m):
+                if rng.random() < density:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        size = rng.randint(0, m + 1)
+        budget = rng.randint(0, 200)
+        assert outcome(_clique_of_size, masks, size, budget) == outcome(
+            recursive_oracle._clique_of_size, masks, size, budget
+        ), (masks, size, budget)
+
+
+def test_nesting_depths_match_quadratic_dp():
+    rng = random.Random(19)
+    for _ in range(800):
+        g = rand_multigraph(rng, 12, 18)
+        assert solver.queue_layout(g) == quotient_oracle.queue_layout(g)
+        ids = [e for e in range(g.m) if rng.random() < 0.7]
+        assert quotient.queue_cover(g, ids) == quotient_oracle.queue_cover(g, ids)
+
+
+def raised(fn, *args):
+    """The result, or the type, message and witness of a package error."""
+    try:
+        return "ok", fn(*args)
+    except MixedPagesError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+def partition_inputs(seed, count, max_m):
+    """Random matchings with their multi quotients at k = 1, 2, 3: the
+    quotients have parallel edges and several edges ending at one vertex."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = rand_matching(rng, rng.randint(0, max_m))
+        yield g
+        for k in (1, 2, 3):
+            part, _ = quotient_oracle.interval_partition_by_twists(g, k)
+            yield quotient.quotient_graph(g, part).h
+
+
+def test_interval_partition_matches_whole_block_oracle():
+    for g in partition_inputs(20, 250, 60):
+        for k in (1, 2, 3):
+            assert quotient.interval_partition_by_twists(g, k) == (
+                quotient_oracle.interval_partition_by_twists(g, k)
+            ), (g, k)
+
+
+def test_interval_partition_neighbourhood_failure_is_internal(monkeypatch):
+    g = build_graph(4, [(0, 2), (1, 3)])
+    monkeypatch.setattr(quotient, "has_twist", lambda sub, size, budget: None)
+    with pytest.raises(quotient.InternalError, match="escaped the clique search"):
+        quotient.interval_partition_by_twists(g, 1)
+
+
+def test_iterated_layout_matches_level_loop_oracle(monkeypatch):
+    rng = random.Random(21)
+    cases = [(rand_matching(rng, rng.randint(0, 60)), k) for _ in range(60) for k in (1, 2, 3)]
+    cases += [(build_graph(0, []), 2), (build_graph(4, [(0, 2), (1, 3)]), 1)]
+    new = [raised(quotient.iterated_quotient_layout_detailed, g, k) for g, k in cases]
+    # The oracle lifts through the replaced star-forest check and queue cover.
+    monkeypatch.setattr(quotient, "star_forests", quotient_oracle.star_forests)
+    monkeypatch.setattr(quotient, "queue_cover", quotient_oracle.queue_cover)
+    old = [raised(quotient_oracle.iterated_quotient_layout_detailed, g, k) for g, k in cases]
+    assert new == old
+    routes = [out[0] for out in new]
+    assert routes.count("ok") > 100 and routes.count("DepthExceededError") > 30
+
+
+def forests_or_error(fn, h, page, kind):
+    try:
+        return fn(h, page, kind)
+    except Exception as exc:  # the oracle also fails on unknown ids
+        return type(exc).__name__, str(exc)
+
+
+def test_star_forests_match_pairwise_check():
+    rng = random.Random(22)
+    invalid = 0
+    for _ in range(3000):
+        h = rand_multigraph(rng, 10, 14)
+        page = [e for e in range(h.m) if rng.random() < 0.6]
+        if rng.random() < 0.1:
+            page.append(rng.choice([-1, h.m, *page[:1]]))
+            rng.shuffle(page)
+        for kind in KINDS:
+            want = forests_or_error(quotient_oracle.star_forests, h, page, kind)
+            assert forests_or_error(quotient.star_forests, h, page, kind) == want
+            invalid += want[:1] == ("InvalidPageError",)
+    assert invalid > 1500

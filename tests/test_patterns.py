@@ -117,6 +117,11 @@ class TestLargestTwist:
         assert has_twist(g, 3) is not None
         assert has_twist(g, 4) is None
 
+    def test_has_twist_deeper_than_the_recursion_limit(self):
+        g = grid_to_graph(GridMatching(tuple(range(1, 1201))))
+        assert has_twist(g, 1200) == tuple(range(1200))
+        assert has_twist(g, 1201) is None
+
 
 class TestLargestDiamond:
     def test_canonical_diamond(self):
