@@ -23,6 +23,7 @@ from .core import (
     validate_assignment,
 )
 from .errors import (
+    BadEdgeIdError,
     BudgetExceededError,
     DepthExceededError,
     InternalError,
@@ -250,6 +251,7 @@ def star_forests(
     group is split by center side.  Validity is decided by one sweep of the
     page (as in `validate_assignment`); only a failed sweep, or a repeated or
     unknown edge id, runs the pairwise scan that names the offending pair.
+    An unknown id always raises `BadEdgeIdError`, also on a one-edge page.
     """
     page_edges = sorted(page_edges)
     ids_ok = not page_edges or (0 <= page_edges[0] and page_edges[-1] < h.m)
@@ -260,6 +262,8 @@ def star_forests(
             for e2 in page_edges[i + 1:]:
                 if classify_pair(h, e1, e2).kind is bad:
                     raise InvalidPageError(f"edges {e1},{e2} conflict on a {kind.value} page")
+        if not ids_ok:  # a one-edge page: the scan has no pair to reject
+            raise BadEdgeIdError(f"no edge {page_edges[0]}")
     if not page_edges:
         return []
 

@@ -60,12 +60,27 @@ def _solve_masks(
     and closed in reverse, so the used pages of a kind are always a prefix
     of that kind's pages: an empty page is the first empty one of its kind
     exactly when the previous page of its kind is in use.
+
+    Forward checking (Haralick & Elliott, 1980): `barred[p]` is the union of
+    the conflict masks of the edges on page p (`cross` on a stack, `nest` on
+    a queue), the edges that can never join p below this point.  An empty
+    page bars nothing, so once a placement would leave every page in use,
+    the AND of all `barred` masks over the active edges is tested; if it is
+    non-zero, some unplaced edge fits on no page in any completion, and the
+    attempt counts as one node whose subtree is skipped.  A placed edge is
+    never barred from its own page, so the test needs no mask of unplaced
+    edges.  Only subtrees without a complete layout are cut, so the first
+    layout found, its dict order and every verdict within the budget are
+    those of the plain search, and `nodes` never exceeds its count.
     """
     if not active:
         return {}, 0, False
-    order = sorted(active, key=lambda e: (-(cross[e] | nest[e]).bit_count(), e))
+    # Descending conflict degree, then ascending id: every id is below m.
+    m = len(cross)
+    order = sorted(active, key=lambda e: e - (cross[e] | nest[e]).bit_count() * m)
     count = len(order)
-    is_stack = [kind is PageKind.STACK for kind in spec.kinds]
+    stack = PageKind.STACK
+    is_stack = [kind is stack for kind in spec.kinds]
     npages = len(is_stack)
     prev_same = []  # the previous page of the same kind, or -1
     last_stack = last_queue = -1
@@ -76,22 +91,28 @@ def _solve_masks(
         else:
             prev_same.append(last_queue)
             last_queue = p
-    # bad[d][p]: the edges that page p must not hold for order[d] to join it.
-    bad = [[cross[e] if st else nest[e] for st in is_stack] for e in order]
+    # bad[p][d]: the edges that page p must not hold for order[d] to join it.
+    on_stack = [cross[e] for e in order]
+    on_queue = [nest[e] for e in order]
+    bad = [on_stack if st else on_queue for st in is_stack]
     bits = [1 << e for e in order]
+    everyone = sum(bits)
     members = [0] * npages
+    barred = [0] * npages
+    barred_before = [0] * count  # barred[page_at[d]] before order[d] joined
+    empty = npages
     page_at = [0] * count
+    last = count - 1
     nodes = 1
     if nodes > budget:
         return None, nodes, True
     depth = 0
     p = 0
     while True:
-        conflicts = bad[depth]
         while p < npages:
             held = members[p]
             if held:
-                if not conflicts[p] & held:
+                if not bad[p][depth] & held:
                     break
             else:
                 before = prev_same[p]
@@ -99,21 +120,40 @@ def _solve_masks(
                     break
             p += 1
         if p < npages:
-            members[p] |= bits[depth]
-            page_at[depth] = p
-            depth += 1
             nodes += 1
             if nodes > budget:
                 return None, nodes, True
-            if depth == count:
+            page_at[depth] = p
+            if depth == last:
                 return dict(zip(order, page_at)), nodes, False
+            old = barred[p]  # `held` is still members[p] from the scan
+            barred[p] = old | bad[p][depth]
+            if not held:
+                empty -= 1
+            if not empty:
+                common = everyone
+                for mask in barred:
+                    common &= mask
+                if common:
+                    barred[p] = old
+                    if not held:
+                        empty += 1
+                    p += 1
+                    continue
+            members[p] = held | bits[depth]
+            barred_before[depth] = old
+            depth += 1
             p = 0
         else:
             depth -= 1
             if depth < 0:
                 return None, nodes, False
             p = page_at[depth]
-            members[p] ^= bits[depth]
+            held = members[p] ^ bits[depth]
+            members[p] = held
+            barred[p] = barred_before[depth]
+            if not held:
+                empty += 1
             p += 1
 
 
@@ -171,16 +211,18 @@ def mixed_page_number(
 ) -> tuple[int, PageAssignment]:
     """Smallest k such that some split s+q=k is feasible, with a witness.
 
-    Pure-stack splits with fewer stacks than the largest twist are skipped
-    unsearched; they are infeasible.
+    Pure-stack splits with fewer stacks than the largest twist, and
+    pure-queue splits with fewer queues than the largest rainbow, are
+    skipped unsearched; they are infeasible.
     """
     cross, nest = conflict_masks(g)
     omega = _twist_bound(cross, budget)
+    rainbow = max(nesting_depths(g.edges), default=0)
     total_nodes = 0
     for k in range(g.m + 1):
         unknown = False
         for spec in splits(k):
-            if spec.q == 0 and k < omega:
+            if (spec.q == 0 and k < omega) or (spec.s == 0 and k < rainbow):
                 continue
             res = _feasible_masks(g, cross, nest, spec, budget)
             total_nodes += res.nodes

@@ -1,6 +1,6 @@
 """Differential tests of the fast paths against the slow code they replace:
-the explicit-stack search and clique search against their recursive
-originals (kept in recursive_oracle.py), the page sweep of
+the explicit-stack, forward-checked search and the clique search against
+their recursive originals (kept in recursive_oracle.py), the page sweep of
 validate_assignment against the plain pairwise scan, the in-package
 network simplex of max_family against the networkx flow it replaced (kept in
 flow_oracle.py), and the level-wise critical-pattern engine and its stream
@@ -32,6 +32,7 @@ from mixedpages.core import (
     build_graph,
     classify_pair,
     conflict_masks,
+    nesting_depths,
     validate_assignment,
 )
 from mixedpages.errors import BudgetExceededError, MixedPagesError, SizeLimitError
@@ -62,23 +63,44 @@ def outcome(fn, *args):
         return "size limit"
 
 
+def same_search_outcome(args, budget):
+    """The forward-checked search against the plain recursive one: the same
+    layout in the same item order whenever the oracle answers within the
+    budget, never more nodes, a budget hit only where the oracle hits too,
+    and where only the oracle runs out, the oracle's answer at no limit.
+    Returns both results at the given budget."""
+    got = _solve_masks(*args, budget)
+    want = recursive_oracle._solve_masks(*args, budget)
+    assert got[1] <= want[1]
+    assert want[2] or not got[2]
+    answer = want
+    if want[2] and not got[2]:
+        answer = recursive_oracle._solve_masks(*args, 10**9)
+        assert not answer[2]
+    if not got[2]:
+        assert got[0] == answer[0]
+        if got[0] is not None:
+            assert list(got[0].items()) == list(answer[0].items())
+    return got, want
+
+
 def test_search_matches_recursive_oracle():
     rng = random.Random(11)
+    saved = 0
     for _ in range(1500):
         g = rand_multigraph(rng, 13, 15)
         cross, nest = conflict_masks(g)
         active = [e for e in range(g.m) if rng.random() < 0.85]
         spec = rand_spec(rng, 4)
         budget = rng.choice([0, 1, 2, 3, 7, 30, 200, 10**6])
-        want = recursive_oracle._solve_masks(cross, nest, active, spec, budget)
-        got = _solve_masks(cross, nest, active, spec, budget)
-        assert got == want, (g, str(spec), budget)
-        if got[0] is not None:
-            assert list(got[0].items()) == list(want[0].items())
+        got, want = same_search_outcome((cross, nest, active, spec), budget)
+        saved += got[1] < want[1]
+    assert saved > 50
 
 
 def test_search_matches_oracle_on_larger_matchings():
     rng = random.Random(12)
+    rescued = 0
     for _ in range(20):
         m = 18
         points = list(range(2 * m))
@@ -88,8 +110,27 @@ def test_search_matches_oracle_on_larger_matchings():
         for spec in ("SS", "SQ", "QS", "QQ", "SSQ", "SQS"):
             spec = PageSpec.from_string(spec)
             budget = rng.choice([50, 10**6])
-            args = (cross, nest, list(range(m)), spec, budget)
-            assert _solve_masks(*args) == recursive_oracle._solve_masks(*args)
+            got, want = same_search_outcome((cross, nest, list(range(m)), spec), budget)
+            rescued += want[2] and not got[2]
+    assert rescued > 0
+
+
+def test_mixed_page_number_matches_unskipped_split_loop():
+    """Splits below the twist (pure stack) or the rainbow (pure queue) are
+    skipped; the answer and witness are those of a search of every split."""
+    rng = random.Random(23)
+    skipped = 0
+    for i in range(300):
+        g = rand_matching(rng, rng.randint(0, 10)) if i % 2 else rand_multigraph(rng, 10, 10)
+        want = next(
+            (k, res.assignment)
+            for k in range(g.m + 1)
+            for spec in solver.splits(k)
+            if (res := solver.feasible(g, spec)).feasible
+        )
+        assert solver.mixed_page_number(g) == want
+        skipped += want[0] > 1 and max(nesting_depths(g.edges)) > 1
+    assert skipped > 20
 
 
 def test_clique_matches_recursive_oracle():
@@ -358,7 +399,7 @@ def forests_or_error(fn, h, page, kind):
 
 def test_star_forests_match_pairwise_check():
     rng = random.Random(22)
-    invalid = 0
+    invalid = lone_bad_ids = 0
     for _ in range(3000):
         h = rand_multigraph(rng, 10, 14)
         page = [e for e in range(h.m) if rng.random() < 0.6]
@@ -367,6 +408,10 @@ def test_star_forests_match_pairwise_check():
             rng.shuffle(page)
         for kind in KINDS:
             want = forests_or_error(quotient_oracle.star_forests, h, page, kind)
+            if len(page) == 1 and not 0 <= page[0] < h.m:
+                # The oracle trusts the id of a lone edge; the package rejects it.
+                want = "BadEdgeIdError", f"no edge {page[0]}"
+                lone_bad_ids += 1
             assert forests_or_error(quotient.star_forests, h, page, kind) == want
             invalid += want[:1] == ("InvalidPageError",)
-    assert invalid > 1500
+    assert invalid > 1500 and lone_bad_ids > 0

@@ -10,6 +10,7 @@ from mixedpages.core import (
     validate_assignment,
 )
 from mixedpages.errors import (
+    BadEdgeIdError,
     DepthExceededError,
     InternalError,
     InvalidInputError,
@@ -136,6 +137,14 @@ class TestStarForests:
         h = build_graph(4, [(0, 2), (1, 3)])
         with pytest.raises(InvalidPageError):
             star_forests(h, [0, 1], PageKind.STACK)
+
+    @pytest.mark.parametrize("kind", [PageKind.STACK, PageKind.QUEUE])
+    def test_unknown_id_on_a_one_edge_page_rejected(self, kind):
+        h = build_graph(4, [(0, 2), (1, 3)])
+        for bad in (-1, h.m):
+            with pytest.raises(BadEdgeIdError, match=f"no edge {bad}"):
+                star_forests(h, [bad], kind)
+        assert star_forests(h, [1], kind)[0].stars[0].edges == (1,)
 
     def test_outerplanar_page_partition(self):
         # a maximal outerplanar stack page on 6 vertices

@@ -30,6 +30,21 @@ def twist(k):
     return grid_to_graph(GridMatching(tuple(range(1, k + 1))))
 
 
+def searched_specs(monkeypatch) -> list[str]:
+    """The specs of the searches that run from now on, in order."""
+    from mixedpages import solver
+
+    searched = []
+    real = solver._solve_masks
+
+    def spy(cross, nest, active, spec, budget):
+        searched.append(str(spec))
+        return real(cross, nest, active, spec, budget)
+
+    monkeypatch.setattr(solver, "_solve_masks", spy)
+    return searched
+
+
 class TestFeasible:
     def test_rainbow_needs_a_stack(self):
         g = rainbow(3)
@@ -57,9 +72,10 @@ class TestFeasible:
             assert validate_assignment(g, a) == []
 
     def test_budget_reports_unknown(self):
-        g = gen_2critical(4)
-        res = feasible(g, PageSpec.from_string("SS"), budget=5)
+        g = gen_2critical(4)  # SQ is refuted in 12 nodes
+        res = feasible(g, PageSpec.from_string("SQ"), budget=5)
         assert res.budget_hit and res.status == "unknown"
+        assert res.nodes == 6
 
     def test_empty_graph_fits_empty_spec(self):
         res = feasible(build_graph(3, []), PageSpec(()))
@@ -162,21 +178,20 @@ class TestTwistRefutation:
             )
 
     def test_pure_stack_splits_below_the_twist_are_not_searched(self, monkeypatch):
-        from mixedpages import solver
-
-        searched = []
-        real = solver._solve_masks
-
-        def spy(cross, nest, active, spec, budget):
-            searched.append(str(spec))
-            return real(cross, nest, active, spec, budget)
-
-        monkeypatch.setattr(solver, "_solve_masks", spy)
+        searched = searched_specs(monkeypatch)
         assert stack_number(twist(4))[0] == 4
         assert searched == ["SSSS"]
         searched.clear()
         assert mixed_page_number(twist(4))[0] == 1
         assert searched == ["Q"]
+
+    def test_pure_queue_splits_below_the_rainbow_are_not_searched(self, monkeypatch):
+        searched = searched_specs(monkeypatch)
+        # A 3-twist beside a 3-rainbow: S and SS fall below the twist, Q below
+        # the rainbow.
+        both = build_graph(12, [(0, 3), (1, 4), (2, 5), (6, 11), (7, 10), (8, 9)])
+        assert mixed_page_number(both)[0] == 2
+        assert searched == ["SQ"]
 
 
 class TestInternalChecks:
