@@ -436,11 +436,18 @@ def dump_assignment(a: PageAssignment) -> str:
     )
 
 
+# What `json.loads` and reading its fields with int() and the enums raise on
+# malformed input: int() of a JSON Infinity overflows, deep nesting recurses.
+MALFORMED_JSON = (
+    json.JSONDecodeError, KeyError, ValueError, TypeError, OverflowError, RecursionError
+)
+
+
 def parse_assignment(text: str) -> PageAssignment:
     try:
         data = json.loads(text)
         spec = PageSpec(tuple(PageKind(c) for c in data["spec"]))
         pages = tuple(int(p) for p in data["pages"])
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except MALFORMED_JSON as exc:
         raise ParseError(f"bad assignment JSON: {exc}", 1) from None
     return PageAssignment(spec, pages)

@@ -220,14 +220,18 @@ def _decide(g: OrderedGraph, specs, budget: int, below: set, infeasible: set) ->
     level below, so a deletion missing from `below` is feasible. A key is
     the flattened edge list of the canonical form, as bytes; stream graphs
     are canonical.
+
+    Only the verdict is needed, so every spec goes through `solver._fits`:
+    specs of at most two pages are decided without search, and the budget
+    bounds only the searches of three or more pages.
     """
     cross, nest = conflict_masks(g)
     everything = list(range(g.m))
     for spec in specs:
-        page_of, _, hit = solver._solve_masks(cross, nest, everything, spec, budget)
-        if hit:
+        fits, _ = solver._fits(cross, nest, everything, spec, budget)
+        if fits is None:
             raise BudgetExceededError("criticality check undecided")
-        if page_of is not None:
+        if fits:
             return False
     edges = g.edges
     flat = [v for e in edges for v in e]
@@ -249,11 +253,14 @@ def find_critical(
     """The critical patterns of the family's stream for `mode`, level by
     level in edge count.
 
-    Each candidate is solved once. An infeasible one enters its level's
-    table of infeasible canonical keys, and it is critical exactly when none
-    of its one-edge deletions is in the table of the level below. Only two
-    tables are alive at a time, and none outlives the call. `node_budget`
-    caps the number of candidates; `scanned` counts them.
+    Each candidate is decided once, by `_decide`; at modes of at most two
+    pages (k <= 2, s + q <= 2) no candidate is searched, and `budget`
+    bounds only the searches of three or more pages. An infeasible
+    candidate enters its level's table of infeasible canonical keys, and it
+    is critical exactly when none of its one-edge deletions is in the table
+    of the level below. Only two tables are alive at a time, and none
+    outlives the call. `node_budget` caps the number of candidates;
+    `scanned` counts them.
 
     A finished level is the unit of every other feature:
     - `checkpoint`: after each level the file records that level's edge

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
+    MALFORMED_JSON,
     GridMatching,
     OrderedGraph,
     Relation,
@@ -20,7 +21,7 @@ from .core import (
     conflict_masks,
     grid_to_graph,
 )
-from .errors import InsufficientInputError, SizeLimitError
+from .errors import InsufficientInputError, ParseError, SizeLimitError
 
 DEFAULT_SEARCH_BUDGET = 10**7
 
@@ -64,14 +65,15 @@ class PatternWitness:
 
     @staticmethod
     def from_json(text: str) -> "PatternWitness":
-        data = json.loads(text)
-        groups = tuple(tuple(int(e) for e in g) for g in data["groups"])
+        """Parse `to_json` output; malformed input raises ParseError."""
+        try:
+            data = json.loads(text)
+            groups = tuple(tuple(int(e) for e in g) for g in data["groups"])
+            kind, k, t = PatternKind(data["kind"]), int(data["k"]), int(data["t"])
+        except MALFORMED_JSON as exc:
+            raise ParseError(f"bad witness JSON: {exc}", 1) from None
         return PatternWitness(
-            kind=PatternKind(data["kind"]),
-            k=int(data["k"]),
-            t=int(data["t"]),
-            edges=tuple(e for g in groups for e in g),
-            groups=groups,
+            kind=kind, k=k, t=t, edges=tuple(e for g in groups for e in g), groups=groups
         )
 
 

@@ -1,8 +1,14 @@
-"""Exact feasibility and page numbers by pruned backtracking.
+"""Exact feasibility and page numbers by pruned backtracking, and
+verdicts without search where the vertex order makes them polynomial.
 
-The decision problems are NP-hard in general, so every search carries a node
-budget and reports "unknown" (budget_hit) rather than a wrong verdict when it
-runs out.
+For a fixed vertex order, specs of at most two pages are decided in
+polynomial time: one page holds no conflicting pair, and two pages are a
+2-SAT instance (two stacks: the crossing graph is bipartite; two queues: the
+nesting graph is).  `_fits` decides them without search, in 0 nodes.  With
+three or more pages the decision is NP-hard in general, so every search
+carries a node budget and reports "unknown" (budget_hit) rather than a wrong
+verdict when it runs out.  Callers that need a layout, not only a verdict
+(`feasible`, `mixed_page_number`, `stack_number`), always search.
 """
 
 from __future__ import annotations
@@ -157,6 +163,88 @@ def _solve_masks(
             p += 1
 
 
+def _fits(
+    cross: list[int],
+    nest: list[int],
+    active: list[int],
+    spec: PageSpec,
+    budget: int,
+) -> tuple[bool | None, int]:
+    """Verdict only: do the `active` edges fit on the spec's pages?
+
+    Returns (fits, nodes), where fits is None when the search ran out of
+    budget.  Specs with at most two pages are decided without search; they
+    count 0 nodes and never consult the budget.  One page fits when no
+    active edge has an active conflict of its kind (`cross` on a stack,
+    `nest` on a queue); two pages go to `_two_pages`.  Specs with three or
+    more pages go to `_solve_masks`.
+    """
+    kinds = spec.kinds
+    if len(kinds) > 2:
+        page_of, nodes, hit = _solve_masks(cross, nest, active, spec, budget)
+        return (None if hit else page_of is not None), nodes
+    live = 0
+    for e in active:
+        live |= 1 << e
+    if not kinds:
+        return not live, 0
+    stack = PageKind.STACK
+    bar0 = cross if kinds[0] is stack else nest
+    if len(kinds) == 1:
+        return not any(bar0[e] & live for e in active), 0
+    return _two_pages(bar0, cross if kinds[1] is stack else nest, live), 0
+
+
+def _two_pages(bar0: list[int], bar1: list[int], free: int) -> bool:
+    """Do the edges in the bitmask `free` split over two pages, where edge e
+    bars the edges in bar0[e] from page 0 and those in bar1[e] from page 1?
+    Both relations must be symmetric, as the conflict masks are.
+
+    2-SAT by propagation (Even, Itai & Shamir, SIAM J. Comput. 1976): put the
+    lowest free edge on page 0 and propagate what that forces; on a clash,
+    put it on page 1 instead; if both clash, there is no split.  A
+    propagation without a clash assigns a closed set: each assigned edge has
+    forced onto the other page every edge it bars from its own page, so an
+    edge left free is barred by an assigned edge at most from the page the
+    assigned edge is not on, which constrains nothing.  So the assignment
+    is kept, and the rest is decided on its own.
+    """
+    while free:
+        start = free & -free
+        placed = _force(bar0, bar1, free, start, 0) or _force(
+            bar0, bar1, free, 0, start
+        )
+        if not placed:
+            return False
+        free &= ~placed
+    return True
+
+
+def _force(bar0: list[int], bar1: list[int], free: int, new0: int, new1: int) -> int:
+    """Put the edges of `new0` on page 0 and those of `new1` on page 1, then
+    every free edge this forces, until nothing more is forced.  Returns the
+    edges placed, or 0 if some edge is forced onto both pages."""
+    on0 = on1 = 0
+    while new0 | new1:
+        on0 |= new0
+        on1 |= new1
+        if on0 & on1:
+            return 0
+        to1 = 0
+        while new0:
+            low = new0 & -new0
+            to1 |= bar0[low.bit_length() - 1]
+            new0 ^= low
+        to0 = 0
+        while new1:
+            low = new1 & -new1
+            to0 |= bar1[low.bit_length() - 1]
+            new1 ^= low
+        new0 = to0 & free & ~on0
+        new1 = to1 & free & ~on1
+    return on0 | on1
+
+
 def _feasible_masks(
     g: OrderedGraph,
     cross: list[int],
@@ -291,7 +379,10 @@ def criticality(
 
     Critical means: infeasible as stated, while every single-edge deletion is
     feasible (at the same (s,q), or at some split of k).  Deletions reuse the
-    conflict masks of the full graph.
+    conflict masks of the full graph.  Only verdicts are needed, so each
+    check goes through `_fits`: specs of at most two pages (every mode with
+    s + q <= 2 or k <= 2) are decided without search, and only searches of
+    three or more pages count nodes and can exhaust the budget.
     """
     total = 0
     cross, nest = conflict_masks(g)
@@ -306,11 +397,11 @@ def criticality(
 
     def decide(active: list[int], spec: PageSpec) -> bool:
         nonlocal total
-        page_of, nodes, hit = _solve_masks(cross, nest, active, spec, budget)
+        fits, nodes = _fits(cross, nest, active, spec, budget)
         total += nodes
-        if hit:
+        if fits is None:
             raise BudgetExceededError("criticality check undecided", nodes=total)
-        return page_of is not None
+        return fits
 
     everything = list(range(g.m))
     for spec in specs:

@@ -69,6 +69,15 @@ def brute_cover(grid: GridMatching, i: int, antichains: bool = False) -> int:
     return best((1 << grid.m) - 1, i)
 
 
+def brute_force_fits(g: OrderedGraph, spec) -> bool:
+    """Independent oracle: does any assignment of g's edges to the spec's
+    pages pass the page validity check?  Exponential in g.m."""
+    return any(
+        not validate_assignment(g, PageAssignment(spec, pages))
+        for pages in product(range(len(spec)), repeat=g.m)
+    )
+
+
 def brute_force_mixed_page_number(g: OrderedGraph) -> int:
     """Independent oracle: enumerate every page assignment, smallest k first,
     and accept via the page validity check.
@@ -78,10 +87,8 @@ def brute_force_mixed_page_number(g: OrderedGraph) -> int:
     """
     m = g.m
     for k in range(1, m):
-        for spec in splits(k):
-            for pages in product(range(k), repeat=m):
-                if not validate_assignment(g, PageAssignment(spec, pages)):
-                    return k
+        if any(brute_force_fits(g, spec) for spec in splits(k)):
+            return k
     return m
 
 

@@ -173,6 +173,13 @@ class TestCommands:
         wfile.write_text(w.to_json())
         assert main(["verify", diamond_file, "--witness", str(wfile)]) == 0
 
+    @pytest.mark.parametrize("text", ['{"kind": "twist", "k": 2}', "not json", "[" * 100000])
+    def test_verify_malformed_witness_is_an_error(self, capsys, tmp_path, diamond_file, text):
+        wfile = tmp_path / "w.json"
+        wfile.write_text(text)
+        assert main(["verify", diamond_file, "--witness", str(wfile)]) == 3
+        assert "bad witness JSON" in capsys.readouterr().err
+
     def test_error_reported_cleanly(self, capsys, tmp_path):
         path = tmp_path / "broken.olg"
         path.write_text("not a graph\n")
@@ -234,8 +241,14 @@ class TestCommands:
         assert data["k1"]["consistent"] is True
 
     def test_conjecture_out_of_budget_is_unknown(self, capsys):
+        # The conjecture's modes have at most two pages and run no search,
+        # so only a mode of three or more pages can run out of budget.
         assert main([
             "enumerate-critical", "--matchings", "--conjecture", "--max-m", "3", "--budget", "0",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["k1"]["consistent"]
+        assert main([
+            "enumerate-critical", "--matchings", "--k", "3", "--max-m", "3", "--budget", "0",
         ]) == 2
         assert capsys.readouterr().out == "unknown (budget exceeded)\n"
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,11 +31,13 @@ from mixedpages.errors import (
     BadEdgeIdError,
     CoverageMismatchError,
     DuplicateEdgeError,
+    MixedPagesError,
     NotMatchingError,
     NotSeparatedError,
     OutOfRangeError,
     ParseError,
 )
+from mixedpages.patterns import PatternWitness
 
 
 class TestBuildGraph:
@@ -274,3 +278,70 @@ def test_build_graph_never_produces_unsorted_edges(pairs):
         return
     assert list(g.edges) == sorted(g.edges)
     assert all(u < v for u, v in g.edges)
+
+
+# Fuzzing the parsers of outside input: every input either parses or raises
+# a MixedPagesError, never another exception.
+TOKENS = st.sampled_from(["0", "1", "2", "3", "7", "-1", "10", "x", "1.5", "perm:", ""])
+LINES = st.lists(st.lists(TOKENS, max_size=3).map(" ".join), max_size=6).map("\n".join)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=8,
+)
+
+
+def parses_or_raises_package_error(parse, text):
+    try:
+        parse(text)
+    except MixedPagesError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=40), LINES), st.booleans())
+def test_parse_olg_fuzz(text, multi):
+    parses_or_raises_package_error(lambda t: parse_olg(t, multi=multi), text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=40), LINES, LINES.map(lambda t: "perm: " + t)))
+def test_parse_perm_fuzz(text):
+    parses_or_raises_package_error(parse_perm, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.text(max_size=40),
+    JSON.map(json.dumps),
+    st.fixed_dictionaries({"spec": JSON, "pages": JSON}).map(json.dumps),
+    st.fixed_dictionaries({
+        "spec": st.lists(st.sampled_from(["S", "Q", "s", "X", 1]), max_size=3),
+        "pages": st.lists(st.one_of(st.integers(-1, 3), st.floats(), st.text(max_size=2)), max_size=4),
+    }).map(json.dumps),
+))
+def test_parse_assignment_fuzz(text):
+    parses_or_raises_package_error(parse_assignment, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.text(max_size=40),
+    JSON.map(json.dumps),
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["twist", "rainbow", "diamond", "thick-twist", "nope", 3]),
+        "k": JSON,
+        "t": JSON,
+        "groups": st.one_of(JSON, st.lists(st.lists(JSON, max_size=3), max_size=3)),
+    }).map(json.dumps),
+))
+def test_witness_from_json_fuzz(text):
+    parses_or_raises_package_error(PatternWitness.from_json, text)
+
+
+@pytest.mark.parametrize("parse", [parse_assignment, PatternWitness.from_json])
+def test_json_parsers_reject_deep_nesting_and_infinity(parse):
+    for text in ("[" * 100000, '{"spec": ["S"], "pages": [Infinity], "kind": "twist", '
+                 '"k": Infinity, "t": 1, "groups": [[0]]}'):
+        with pytest.raises(ParseError):
+            parse(text)

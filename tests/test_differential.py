@@ -1,6 +1,8 @@
 """Differential tests of the fast paths against the slow code they replace:
 the explicit-stack, forward-checked search and the clique search against
-their recursive originals (kept in recursive_oracle.py), the page sweep of
+their recursive originals (kept in recursive_oracle.py), the verdicts of
+`solver._fits` on specs of at most two pages against the search and the
+brute-force oracle, the page sweep of
 validate_assignment against the plain pairwise scan, the in-package
 network simplex of max_family against the networkx flow it replaced (kept in
 flow_oracle.py), and the level-wise critical-pattern engine and its stream
@@ -19,11 +21,12 @@ import pytest
 import critical_oracle
 import quotient_oracle
 import recursive_oracle
-from conftest import rand_matching
+from conftest import brute_force_fits, rand_graph, rand_matching
 from mixedpages import enumeration, quotient, solver
-from mixedpages.constructions import gen_diamond, gen_tight_2k
+from mixedpages.constructions import gen_2critical, gen_diamond, gen_tight_2k
 from mixedpages.core import (
     GridMatching,
+    OrderedGraph,
     PageAssignment,
     PageKind,
     PageSpec,
@@ -131,6 +134,112 @@ def test_mixed_page_number_matches_unskipped_split_loop():
         assert solver.mixed_page_number(g) == want
         skipped += want[0] > 1 and max(nesting_depths(g.edges)) > 1
     assert skipped > 20
+
+
+SHORT_SPECS = [PageSpec.from_string(s) for s in ("", "S", "Q", "SS", "SQ", "QS", "QQ")]
+
+
+def test_fits_matches_search_and_brute_force():
+    """Specs of at most two pages, decided without search, on random graphs
+    and multigraphs with random active subsets: the search's verdict and the
+    brute-force oracle's, in 0 nodes and at a budget of 0."""
+    rng = random.Random(31)
+    verdicts = set()
+    for i in range(600):
+        if i % 3 == 0:
+            g = rand_multigraph(rng, 10, 8)
+        elif i % 3 == 1:
+            g = rand_graph(rng, rng.randint(2, 10), rng.randint(0, 8))
+        else:
+            g = rand_graph(rng, 7, 9)
+        cross, nest = conflict_masks(g)
+        active = [e for e in range(g.m) if rng.random() < 0.8]
+        sub = OrderedGraph(g.n, tuple([g.edges[e] for e in active]), g.multi)
+        for spec in SHORT_SPECS:
+            fits, nodes = solver._fits(cross, nest, active, spec, 0)
+            page_of, _, hit = _solve_masks(cross, nest, active, spec, 10**6)
+            assert nodes == 0 and not hit
+            assert fits == (page_of is not None) == brute_force_fits(sub, spec), (g, active, spec)
+            verdicts.add((str(spec), fits))
+    assert len(verdicts) == 2 * len(SHORT_SPECS), sorted(verdicts)
+
+
+def test_fits_matches_search_on_larger_graphs():
+    """Two-page verdicts on 18-edge matchings and denser multigraphs, where
+    the brute-force oracle would take too long; with active subsets that
+    leave out up to half the edges."""
+    rng = random.Random(32)
+    fits_seen = set()
+    for i in range(120):
+        g = rand_matching(rng, 18) if i % 2 else rand_multigraph(rng, 14, 24)
+        cross, nest = conflict_masks(g)
+        keep = rng.choice([0.5, 0.8, 1.0])
+        active = [e for e in range(g.m) if rng.random() < keep]
+        for spec in SHORT_SPECS[3:]:
+            fits, nodes = solver._fits(cross, nest, active, spec, 0)
+            page_of, _, hit = _solve_masks(cross, nest, active, spec, 10**8)
+            assert nodes == 0 and not hit
+            assert fits == (page_of is not None), (g, active, spec)
+            fits_seen.add(fits)
+    assert fits_seen == {True, False}
+
+
+def test_fits_passes_longer_specs_to_the_search():
+    rng = random.Random(33)
+    for _ in range(200):
+        g = rand_multigraph(rng, 10, 10)
+        cross, nest = conflict_masks(g)
+        active = [e for e in range(g.m) if rng.random() < 0.8]
+        spec = PageSpec(tuple(rng.choice(KINDS) for _ in range(rng.randint(3, 4))))
+        for budget in (0, 5, 10**6):
+            page_of, nodes, hit = _solve_masks(cross, nest, active, spec, budget)
+            want = None if hit else page_of is not None
+            assert solver._fits(cross, nest, active, spec, budget) == (want, nodes)
+
+
+def searched(cross, nest, active, spec, budget):
+    """A `solver._fits` that searches every spec: the reference for the
+    verdicts decided without search."""
+    page_of, nodes, hit = _solve_masks(cross, nest, active, spec, budget)
+    return (None if hit else page_of is not None), nodes
+
+
+SWEEP = [enumeration.EnumFamily("separated", *bounds) for bounds in (
+    (3, 3, 3), (4, 3, 3), (4, 3, 4), (4, 4, 4), (4, 4, 5), (4, 5, 5),
+    (5, 3, 3), (5, 3, 4), (5, 4, 4), (5, 4, 5), (6, 3, 3),
+)] + [enumeration.EnumFamily("matchings", m) for m in (3, 4, 5)]
+
+
+def test_find_critical_matches_the_search_on_the_sweep(monkeypatch):
+    """The families of the benchmark's enumerate sweep (but its largest,
+    5x5 with 5 edges), in all four of its modes, give the same patterns and
+    `scanned` with every verdict searched."""
+    modes = [("k", 1), ("sq", 1, 1), ("sq", 2, 0), ("sq", 0, 2)]
+    got = {
+        (family, mode): enumeration.find_critical(family, mode)
+        for family in SWEEP for mode in modes
+    }
+    monkeypatch.setattr(solver, "_fits", searched)
+    found = 0
+    for (family, mode), result in got.items():
+        want = enumeration.find_critical(family, mode)
+        assert (result.patterns, result.scanned) == (want.patterns, want.scanned), (family, mode)
+        found += len(want.patterns)
+    assert found > 100
+
+
+def test_criticality_matches_the_search(monkeypatch):
+    rng = random.Random(34)
+    graphs = list(enumeration.enumerate_matchings_up_to(4))
+    graphs += [rand_multigraph(rng, 9, 8) for _ in range(100)]
+    graphs += [gen_2critical(r) for r in (2, 4, 6, 8)]
+    modes = [("k", 1), ("k", 2), ("sq", 1, 1), ("sq", 2, 0), ("sq", 0, 2)]
+    got = [solver.criticality(g, mode) for g in graphs for mode in modes]
+    monkeypatch.setattr(solver, "_fits", searched)
+    want = [solver.criticality(g, mode) for g in graphs for mode in modes]
+    assert [(v.critical, v.reason) for v in got] == [(v.critical, v.reason) for v in want]
+    assert all(v.nodes == 0 for v in got)
+    assert sum(v.critical for v in want) > 10
 
 
 def test_clique_matches_recursive_oracle():

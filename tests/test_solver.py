@@ -11,7 +11,13 @@ from mixedpages.core import (
 )
 from mixedpages.errors import BudgetExceededError, InternalError
 from mixedpages.patterns import largest_rainbow, largest_twist
-from mixedpages.constructions import gen_2critical, gen_diamond, gen_stack_critical, gen_thick_twist
+from mixedpages.constructions import (
+    gen_2critical,
+    gen_diamond,
+    gen_k_critical,
+    gen_stack_critical,
+    gen_thick_twist,
+)
 from mixedpages.solver import (
     criticality,
     feasible,
@@ -138,8 +144,15 @@ class TestCriticality:
         assert not criticality(grid_to_graph(gen_diamond(2)), ("k", 1)).critical
 
     def test_budget_surfaces_as_error(self):
-        with pytest.raises(BudgetExceededError):
-            criticality(gen_2critical(4), ("k", 2), budget=3)
+        # Specs of at most two pages never search, so the budget runs out
+        # only on a mode of three or more pages.
+        with pytest.raises(BudgetExceededError) as err:
+            criticality(gen_k_critical(3), ("k", 3), budget=3)
+        assert err.value.nodes == 4
+
+    def test_two_page_modes_run_no_search(self):
+        verdict = criticality(gen_2critical(40), ("k", 2), budget=1)
+        assert verdict.critical and verdict.nodes == 0
 
 
 class TestLargeInputs:
