@@ -23,6 +23,7 @@ from .errors import (
     BadEdgeIdError,
     CoverageMismatchError,
     DuplicateEdgeError,
+    InvalidInputError,
     NotMatchingError,
     NotSeparatedError,
     OutOfRangeError,
@@ -133,8 +134,11 @@ def nesting(g: OrderedGraph, e1: int, e2: int) -> bool:
 def conflict_masks(g: OrderedGraph) -> tuple[list[int], list[int]]:
     """Per-edge bitmasks of crossing and nesting partners.
 
-    Inlined comparisons instead of classify_pair; this sits on the hot path
-    of the solver and of enumeration filters.
+    Edges are sorted, so the inner loop stops at the first later edge that
+    starts at or after v: it and every edge after it share v or lie to the
+    right.  The work is O(m + overlapping pairs), not all pairs.  Inlined
+    comparisons instead of classify_pair; this sits on the hot path of the
+    solver and of enumeration filters.
     """
     m = g.m
     edges = g.edges
@@ -145,16 +149,17 @@ def conflict_masks(g: OrderedGraph) -> tuple[list[int], list[int]]:
         bit_i = 1 << i
         for j in range(i + 1, m):
             x, y = edges[j]
-            if u == x or v == y or v == x:
+            if x >= v:
+                break
+            # Here u <= x < v.
+            if u == x or v == y:
                 continue
-            # Edges are sorted, so u < x here.
-            if x < v:
-                if y < v:
-                    nest[i] |= 1 << j
-                    nest[j] |= bit_i
-                elif y > v:
-                    cross[i] |= 1 << j
-                    cross[j] |= bit_i
+            if y < v:
+                nest[i] |= 1 << j
+                nest[j] |= bit_i
+            else:
+                cross[i] |= 1 << j
+                cross[j] |= bit_i
     return cross, nest
 
 
@@ -249,7 +254,8 @@ def _page_sweeps(edges, members: list[int], stack: bool) -> bool:
     into a queue.  Every close must remove an edge ending at the current
     vertex: a stack closes LIFO and fails exactly when the page holds a
     crossing pair, a queue closes FIFO and fails exactly when it holds a
-    nesting pair.  Edges not of the form u < v are left to the pairwise scan.
+    nesting pair.  A page with an edge not of the form u < v fails, and
+    `_page_violations` rejects it.
     """
     events = []
     for e in members:
@@ -274,11 +280,64 @@ def _page_sweeps(edges, members: list[int], stack: bool) -> bool:
     return True
 
 
+def _page_violations(edges, members: list[int], stack: bool) -> list[tuple[int, int]]:
+    """The crossing pairs of a stack page or the nesting pairs of a queue
+    page, as sorted (smaller id, larger id) pairs; O(m log m + conflicts).
+
+    The sweep of `_page_sweeps` with an explicit open list, linked in
+    opening order.  At each vertex the closing edges leave in the order a
+    valid page would take them, last opened first from a stack and first
+    opened first from a queue, so every edge that shares an endpoint with e
+    has left before e closes or is not open yet.  When e = (u, v) closes at
+    v, every open edge opened after e crosses it on a stack (u < x < v < y),
+    and every open edge opened before e nests it in a queue (x < u, v < y).
+    """
+    for e in members:
+        u, v = edges[e]
+        if not u < v:
+            raise InvalidInputError(f"edge {e} = ({u},{v}) is not of the form u < v")
+    opened = sorted(
+        members, key=lambda e: (edges[e][0], -edges[e][1] if stack else edges[e][1], e)
+    )
+    k = len(opened)
+    closes = sorted(range(k), key=lambda i: (edges[opened[i]][1], -i if stack else i))
+    nxt = list(range(1, k + 1))  # k: no later edge
+    prv = list(range(-1, k - 1))  # -1: no earlier edge
+    n_open = 0
+    pairs = []
+    for i in closes:
+        e = opened[i]
+        v = edges[e][1]
+        while n_open < k and edges[opened[n_open]][0] < v:
+            n_open += 1
+        if stack:
+            j = nxt[i]
+            while j < n_open:
+                f = opened[j]
+                pairs.append((e, f) if e < f else (f, e))
+                j = nxt[j]
+        else:
+            j = prv[i]
+            while j >= 0:
+                f = opened[j]
+                pairs.append((e, f) if e < f else (f, e))
+                j = prv[j]
+        before, after = prv[i], nxt[i]
+        if before >= 0:
+            nxt[before] = after
+        if after < k:
+            prv[after] = before
+    pairs.sort()
+    return pairs
+
+
 def validate_assignment(g: OrderedGraph, a: PageAssignment) -> list[Violation]:
     """Empty iff no stack page holds a crossing pair and no queue a nesting pair.
 
-    Each page is checked by one sweep; only when a sweep fails does the
-    pairwise scan run, to list every violating pair.
+    Each page is checked by one sweep.  A page whose sweep fails has its
+    violations listed by the same sweep with an explicit open list, in the
+    order of the pairwise scan (by page, then by edge ids), at a cost of
+    O(m log m + violations), not of all pairs.
     """
     if len(a.page_of) != g.m:
         raise CoverageMismatchError(
@@ -287,20 +346,12 @@ def validate_assignment(g: OrderedGraph, a: PageAssignment) -> list[Violation]:
     for e, p in enumerate(a.page_of):
         if not 0 <= p < len(a.spec):
             raise CoverageMismatchError(f"edge {e} mapped to missing page {p}")
-    pages = a.pages()
-    if all(
-        _page_sweeps(g.edges, members, kind is PageKind.STACK)
-        for members, kind in zip(pages, a.spec.kinds)
-    ):
-        return []
     violations = []
-    for p, members in enumerate(pages):
-        kind = a.spec.kinds[p]
-        bad = Relation.CROSS if kind is PageKind.STACK else Relation.NEST
-        for i, e1 in enumerate(members):
-            for e2 in members[i + 1:]:
-                if classify_pair(g, e1, e2).kind is bad:
-                    violations.append(Violation(p, kind, e1, e2))
+    for p, (members, kind) in enumerate(zip(a.pages(), a.spec.kinds)):
+        stack = kind is PageKind.STACK
+        if not _page_sweeps(g.edges, members, stack):
+            pairs = _page_violations(g.edges, members, stack)
+            violations.extend([Violation(p, kind, e1, e2) for e1, e2 in pairs])
     return violations
 
 

@@ -430,8 +430,10 @@ def _load_checkpoint(
         raise ParseError(f"checkpoint {path} is malformed: {exc!r}", 1) from None
     if not same_run:
         return 0, set()
-    if not all(isinstance(x, int) for x in (scanned, level)) or not all(
-        isinstance(x, list) for x in (patterns, keys)
+    if (
+        not all(isinstance(x, int) for x in (scanned, level))
+        or not all(isinstance(x, list) for x in (patterns, keys))
+        or not all(isinstance(olg, str) for olg in patterns)
     ):
         raise ParseError(f"checkpoint {path} has a malformed manifest", 1)
     try:

@@ -443,6 +443,29 @@ def max_family(grid: GridMatching, kind: FamilyKind, k: int) -> ChainFamily:
     return family
 
 
+def _diamond_levels(grid: GridMatching, elements) -> tuple[list[int], list[int], list[int]]:
+    """The elements sorted, with the longest increasing and the longest
+    decreasing subsequence ending at each, within the element set."""
+    pts = sorted(elements)
+    coords = [(e + 1, grid.pi[e]) for e in pts]
+    ups = _increasing_levels(coords)
+    downs = _increasing_levels([(x, -y) for x, y in coords])
+    return pts, ups, downs
+
+
+def _fill_matrix(pts: list[int], ups: list[int], downs: list[int], nrows: int, ncols: int):
+    """Place each element at row `down`, column `up`; the statistics must
+    fill the nrows x ncols matrix exactly once."""
+    matrix: list[list[int | None]] = [[None] * ncols for _ in range(nrows)]
+    for e, u, d in zip(pts, ups, downs):
+        if not (1 <= u <= ncols and 1 <= d <= nrows) or matrix[d - 1][u - 1] is not None:
+            raise InternalError("diamond statistics are not a bijection")
+        matrix[d - 1][u - 1] = e
+    if any(cell is None for row in matrix for cell in row):
+        raise InternalError("diamond statistics are not a bijection")
+    return matrix
+
+
 def _diamond_matrix(grid: GridMatching, elements: list[int], nrows: int, ncols: int):
     """Arrange nrows*ncols poset elements into a diamond matrix.
 
@@ -452,18 +475,7 @@ def _diamond_matrix(grid: GridMatching, elements: list[int], nrows: int, ncols: 
     range, and reading it as a matrix gives increasing rows and decreasing
     columns.
     """
-    pts = sorted(elements)
-    coords = [(e + 1, grid.pi[e]) for e in pts]
-    ups = _increasing_levels(coords)
-    downs = _increasing_levels([(x, -y) for x, y in coords])
-    matrix: list[list[int | None]] = [[None] * ncols for _ in range(nrows)]
-    for e, u, d in zip(pts, ups, downs):
-        if not (1 <= u <= ncols and 1 <= d <= nrows) or matrix[d - 1][u - 1] is not None:
-            raise InternalError("diamond statistics are not a bijection")
-        matrix[d - 1][u - 1] = e
-    if any(cell is None for row in matrix for cell in row):
-        raise InternalError("diamond statistics are not a bijection")
-    return matrix
+    return _fill_matrix(*_diamond_levels(grid, elements), nrows, ncols)
 
 
 def _matrix_witness(grid: GridMatching, matrix) -> PatternWitness:
@@ -479,17 +491,23 @@ def _matrix_witness(grid: GridMatching, matrix) -> PatternWitness:
 
 
 def diamond_matrix(grid: GridMatching) -> list[list[int]]:
-    """Diamond of side equal to the Ferrers square, as a row-major matrix."""
+    """Diamond of side equal to the Ferrers square, as a row-major matrix.
+
+    One LIS pass each way over the whole matching gives LIS and LDS as the
+    largest levels.  In the extremal case LIS * LDS = m the same levels fill
+    the matrix; otherwise the two maximum families of the square's side
+    (two min-cost flows) pick the elements, and their levels are taken.
+    """
     m = grid.m
     if m == 0:
         return []
-    lis = lis_length(grid.pi)
-    lds = lds_length(grid.pi)
+    pts, ups, downs = _diamond_levels(grid, range(m))
+    lis, lds = max(ups), max(downs)
     if lis * lds == m:
         # Extremal case: the whole matching is an lds x lis grid pattern,
         # so the square side is min(lis, lds) and no flow is needed.
         side = min(lis, lds)
-        full = _diamond_matrix(grid, list(range(m)), lds, lis)
+        full = _fill_matrix(pts, ups, downs, lds, lis)
         return [row[:side] for row in full[:side]]
     side = ferrers(grid).square
     chains = max_family(grid, FamilyKind.CHAINS, side)

@@ -20,6 +20,7 @@ from .core import (
     classify_pair,
     conflict_masks,
     grid_to_graph,
+    nesting_depths,
 )
 from .errors import InsufficientInputError, ParseError, SizeLimitError
 
@@ -145,25 +146,29 @@ def _single_group(kind: PatternKind, edges: tuple[int, ...]) -> PatternWitness:
 
 
 def largest_rainbow(g) -> PatternWitness:
-    """Maximum pairwise-nesting set: longest chain of the nesting order."""
+    """Maximum pairwise-nesting set, outermost edge first.
+
+    Built on `core.nesting_depths` (O(m log m)).  An edge of depth d > 1
+    holds an edge of depth d - 1 strictly inside it, so the chain starts at
+    an edge of the largest depth and takes its next edge from one scan of
+    the next lower depth: O(m) on top of the kernel.  The size is the
+    largest rainbow; among rainbows of that size the chain may differ from
+    the one earlier releases returned.
+    """
     g = _as_graph(g)
-    order = sorted(range(g.m), key=lambda e: (g.edges[e][1] - g.edges[e][0], e))
-    best_len = [1] * g.m
-    parent = [-1] * g.m
-    for pos, e in enumerate(order):
-        u, v = g.edges[e]
-        for f in order[:pos]:
-            x, y = g.edges[f]
-            if u < x and y < v and best_len[f] + 1 > best_len[e]:
-                best_len[e] = best_len[f] + 1
-                parent[e] = f
     if g.m == 0:
         return _single_group(PatternKind.RAINBOW, ())
-    e = max(range(g.m), key=lambda e: (best_len[e], -e))
-    chain = []
-    while e != -1:
+    edges = g.edges
+    depth = nesting_depths(edges)
+    by_depth: list[list[int]] = [[] for _ in range(max(depth))]
+    for e, d in enumerate(depth):
+        by_depth[d - 1].append(e)
+    e = by_depth[-1][0]
+    chain = [e]
+    for level in reversed(by_depth[:-1]):
+        u, v = edges[e]
+        e = next(f for f in level if u < edges[f][0] and edges[f][1] < v)
         chain.append(e)
-        e = parent[e]
     return _single_group(PatternKind.RAINBOW, tuple(chain))
 
 

@@ -235,6 +235,20 @@ class TestCommands:
         assert captured.err.splitlines()[-1] == f"level 4: scanned {manifest['scanned']}, found 9"
         assert json.loads(path.read_text())["manifest"]["count"] == 9
 
+    def test_checkpoint_with_a_non_string_pattern_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "ck.json"
+        args = [
+            "enumerate-critical", "--matchings", "--k", "1", "--max-m", "3",
+            "--checkpoint", str(path),
+        ]
+        assert main(args) == 0
+        data = json.loads(path.read_text())
+        data["patterns"] = [1]
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(args) == 3
+        assert "malformed manifest" in capsys.readouterr().err
+
     def test_conjecture_flag(self, capsys):
         assert main(["enumerate-critical", "--matchings", "--conjecture", "--max-m", "3"]) == 0
         data = json.loads(capsys.readouterr().out)

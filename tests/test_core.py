@@ -31,6 +31,7 @@ from mixedpages.errors import (
     BadEdgeIdError,
     CoverageMismatchError,
     DuplicateEdgeError,
+    InvalidInputError,
     MixedPagesError,
     NotMatchingError,
     NotSeparatedError,
@@ -184,6 +185,12 @@ class TestValidateAssignment:
             validate_assignment(g, PageAssignment(PageSpec.from_string("S"), (0,)))
         with pytest.raises(CoverageMismatchError):
             validate_assignment(g, PageAssignment(PageSpec.from_string("S"), (0, 1)))
+
+    def test_edge_not_left_to_right_is_rejected(self):
+        # Only a graph built by hand, bypassing build_graph, can hold one.
+        g = OrderedGraph(4, ((0, 3), (2, 1)))
+        with pytest.raises(InvalidInputError):
+            validate_assignment(g, PageAssignment(PageSpec.from_string("S"), (0, 0)))
 
     def test_matches_pairwise_scan(self, rng):
         for _ in range(50):

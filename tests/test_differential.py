@@ -11,7 +11,10 @@ they replaced (kept in critical_oracle.py), the explicit-stack
 `_clique_of_size` against its recursive original, and the quotient layer
 (incremental interval partition, lazy twist probe, one-sweep star-forest
 check, Fenwick nesting depths) against the code it replaced (kept in
-quotient_oracle.py)."""
+quotient_oracle.py), and the sweep-listed page violations, the conflict
+masks that stop at an edge's end, the rainbow on nesting depths and the
+one-pass diamond matrix against the pair scans and repeated passes they
+replaced (kept in pair_scan_oracle.py)."""
 
 import json
 import random
@@ -19,10 +22,11 @@ import random
 import pytest
 
 import critical_oracle
+import pair_scan_oracle
 import quotient_oracle
 import recursive_oracle
 from conftest import brute_force_fits, rand_graph, rand_matching
-from mixedpages import enumeration, quotient, solver
+from mixedpages import core, enumeration, greene, quotient, solver
 from mixedpages.constructions import gen_2critical, gen_diamond, gen_tight_2k
 from mixedpages.core import (
     GridMatching,
@@ -40,7 +44,12 @@ from mixedpages.core import (
 )
 from mixedpages.errors import BudgetExceededError, MixedPagesError, SizeLimitError
 from mixedpages.greene import FamilyKind, ferrers, max_family
-from mixedpages.patterns import _clique_of_size, _max_clique
+from mixedpages.patterns import (
+    _clique_of_size,
+    _max_clique,
+    largest_rainbow,
+    witness_violations,
+)
 from mixedpages.solver import _solve_masks
 
 KINDS = (PageKind.STACK, PageKind.QUEUE)
@@ -292,6 +301,121 @@ def test_validation_matches_pairwise_scan():
         invalid += bool(want)
     assert 500 < invalid < 3500
 
+
+
+def valid_page(rng, m, stack):
+    """A perfect matching on 2m vertices that is one valid page: closing
+    the open edges last-in first-out gives no crossing, first-in first-out
+    no nesting."""
+    edges, open_, todo = [], [], m
+    for v in range(2 * m):
+        if todo and (not open_ or rng.random() < 0.5):
+            open_.append(v)
+            todo -= 1
+        else:
+            edges.append((open_.pop() if stack else open_.pop(0), v))
+    return edges
+
+
+def perturbed_page(rng, m, stack, swaps, merges):
+    """A valid page with the right endpoints of `swaps` neighbouring edges
+    (in left-endpoint order) exchanged, then `merges` random pairs of
+    neighbouring vertices identified.  Identifying neighbours keeps every
+    strict order between distinct vertices, so it adds no conflict; it makes
+    shared endpoints and parallel edges, and a loop it makes is dropped."""
+    edges = sorted(valid_page(rng, m, stack))
+    for _ in range(swaps):
+        k = rng.randrange(len(edges) - 1)
+        (a, b), (c, d) = edges[k], edges[k + 1]
+        edges[k], edges[k + 1] = (a, d), (min(b, c), max(b, c))
+    n = 2 * m
+    for _ in range(merges):
+        w = rng.randrange(1, n)
+        edges = [(u - (u >= w), v - (v >= w)) for u, v in edges]
+        n -= 1
+    return build_graph(n, [(u, v) for u, v in edges if u != v], multi=True)
+
+
+def test_validation_matches_pairwise_scan_on_large_pages():
+    rng = random.Random(21)
+    counts = []
+    for case in range(32):
+        stack = case % 2 == 0
+        g = perturbed_page(
+            rng, rng.randint(100, 400), stack, rng.choice([0, 1, 3, 10, 30]), rng.randint(0, 150)
+        )
+        a = PageAssignment(PageSpec((KINDS[not stack],)), (0,) * g.m)
+        want = pairwise_scan(g, a)
+        assert validate_assignment(g, a) == want
+        counts.append(len(want))
+    assert min(counts) == 0 and 0 < max(counts) <= 60
+
+
+def test_validation_matches_pairwise_scan_on_mixed_pages_of_multigraphs():
+    rng = random.Random(22)
+    for _ in range(300):
+        g = rand_multigraph(rng, 30, 60)
+        spec = rand_spec(rng, 3) or PageSpec((PageKind.STACK,))
+        a = PageAssignment(spec, tuple(rng.randrange(len(spec)) for _ in range(g.m)))
+        assert validate_assignment(g, a) == pairwise_scan(g, a)
+
+
+def test_large_invalid_page_is_listed_without_classify_pair(monkeypatch):
+    # 1,000 blocks of four vertices: a nested pair in each, a crossing pair
+    # in three.  Listing the violations must not fall back to pair scans.
+    crossing_blocks = {3, 500, 997}
+    edges = []
+    for i in range(1000):
+        b = 4 * i
+        edges += [(b, b + 2), (b + 1, b + 3)] if i in crossing_blocks else [(b, b + 3), (b + 1, b + 2)]
+    g = build_graph(4000, edges)
+    def no_pair_scan(*args):
+        raise AssertionError("classify_pair was called")
+
+    monkeypatch.setattr(core, "classify_pair", no_pair_scan)
+    a = PageAssignment(PageSpec((PageKind.STACK,)), (0,) * g.m)
+    assert validate_assignment(g, a) == [
+        Violation(0, PageKind.STACK, 2 * i, 2 * i + 1) for i in sorted(crossing_blocks)
+    ]
+    queue = PageAssignment(PageSpec((PageKind.QUEUE,)), (0,) * g.m)
+    assert len(validate_assignment(g, queue)) == 1000 - len(crossing_blocks)
+    disjoint = build_graph(10000, [(2 * i, 2 * i + 1) for i in range(5000)])
+    res = solver.feasible(disjoint, PageSpec((PageKind.STACK,)))
+    assert res.feasible and res.nodes == 5001
+
+
+def test_conflict_masks_match_all_pairs_loop():
+    rng = random.Random(23)
+    graphs = [rand_multigraph(rng, 12, 30) for _ in range(1500)]
+    graphs += [rand_graph(rng, rng.randint(2, 40), rng.randint(0, 120)) for _ in range(300)]
+    graphs += [rand_matching(rng, rng.randint(0, 60)) for _ in range(200)]
+    graphs += [perturbed_page(rng, 60, rng.random() < 0.5, 5, 30) for _ in range(50)]
+    for g in graphs:
+        assert conflict_masks(g) == pair_scan_oracle.conflict_masks(g)
+
+
+def test_largest_rainbow_matches_the_dp():
+    rng = random.Random(24)
+    graphs = [rand_multigraph(rng, 10, 20) for _ in range(800)]
+    graphs += [rand_graph(rng, rng.randint(2, 60), rng.randint(0, 300)) for _ in range(150)]
+    graphs += [rand_matching(rng, rng.randint(0, 150)) for _ in range(150)]
+    graphs += [perturbed_page(rng, 150, False, 20, 40) for _ in range(20)]
+    for g in graphs:
+        got = largest_rainbow(g)
+        assert got.k == pair_scan_oracle.largest_rainbow(g).k
+        assert witness_violations(g, got) == []
+
+
+def test_diamond_matrix_matches_the_four_pass_code():
+    rng = random.Random(25)
+    grids = [gen_diamond(k) for k in range(1, 9)]
+    grids += [GridMatching(tuple(range(1, 13))), GridMatching(tuple(range(12, 0, -1)))]
+    grids += [rand_grid(rng, rng.randint(1, 30)) for _ in range(80)]
+    nonextremal = 0
+    for grid in grids:
+        assert greene.diamond_matrix(grid) == pair_scan_oracle.diamond_matrix(grid)
+        nonextremal += greene.lis_length(grid.pi) * greene.lds_length(grid.pi) != grid.m
+    assert nonextremal > 60
 
 
 def rand_grid(rng, m):

@@ -188,6 +188,7 @@ class TestInternalChecks:
 
 
 def test_no_module_imports_networkx():
+    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -203,7 +204,7 @@ def test_no_module_imports_networkx():
     src = str(Path(mixedpages.__file__).resolve().parent.parent)
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"
 
