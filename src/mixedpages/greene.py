@@ -162,15 +162,30 @@ def _network_simplex(
     """Minimum-cost flow by the primal network simplex; returns (cost, flows).
 
     Nodes are 0..n-1 with n = len(demand) (negative demand is supply); edge
-    e runs sources[e] -> targets[e].  Ported from NetworkX 3.x
-    `network_simplex` (BSD-3-Clause; Kiraly & Kovacs 2012).  It makes the
-    same pivots on the same numbering: an artificial root n joined to every
-    node, block search for the entering edge with blocks of ceil(sqrt(E))
-    edges (the first edge of least reduced cost in a block), the first
-    minimum residual capacity over the reversed cycle for the leaving edge,
-    and the same depth-first thread updates.  So it returns the very flow
-    NetworkX returns, not merely one of the same cost.
+    e runs sources[e] -> targets[e].  Capacities must be positive and no
+    edge a loop: NetworkX drops such edges before it pivots, and on them the
+    pivots can repeat forever, so they raise ValueError.  Ported
+    from NetworkX 3.x `network_simplex` (BSD-3-Clause; Kiraly & Kovacs
+    2012).  What stays the same is every pivot: the same numbering (an
+    artificial root n joined to every node, its edges after the real
+    ones), block pricing of the entering edge (blocks of ceil(sqrt(E)) real
+    edges, the first edge of least reduced cost in a block), the leaving
+    edge (the first least residual capacity over the cycle, read from the
+    apex down to q, then the entering edge, then up to the apex) and the
+    depth-first thread updates.  So it returns the very flow NetworkX
+    returns, not merely one of the same cost.
+
+    What differs is the bookkeeping around the pivots.  The tree keeps node
+    depths instead of subtree sizes: the apex of the cycle is found by
+    depth, and the depths of a moved subtree are reset in the thread walk
+    that shifts its potentials, so no walk to the root updates sizes.  The
+    leaving edge is found from the two paths collected on the way up to
+    the apex, without building, reversing and searching a cycle list.
+    Pricing reads one (weight, tail, head) tuple per real edge, stored
+    reversed and with the weight negated while the edge carries flow.
     """
+    if min(capacity, default=1) < 1 or any(u == v for u, v in zip(sources, targets)):
+        raise ValueError("network simplex needs positive capacities and no loops")
     n = len(demand)
     edges = len(sources)
     root = n
@@ -189,10 +204,13 @@ def _network_simplex(
     wt = list(weight) + [faux_inf] * n
     flow = [0] * edges + [abs(d) for d in demand]
     pot = [faux_inf if d <= 0 else -faux_inf for d in demand] + [0]
+    # The reduced cost of real edge e, negated if it carries flow, is
+    # w - pot[a] + pot[b] for (w, a, b) = price[e].  No flow at the start.
+    price = list(zip(weight, sources, targets))
     # The spanning tree: every node a child of the root, threaded 0..n-1.
     parent = [root] * n + [-1]
     parent_edge = list(range(edges, edges + n)) + [-1]
-    size = [1] * n + [n + 1]
+    depth = [1] * n + [0]
     next_dft = list(range(1, n + 1)) + [0]
     prev_dft = [root] + list(range(n))
     last_dft = list(range(n)) + [n - 1]
@@ -205,17 +223,15 @@ def _network_simplex(
         # Entering edge: the first of least reduced cost in the next block.
         l = f + block
         if l <= edges:
-            scan = range(f, l)
+            scan = enumerate(price[f:l], f)
         else:
             l -= edges
-            scan = chain(range(f, edges), range(l))
+            scan = chain(enumerate(price[f:], f), enumerate(price[:l]))
         f = l
         best = 0
         i = -1
-        for e in scan:
-            c = wt[e] - pot[src[e]] + pot[tgt[e]]
-            if flow[e]:
-                c = -c
+        for e, (w, a, b) in scan:
+            c = w - pot[a] + pot[b]
             if c < best:
                 best = c
                 i = e
@@ -223,70 +239,83 @@ def _network_simplex(
             misses += 1
             continue
         misses = 0
-        if flow[i] == 0:
-            p, q = src[i], tgt[i]
-        else:
+        if flow[i]:
             p, q = tgt[i], src[i]
+        else:
+            p, q = src[i], tgt[i]
 
-        # The cycle through i, oriented from p to q: down from the apex w
-        # to p, edge i, then up from q to w.  Tree edges keep reduced cost
-        # 0, so i is never one of them.
+        # The cycle through i runs from p by i to q, up from q to the apex
+        # w and down from w to p.  Collect both paths bottom-up: below_p
+        # holds p and its ancestors under w, below_q the same for q.  Tree
+        # edges keep reduced cost 0, so i is never one of them.
+        below_p = []
+        below_q = []
         a, b = p, q
-        size_a, size_b = size[a], size[b]
+        depth_a, depth_b = depth[a], depth[b]
+        while depth_a > depth_b:
+            below_p.append(a)
+            a = parent[a]
+            depth_a -= 1
+        while depth_b > depth_a:
+            below_q.append(b)
+            b = parent[b]
+            depth_b -= 1
         while a != b:
-            while size_a < size_b:
-                a = parent[a]
-                size_a = size[a]
-            while size_a > size_b:
-                b = parent[b]
-                size_b = size[b]
-            if size_a == size_b and a != b:
-                a = parent[a]
-                size_a = size[a]
-                b = parent[b]
-                size_b = size[b]
-        w = a
-        cycle_nodes = [p]
-        cycle_edges = []
-        v = p
-        while v != w:
-            cycle_edges.append(parent_edge[v])
-            v = parent[v]
-            cycle_nodes.append(v)
-        cycle_nodes.reverse()
-        cycle_edges.reverse()
-        cycle_edges.append(i)
-        cycle_nodes.append(q)
-        v = q
-        while v != w:
-            cycle_edges.append(parent_edge[v])
-            v = parent[v]
-            cycle_nodes.append(v)
-        del cycle_nodes[-1]
+            below_p.append(a)
+            a = parent[a]
+            below_q.append(b)
+            b = parent[b]
 
-        # Leaving edge: the first least residual capacity, read backwards.
-        j = s = -1
-        least = None
-        for e, u in zip(reversed(cycle_edges), reversed(cycle_nodes)):
-            r = cap[e] - flow[e] if src[e] == u else flow[e]
-            if least is None or r < least:
-                least, j, s = r, e, u
+        # Leaving edge: the first least residual capacity, read backwards
+        # from w: down the q side, then i, then up the p side.  No residual
+        # is below 0, so the first 0 ends the scan.  t is the lower end of
+        # the leaving tree edge (-1 if i leaves) and path the list it is in.
+        least = faux_inf + 1
+        t = -1
+        path = below_q
+        for index in range(len(below_q) - 1, -1, -1):
+            c = below_q[index]
+            e = parent_edge[c]
+            r = cap[e] - flow[e] if src[e] == c else flow[e]
+            if r < least:
+                least, t, t_index = r, c, index
+                if not r:
+                    break
+        else:
+            r = cap[i] - flow[i] if src[i] == p else flow[i]
+            if r < least:
+                least, t = r, -1
+            if least:
+                for index, c in enumerate(below_p):
+                    e = parent_edge[c]
+                    r = flow[e] if src[e] == c else cap[e] - flow[e]
+                    if r < least:
+                        least, t, t_index, path = r, c, index, below_p
+                        if not r:
+                            break
         if least:
-            for e, u in zip(cycle_edges, cycle_nodes):
-                if src[e] == u:
-                    flow[e] += least
-                else:
-                    flow[e] -= least
-        if i == j:
+            for c in below_p:
+                e = parent_edge[c]
+                flow[e] += -least if src[e] == c else least
+            for c in below_q:
+                e = parent_edge[c]
+                flow[e] += least if src[e] == c else -least
+            flow[i] += least if src[i] == p else -least
+            for e in [parent_edge[c] for c in below_p + below_q] + [i]:
+                if e < edges:
+                    if flow[e]:
+                        price[e] = (-wt[e], tgt[e], src[e])
+                    else:
+                        price[e] = (wt[e], src[e], tgt[e])
+        if t < 0:
             continue
-        t = tgt[j] if src[j] == s else src[j]
-        if parent[t] != s:
-            s, t = t, s
-        if cycle_edges.index(i) > cycle_edges.index(j):
+        s = parent[t]
+        if path is below_p:
             p, q = q, p
 
         # Remove the tree edge (s, t): cut t's subtree out of the thread.
-        size_t = size[t]
+        # The ancestors whose subtree ends where t's does form an unbroken
+        # run up from s: each subtree on the way holds the one below it.
         prev_t = prev_dft[t]
         last_t = last_dft[t]
         next_last_t = next_dft[last_t]
@@ -296,21 +325,13 @@ def _network_simplex(
         prev_dft[next_last_t] = prev_t
         next_dft[last_t] = t
         prev_dft[t] = last_t
-        while s != -1:
-            size[s] -= size_t
-            if last_dft[s] == last_t:
-                last_dft[s] = prev_t
+        while s != -1 and last_dft[s] == last_t:
+            last_dft[s] = prev_t
             s = parent[s]
 
         # Make q the root of its subtree by reversing the path up to t.
-        path = []
-        v = q
-        while v != -1:
-            path.append(v)
-            v = parent[v]
-        path.reverse()
+        path = path[t_index::-1]
         for a, b in zip(path, path[1:]):
-            size_a = size[a]
             last_a = last_dft[a]
             prev_b = prev_dft[b]
             last_b = last_dft[b]
@@ -319,8 +340,6 @@ def _network_simplex(
             parent[b] = -1
             parent_edge[a] = parent_edge[b]
             parent_edge[b] = -1
-            size[a] = size_a - size[b]
-            size[b] = size_a
             next_dft[prev_b] = next_last_b
             prev_dft[next_last_b] = prev_b
             next_dft[last_b] = b
@@ -334,10 +353,10 @@ def _network_simplex(
             prev_dft[b] = last_a
             last_dft[b] = last_a
 
-        # Hang q's subtree below p by the entering edge i.
+        # Hang q's subtree below p by the entering edge i; as in the cut,
+        # the ancestors that end where p's subtree ends are a run up from p.
         last_p = last_dft[p]
         next_last_p = next_dft[last_p]
-        size_q = size[q]
         last_q = last_dft[q]
         parent[q] = p
         parent_edge[q] = i
@@ -346,22 +365,23 @@ def _network_simplex(
         prev_dft[next_last_p] = last_q
         next_dft[last_q] = next_last_p
         v = p
-        while v != -1:
-            size[v] += size_q
-            if last_dft[v] == last_p:
-                last_dft[v] = last_q
+        while v != -1 and last_dft[v] == last_p:
+            last_dft[v] = last_q
             v = parent[v]
 
-        # Shift the potentials of q's subtree so that i has reduced cost 0.
+        # Shift the potentials of q's subtree so that i has reduced cost 0,
+        # and reset its depths: on the thread a parent precedes its children.
         if q == tgt[i]:
             d = pot[p] - wt[i] - pot[q]
         else:
             d = pot[p] + wt[i] - pot[q]
         v = q
         pot[v] += d
+        depth[v] = depth[p] + 1
         while v != last_q:
             v = next_dft[v]
             pot[v] += d
+            depth[v] = depth[parent[v]] + 1
 
     if any(flow[edges:]):
         raise InternalError("network simplex left flow on an artificial edge")

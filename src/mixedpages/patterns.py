@@ -145,21 +145,17 @@ def _single_group(kind: PatternKind, edges: tuple[int, ...]) -> PatternWitness:
     return PatternWitness(kind, len(edges), 1, edges, (edges,))
 
 
-def largest_rainbow(g) -> PatternWitness:
-    """Maximum pairwise-nesting set, outermost edge first.
+def rainbow_chain(edges, depth) -> list[int]:
+    """A largest rainbow of `edges`, outermost edge first, walked down
+    their nesting depths as `core.nesting_depths` gives them.
 
-    Built on `core.nesting_depths` (O(m log m)).  An edge of depth d > 1
-    holds an edge of depth d - 1 strictly inside it, so the chain starts at
-    an edge of the largest depth and takes its next edge from one scan of
-    the next lower depth: O(m) on top of the kernel.  The size is the
-    largest rainbow; among rainbows of that size the chain may differ from
-    the one earlier releases returned.
+    An edge of depth d > 1 holds an edge of depth d - 1 strictly inside
+    it, so the chain starts at an edge of the largest depth and takes its
+    next edge from one scan of the next lower depth: O(m).  On numbers
+    that are not the nesting depths the chain can stop short.
     """
-    g = _as_graph(g)
-    if g.m == 0:
-        return _single_group(PatternKind.RAINBOW, ())
-    edges = g.edges
-    depth = nesting_depths(edges)
+    if not depth:
+        return []
     by_depth: list[list[int]] = [[] for _ in range(max(depth))]
     for e, d in enumerate(depth):
         by_depth[d - 1].append(e)
@@ -167,8 +163,22 @@ def largest_rainbow(g) -> PatternWitness:
     chain = [e]
     for level in reversed(by_depth[:-1]):
         u, v = edges[e]
-        e = next(f for f in level if u < edges[f][0] and edges[f][1] < v)
+        e = next((f for f in level if u < edges[f][0] and edges[f][1] < v), None)
+        if e is None:
+            break
         chain.append(e)
+    return chain
+
+
+def largest_rainbow(g) -> PatternWitness:
+    """Maximum pairwise-nesting set, outermost edge first.
+
+    Built on `core.nesting_depths` (O(m log m)) and `rainbow_chain`.  The
+    size is the largest rainbow; among rainbows of that size the chain may
+    differ from the one earlier releases returned.
+    """
+    g = _as_graph(g)
+    chain = rainbow_chain(g.edges, nesting_depths(g.edges))
     return _single_group(PatternKind.RAINBOW, tuple(chain))
 
 
@@ -513,65 +523,49 @@ def largest_square_thick(g, budget: int = DEFAULT_SEARCH_BUDGET) -> PatternWitne
 # Subdivision extraction of thick patterns from diamond patterns
 
 
-def _quadrant_split(grid: GridMatching, matrix):
-    """Split a diamond matrix into the preferred opposite-quadrant pair."""
-    pts = grid.points()
+def _quadrant_split(pts, matrix):
+    """Split a diamond matrix into the preferred opposite-quadrant pair.
+
+    pts are the points of the grid.  Each element is classified once, as
+    2 if it is in the lower half by x plus 1 if it is in the lower half by
+    y, and each row or column counts its members of a quadrant from that.
+    """
     ids = [e for row in matrix for e in row]
-    by_x = sorted(ids, key=lambda e: pts[e][0])
-    by_y = sorted(ids, key=lambda e: pts[e][1])
     half = len(ids) // 2
-    low_x = set(by_x[:half])
-    low_y = set(by_y[:half])
-
-    def quadrant(e):
-        return (e in low_x, e in low_y)
-
-    count = {q: 0 for q in ((True, True), (True, False), (False, True), (False, False))}
-    for e in ids:
-        count[quadrant(e)] += 1
+    # Points have distinct x, so sorting them sorts by x.
+    low_x = set(sorted(ids, key=pts.__getitem__)[:half])
+    low_y = set(sorted(ids, key=lambda e: pts[e][1])[:half])
+    quads = [[2 * (e in low_x) + (e in low_y) for e in row] for row in matrix]
+    count = [sum(row.count(quad) for row in quads) for quad in range(4)]
     total = len(ids)
-    diag_ok = 4 * min(count[(True, True)], count[(False, False)]) >= total
-    anti_ok = 4 * min(count[(True, False)], count[(False, True)]) >= total
+    diag_ok = 4 * min(count[3], count[0]) >= total
+    anti_ok = 4 * min(count[2], count[1]) >= total
     if not diag_ok and not anti_ok:
         raise InsufficientInputError("no opposite quadrant pair holds a quarter of the points")
 
-    def row_trim(member, take_suffix):
-        scored = []
-        for idx, row in enumerate(matrix):
-            t_len = sum(1 for e in row if member(e))
-            scored.append((idx, t_len))
-        ranked = sorted(scored, key=lambda it: -it[1])
+    def largest_square(members):
+        """The largest side such that `side` lines hold at least `side`
+        members each, and the first `side` such lines."""
+        ranked = sorted(members, reverse=True)
         side = 0
-        while side < len(ranked) and ranked[side][1] >= side + 1:
+        while side < len(ranked) and ranked[side] >= side + 1:
             side += 1
-        rows = sorted(idx for idx, t_len in scored if t_len >= side)[:side]
-        if take_suffix:
-            return [[matrix[i][c] for c in range(len(matrix) - side, len(matrix))] for i in rows]
-        return [[matrix[i][c] for c in range(side)] for i in rows]
+        return side, [i for i, n in enumerate(members) if n >= side][:side]
 
-    def col_trim(member, take_suffix):
-        q = len(matrix)
-        scored = []
-        for c in range(q):
-            t_len = sum(1 for i in range(q) if member(matrix[i][c]))
-            scored.append((c, t_len))
-        ranked = sorted(scored, key=lambda it: -it[1])
-        side = 0
-        while side < len(ranked) and ranked[side][1] >= side + 1:
-            side += 1
-        cols = sorted(c for c, t_len in scored if t_len >= side)[:side]
-        if take_suffix:
-            return [[matrix[i][c] for c in cols] for i in range(q - side, q)]
-        return [[matrix[i][c] for c in cols] for i in range(side)]
-
+    q = len(matrix)
     if diag_ok:
         # Q11 holds row prefixes, Q22 row suffixes.
-        first = row_trim(lambda e: quadrant(e) == (True, True), take_suffix=False)
-        second = row_trim(lambda e: quadrant(e) == (False, False), take_suffix=True)
+        side, rows = largest_square([row.count(3) for row in quads])
+        first = [matrix[i][:side] for i in rows]
+        side, rows = largest_square([row.count(0) for row in quads])
+        second = [matrix[i][q - side:] for i in rows]
     else:
         # Q12 holds column prefixes, Q21 column suffixes.
-        first = col_trim(lambda e: quadrant(e) == (True, False), take_suffix=False)
-        second = col_trim(lambda e: quadrant(e) == (False, True), take_suffix=True)
+        columns = list(zip(*quads))
+        side, cols = largest_square([col.count(2) for col in columns])
+        first = [[matrix[i][c] for c in cols] for i in range(side)]
+        side, cols = largest_square([col.count(1) for col in columns])
+        second = [[matrix[i][c] for c in cols] for i in range(q - side, q)]
     return first, second
 
 
@@ -591,15 +585,15 @@ def thick_from_diamond(grid: GridMatching, k: int) -> PatternWitness:
     if not matrix:
         raise InsufficientInputError("empty matching")
     rounds = 2 * math.ceil(math.log2(k)) if k > 1 else 0
+    pts = grid.points()
     leaves = [matrix]
     for _ in range(rounds):
         nxt = []
         for leaf in leaves:
-            first, second = _quadrant_split(grid, leaf)
+            first, second = _quadrant_split(pts, leaf)
             nxt.extend((first, second))
         leaves = nxt
 
-    pts = grid.points()
     leaves.sort(key=lambda mat: min(pts[e][0] for row in mat for e in row))
     leaf_pts = [(i + 1, min(pts[e][1] for row in mat for e in row)) for i, mat in enumerate(leaves)]
     inc = _lis_indices(leaf_pts)

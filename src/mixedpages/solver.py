@@ -25,7 +25,7 @@ from .core import (
     validate_assignment,
 )
 from .errors import BudgetExceededError, InternalError, SizeLimitError
-from .patterns import _max_clique, largest_rainbow
+from .patterns import _max_clique, rainbow_chain
 
 DEFAULT_BUDGET = 10**8
 
@@ -344,7 +344,8 @@ def queue_layout(g: OrderedGraph) -> PageAssignment:
     """Optimal pure-queue layout by nesting depth; exact in polynomial time.
 
     Edges at the same nesting depth never nest, and the number of depths
-    equals the largest rainbow, which is also a lower bound.
+    equals the largest rainbow, which is also a lower bound.  An edge's
+    page is its depth less one.
     """
     depth = nesting_depths(g.edges)
     q = max(depth, default=0)
@@ -354,12 +355,21 @@ def queue_layout(g: OrderedGraph) -> PageAssignment:
 
 
 def queue_number(g: OrderedGraph) -> tuple[int, PageAssignment]:
-    """Exact queue number; equals the largest rainbow (checked)."""
+    """Exact queue number; equals the largest rainbow (checked).
+
+    The layout's pages are the nesting depths less one, so a rainbow chain
+    is walked from them without a second depth pass.  The chain is checked
+    edge by edge, each strictly inside the one before: a rainbow of as many
+    edges as the layout has pages is a lower bound that does not rest on
+    the depths, and validating the layout gives the upper bound.
+    """
     a = queue_layout(g)
     q = len(a.spec)
-    rainbow = largest_rainbow(g).k
-    if q != rainbow:
-        raise InternalError(f"{q} queue levels but a largest rainbow of {rainbow}")
+    chain = [g.edges[e] for e in rainbow_chain(g.edges, [p + 1 for p in a.page_of])]
+    if len(chain) != q or any(
+        not (u < x and y < v) for (u, v), (x, y) in zip(chain, chain[1:])
+    ):
+        raise InternalError(f"{q} queue levels but no rainbow of {q} edges")
     if validate_assignment(g, a):
         raise InternalError("queue layout by nesting depth is invalid")
     return q, a

@@ -5,7 +5,8 @@ their recursive originals (kept in recursive_oracle.py), the verdicts of
 brute-force oracle, the page sweep of
 validate_assignment against the plain pairwise scan, the in-package
 network simplex of max_family against the networkx flow it replaced (kept in
-flow_oracle.py), and the level-wise critical-pattern engine and its stream
+flow_oracle.py) and against its own earlier bookkeeping (kept in
+simplex_oracle.py), and the level-wise critical-pattern engine and its stream
 of full matrices against the per-candidate check and combinations stream
 they replaced (kept in critical_oracle.py), the explicit-stack
 `_clique_of_size` against its recursive original, and the quotient layer
@@ -14,19 +15,25 @@ check, Fenwick nesting depths) against the code it replaced (kept in
 quotient_oracle.py), and the sweep-listed page violations, the conflict
 masks that stop at an edge's end, the rainbow on nesting depths and the
 one-pass diamond matrix against the pair scans and repeated passes they
-replaced (kept in pair_scan_oracle.py)."""
+replaced (kept in pair_scan_oracle.py), and the quadrant split that
+classifies each element once against its closure-based original (kept in
+quadrant_oracle.py)."""
 
 import json
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 import critical_oracle
 import pair_scan_oracle
+import quadrant_oracle
 import quotient_oracle
 import recursive_oracle
+import simplex_oracle
 from conftest import brute_force_fits, rand_graph, rand_matching
-from mixedpages import core, enumeration, greene, quotient, solver
+from mixedpages import core, enumeration, greene, patterns, quotient, solver
 from mixedpages.constructions import gen_2critical, gen_diamond, gen_tight_2k
 from mixedpages.core import (
     GridMatching,
@@ -42,7 +49,13 @@ from mixedpages.core import (
     nesting_depths,
     validate_assignment,
 )
-from mixedpages.errors import BudgetExceededError, MixedPagesError, SizeLimitError
+from mixedpages.errors import (
+    BudgetExceededError,
+    InsufficientInputError,
+    InternalError,
+    MixedPagesError,
+    SizeLimitError,
+)
 from mixedpages.greene import FamilyKind, ferrers, max_family
 from mixedpages.patterns import (
     _clique_of_size,
@@ -418,6 +431,34 @@ def test_diamond_matrix_matches_the_four_pass_code():
     assert nonextremal > 60
 
 
+def test_quadrant_split_matches_the_closure_code():
+    """Four rounds of the subdivision of thick_from_diamond, on diamonds and
+    on the diamond matrices of random grids: the same leaves, and the same
+    refusals where no opposite pair holds a quarter of the points."""
+    rng = random.Random(26)
+    grids = [gen_diamond(side) for side in (2, 3, 5, 8, 16, 33)]
+    grids += [rand_grid(rng, m) for m in (10, 30, 60, 100, 200) for _ in range(4)]
+    splits = refusals = 0
+    for grid in grids:
+        pts = grid.points()
+        leaves = [greene.diamond_matrix(grid)]
+        for _ in range(4):
+            children = []
+            for leaf in leaves:
+                try:
+                    want = quadrant_oracle._quadrant_split(grid, leaf)
+                except InsufficientInputError:
+                    with pytest.raises(InsufficientInputError):
+                        patterns._quadrant_split(pts, leaf)
+                    refusals += 1
+                    continue
+                assert patterns._quadrant_split(pts, leaf) == want
+                splits += 1
+                children += [child for child in want if child]
+            leaves = children
+    assert splits > 60 and refusals > 40
+
+
 def rand_grid(rng, m):
     pi = list(range(1, m + 1))
     rng.shuffle(pi)
@@ -454,6 +495,85 @@ def test_max_family_matches_networkx_oracle_at_m200():
         for kind in FamilyKind:
             for k in (1, square, 2 * square):
                 assert max_family(grid, kind, k) == flow_oracle.max_family(grid, kind, k)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail rather than hang: pivots that repeat forever are a defect too."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_network_simplex_matches_oracle_on_max_family_networks(monkeypatch):
+    """Every network max_family builds, m from 1 to 200, both kinds, k from
+    1 to the square + 2: the same (cost, flow), so the same family."""
+    real = greene._network_simplex
+    checked = []
+
+    def both(*network):
+        with time_limit(30):
+            got = real(*network)
+        assert got == simplex_oracle._network_simplex(*network)
+        checked.append(network)
+        return got
+
+    monkeypatch.setattr(greene, "_network_simplex", both)
+    rng = random.Random(18)
+    for m in [*range(1, 61), 80, 120, 200]:
+        grid = rand_grid(rng, m)
+        square = ferrers(grid).square
+        for kind in FamilyKind:
+            for k in range(1, square + 3):
+                max_family(grid, kind, k)
+    assert len(checked) > 700
+
+
+def rand_network(rng):
+    """Parallel edges, capacities from 1 to large, negative weights and
+    nodes of zero demand; about one in ten has demands that do not sum to
+    0, and many more cannot be routed."""
+    n = rng.randint(1, 9)
+    sources = [rng.randrange(n) for _ in range(rng.randint(0, 25))] if n > 1 else []
+    targets = [(u + rng.randrange(1, n)) % n for u in sources]
+    capacity = [rng.choice((1, 2, 3, 5, 10**6)) for _ in sources]
+    weight = [rng.choice((rng.randint(-9, 9), -(10**5), 10**5)) for _ in sources]
+    demand = [0] * n
+    for _ in range(rng.randint(0, 4)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        units = rng.randint(1, 4)
+        demand[u] -= units
+        demand[v] += units
+    if rng.random() < 0.1:
+        demand[rng.randrange(n)] += 1
+    return demand, sources, targets, capacity, weight
+
+
+def test_network_simplex_matches_oracle_on_random_networks():
+    rng = random.Random(19)
+    outcomes = {"flow": 0, "infeasible": 0}
+    for _ in range(3000):
+        network = rand_network(rng)
+        try:
+            want = simplex_oracle._network_simplex(*network)
+        except InternalError as exc:
+            with time_limit(30), pytest.raises(InternalError) as got:
+                greene._network_simplex(*network)
+            assert str(got.value) == str(exc)
+            outcomes["infeasible"] += 1
+        else:
+            with time_limit(30):
+                assert greene._network_simplex(*network) == want
+            outcomes["flow"] += 1
+    assert min(outcomes.values()) > 300
 
 
 MODES = [("k", 1), ("sq", 1, 1), ("sq", 2, 0), ("sq", 0, 2), ("k", 2)]

@@ -149,6 +149,21 @@ class TestMaxFamily:
         with pytest.raises(InternalError, match="artificial"):
             greene._network_simplex([-1, 1], [], [], [], [])
 
+    @pytest.mark.parametrize(
+        "network",
+        [
+            ([-1, 1], [0], [1], [0], [-1]),  # zero capacity
+            ([-1, 1], [0, 1], [1, 1], [1, 1], [0, -1]),  # a loop
+        ],
+    )
+    def test_edges_networkx_drops_are_rejected(self, network):
+        """The pivots could repeat forever on them: here the zero-capacity
+        edge would enter and leave again at every pass."""
+        from mixedpages import greene
+
+        with pytest.raises(ValueError, match="positive capacities and no loops"):
+            greene._network_simplex(*network)
+
 
 class TestInternalChecks:
     """Each consistency check in greene raises InternalError, which callers

@@ -240,3 +240,18 @@ class TestInternalChecks:
         )
         with pytest.raises(InternalError):
             queue_number(rainbow(2))
+
+    @pytest.mark.parametrize(
+        "corrupt", [lambda chain: chain[::-1], lambda chain: chain[:-1]]
+    )
+    def test_queue_number_checks_its_rainbow(self, monkeypatch, corrupt):
+        """The chain is checked on its own, not against the depths it was
+        walked from: an inverted or a short chain is an internal error."""
+        from mixedpages import solver
+
+        real = solver.rainbow_chain
+        monkeypatch.setattr(
+            solver, "rainbow_chain", lambda edges, depth: corrupt(real(edges, depth))
+        )
+        with pytest.raises(InternalError, match="no rainbow of 4 edges"):
+            queue_number(rainbow(4))
