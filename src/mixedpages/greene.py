@@ -163,17 +163,18 @@ def _network_simplex(
 
     Nodes are 0..n-1 with n = len(demand) (negative demand is supply); edge
     e runs sources[e] -> targets[e].  Capacities must be positive and no
-    edge a loop: NetworkX drops such edges before it pivots, and on them the
-    pivots can repeat forever, so they raise ValueError.  Ported
-    from NetworkX 3.x `network_simplex` (BSD-3-Clause; Kiraly & Kovacs
-    2012).  What stays the same is every pivot: the same numbering (an
-    artificial root n joined to every node, its edges after the real
-    ones), block pricing of the entering edge (blocks of ceil(sqrt(E)) real
-    edges, the first edge of least reduced cost in a block), the leaving
-    edge (the first least residual capacity over the cycle, read from the
-    apex down to q, then the entering edge, then up to the apex) and the
-    depth-first thread updates.  So it returns the very flow NetworkX
-    returns, not merely one of the same cost.
+    edge a loop: NetworkX drops such edges before it pivots, and on them
+    the pivots can repeat forever, so they raise ValueError.
+
+    Ported from NetworkX 3.x `network_simplex` (BSD-3-Clause; Kiraly &
+    Kovacs 2012).  What stays the same is every pivot: the same numbering
+    (an artificial root n joined to every node, its edges after the real
+    ones), block pricing of the entering edge (blocks of ceil(sqrt(E))
+    real edges, the first edge of least reduced cost in a block), the
+    leaving edge (the first least residual capacity over the cycle, read
+    from the apex down to q, then the entering edge, then up to the apex)
+    and the depth-first thread updates.  So it returns the very flow
+    NetworkX returns, not merely one of the same cost.
 
     What differs is the bookkeeping around the pivots.  The tree keeps node
     depths instead of subtree sizes: the apex of the cycle is found by

@@ -497,20 +497,32 @@ def test_max_family_matches_networkx_oracle_at_m200():
                 assert max_family(grid, kind, k) == flow_oracle.max_family(grid, kind, k)
 
 
+class Expired(Exception):
+    pass
+
+
 @contextmanager
 def time_limit(seconds):
-    """Fail rather than hang: pivots that repeat forever are a defect too."""
+    """Fail rather than hang: pivots that repeat forever are a defect too.
+
+    The failure is raised outside the handler, without the traceback of
+    the interrupted frame, which pytest cannot always render."""
 
     def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
+        raise Expired
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
+    expired = False
     try:
         yield
+    except Expired:
+        expired = True
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    if expired:
+        pytest.fail(f"no result within {seconds} s", pytrace=False)
 
 
 def test_network_simplex_matches_oracle_on_max_family_networks(monkeypatch):

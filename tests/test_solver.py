@@ -255,3 +255,16 @@ class TestInternalChecks:
         )
         with pytest.raises(InternalError, match="no rainbow of 4 edges"):
             queue_number(rainbow(4))
+
+    def test_queue_number_checks_pages_that_are_not_depths(self, monkeypatch):
+        """Pages that swap the depths of two nested edges give no chain of
+        two edges to walk: an internal error, not a StopIteration."""
+        from mixedpages import solver
+
+        monkeypatch.setattr(
+            solver,
+            "queue_layout",
+            lambda g: PageAssignment(PageSpec.split(0, 2), (0, 1)),
+        )
+        with pytest.raises(InternalError, match="no rainbow of 2 edges"):
+            queue_number(rainbow(2))
