@@ -523,7 +523,7 @@ def largest_square_thick(g, budget: int = DEFAULT_SEARCH_BUDGET) -> PatternWitne
 # Subdivision extraction of thick patterns from diamond patterns
 
 
-def _quadrant_split(pts, matrix):
+def _quadrant_split(pts: list[tuple[int, int]], matrix):
     """Split a diamond matrix into the preferred opposite-quadrant pair.
 
     pts are the points of the grid.  Each element is classified once, as
