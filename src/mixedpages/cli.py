@@ -30,6 +30,7 @@ from .core import (
 )
 from .errors import BudgetExceededError, MixedPagesError, SizeLimitError
 from .patterns import (
+    DEFAULT_SEARCH_BUDGET,
     PatternWitness,
     largest_diamond,
     largest_rainbow,
@@ -410,7 +411,7 @@ def main(argv=None) -> int:
     p.add_argument("--kind", choices=["twist", "rainbow", "diamond", "thick"], required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_detect)
 

@@ -15,6 +15,7 @@ lists, and the peak memory of a long run, grow pass after pass.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
@@ -123,14 +124,6 @@ def classify_pair(g: OrderedGraph, e1: int, e2: int) -> EdgeRelation:
     return EdgeRelation(Relation.DISJOINT)
 
 
-def crossing(g: OrderedGraph, e1: int, e2: int) -> bool:
-    return classify_pair(g, e1, e2).kind is Relation.CROSS
-
-
-def nesting(g: OrderedGraph, e1: int, e2: int) -> bool:
-    return classify_pair(g, e1, e2).kind is Relation.NEST
-
-
 def conflict_masks(g: OrderedGraph) -> tuple[list[int], list[int]]:
     """Per-edge bitmasks of crossing and nesting partners.
 
@@ -193,6 +186,25 @@ def nesting_depths(edges) -> list[int]:
                     tree[pos] = depth[i]
                 pos += pos & -pos
     return depth
+
+
+def increasing_levels(points) -> list[int]:
+    """Length of the longest strictly increasing run of y values ending at
+    each (x, y) point, in list order; the largest level is the LIS.
+
+    Points must be sorted by x.  Patience sorting: `tails[l]` is the
+    smallest y that ends a run of length l + 1 so far; O(m log m).
+    """
+    tails: list[int] = []
+    levels = []
+    for _, y in points:
+        pos = bisect_left(tails, y)
+        if pos == len(tails):
+            tails.append(y)
+        else:
+            tails[pos] = y
+        levels.append(pos + 1)
+    return levels
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -180,16 +180,6 @@ class CriticalSet:
         }
 
 
-def _modes_specs(mode: tuple):
-    from .core import PageSpec
-
-    if mode[0] == "sq":
-        return [PageSpec.split(mode[1], mode[2])]
-    if mode[0] == "k":
-        return solver.splits(mode[1])
-    raise ValueError(f"bad criticality mode {mode!r}")
-
-
 def _deletion_keys(edges, flat: list[int]) -> Iterator[bytes]:
     """Table keys of the one-edge deletions of a graph without isolated
     vertices, whose key is `flat`: the endpoints of its edges, flattened.
@@ -266,11 +256,12 @@ def find_critical(
     - `checkpoint`: after each level the file records that level's edge
       count, `scanned`, the patterns so far and the level's infeasible
       keys; a run with the same family and mode resumes at the next level.
-    - `jobs` > 1: the candidates of each level are sharded by index modulo
-      `jobs` over worker processes, and the tables and patterns are merged
-      before the next level. The result equals the sequential one.
-    - `progress`: a line on stderr per finished level, and in a sequential
-      run one per 100000 candidates.
+    - `jobs`: the candidates of each level are sharded by index modulo
+      `jobs`, and the tables and patterns are merged before the next level.
+      `jobs` only decides where the shards run: in-process for one job,
+      over worker processes for more. The result is the same.
+    - `progress`: a line on stderr per level, empty levels included, and
+      with one job one per 100000 candidates.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
@@ -288,80 +279,59 @@ def find_critical(
     done, below = 0, set()
     if checkpoint:
         done, below = _load_checkpoint(checkpoint, family, mode, result)
-    if jobs > 1:
-        levels = _sharded_levels(family, mode, budget, node_budget, jobs, result, done, below)
-    else:
-        levels = _sequential_levels(
-            family, _modes_specs(mode), budget, node_budget, progress, result, done, below
-        )
-    for level, infeasible in levels:
-        result.patterns.sort(key=lambda p: (p.m, p.n, p.edges))
-        result.runtime = time.monotonic() - started
-        if progress:
-            print(
-                f"level {level}: scanned {result.scanned}, found {len(result.patterns)}",
-                file=sys.stderr,
-            )
-        if checkpoint:
-            _write_checkpoint(checkpoint, family, result, level, infeasible)
-    result.runtime = time.monotonic() - started
-    return result
 
+    def report(count: int, found: list) -> None:
+        scanned = result.scanned + count
+        if scanned % 100000 == 0:
+            print(f"scanned {scanned}, found {len(result.patterns) + len(found)}", file=sys.stderr)
 
-def _sequential_levels(family, specs, budget, node_budget, progress, result, done, below):
-    """Run the levels above `done` on `family.stream()`, yielding each
-    finished level's edge count and infeasible keys."""
-    level, infeasible = done, below
-    for g in family.stream():
-        m = g.m
-        if m <= done:
-            continue
-        if m != level:
-            if level > done:
-                yield level, infeasible
-            below, level, infeasible = infeasible, m, set()
-        result.scanned += 1
-        if node_budget is not None and result.scanned > node_budget:
-            raise BudgetExceededError("enumeration budget exceeded", nodes=result.scanned)
-        if _decide(g, specs, budget, below, infeasible):
-            result.patterns.append(canonicalize_pattern(g))
-        if progress and result.scanned % 100000 == 0:
-            print(
-                f"scanned {result.scanned}, found {len(result.patterns)}",
-                file=sys.stderr,
-            )
-    if level > done:
-        yield level, infeasible
-
-
-def _sharded_levels(family, mode, budget, node_budget, jobs, result, done, below):
-    """`_sequential_levels` with each level's candidates spread over `jobs`
-    worker processes, started fresh: the caller may have threads."""
-    from multiprocessing import get_context
-
-    with get_context("spawn").Pool(jobs) as pool:
+    with _workers(jobs) as pool:
         for level in range(done + 1, family.max_edges + 1):
             limit = None if node_budget is None else node_budget - result.scanned
-            shards = pool.map(
-                _level_shard,
-                [(family, mode, budget, level, jobs, shard, below, limit)
-                 for shard in range(jobs)],
-            )
+            tasks = [(family, mode, budget, level, jobs, shard, below, limit)
+                     for shard in range(jobs)]
+            if pool is None:
+                shards = [_level_shard(tasks[0], report if progress else None)]
+            else:
+                shards = pool.map(_level_shard, tasks)
             if any(over for *_, over in shards):
                 raise BudgetExceededError("enumeration budget exceeded", nodes=node_budget + 1)
             result.scanned += sum(count for count, *_ in shards)
             result.patterns.extend(p for _, _, found, _ in shards for p in found)
-            below = set().union(*(keys for _, keys, _, _ in shards))
-            yield level, below
+            below = shards[0][1]
+            for _, keys, _, _ in shards[1:]:
+                below |= keys
+            result.patterns.sort(key=lambda p: (p.m, p.n, p.edges))
+            result.runtime = time.monotonic() - started
+            if progress:
+                print(
+                    f"level {level}: scanned {result.scanned}, found {len(result.patterns)}",
+                    file=sys.stderr,
+                )
+            if checkpoint:
+                _write_checkpoint(checkpoint, family, result, level, below)
+    result.runtime = time.monotonic() - started
+    return result
 
 
-def _level_shard(args):
+def _workers(jobs: int):
+    """A pool of `jobs` worker processes, started fresh since the caller may
+    have threads; none for a single job, whose levels run in-process."""
+    if jobs == 1:
+        return nullcontext()
+    from multiprocessing import get_context
+
+    return get_context("spawn").Pool(jobs)
+
+
+def _level_shard(args, report=None):
     """One worker's share of a level: the candidates whose index in the level
     is `shard` modulo `jobs`. Returns the number decided, their infeasible
     keys, the critical ones, and whether the level reaches `limit`
-    candidates."""
+    candidates. `report`, if given, sees the count and the critical ones
+    after each decided candidate."""
     family, mode, budget, level, jobs, shard, below, limit = args
-    specs = _modes_specs(mode)
+    specs = solver.mode_specs(mode)
     count, infeasible, found = 0, set(), []
     for index, g in enumerate(family.level(level)):
         if limit is not None and index >= limit:
@@ -370,6 +340,8 @@ def _level_shard(args):
             count += 1
             if _decide(g, specs, budget, below, infeasible):
                 found.append(canonicalize_pattern(g))
+            if report:
+                report(count, found)
     return count, infeasible, found, False
 
 

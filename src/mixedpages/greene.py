@@ -19,6 +19,7 @@ from .core import (
     PageAssignment,
     PageKind,
     PageSpec,
+    increasing_levels,
 )
 from .errors import InternalError
 from .patterns import PatternKind, PatternWitness
@@ -111,29 +112,12 @@ class ChainFamily:
         return {e for part in self.parts for e in part}
 
 
-def _increasing_levels(points: list[tuple[int, int]]) -> list[int]:
-    """Length of the longest increasing subsequence ending at each point.
-
-    Points must be sorted by x; strict increase in both coordinates.
-    """
-    tails: list[int] = []
-    levels = []
-    for _, y in points:
-        pos = bisect.bisect_left(tails, y)
-        if pos == len(tails):
-            tails.append(y)
-        else:
-            tails[pos] = y
-        levels.append(pos + 1)
-    return levels
-
-
 def lis_length(pi) -> int:
-    return max(_increasing_levels([(i, y) for i, y in enumerate(pi)]), default=0)
+    return max(increasing_levels(list(enumerate(pi))), default=0)
 
 
 def lds_length(pi) -> int:
-    return max(_increasing_levels([(i, -y) for i, y in enumerate(pi)]), default=0)
+    return max(increasing_levels([(i, -y) for i, y in enumerate(pi)]), default=0)
 
 
 def _hasse_covers(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -469,8 +453,8 @@ def _diamond_levels(grid: GridMatching, elements) -> tuple[list[int], list[int],
     decreasing subsequence ending at each, within the element set."""
     pts = sorted(elements)
     coords = [(e + 1, grid.pi[e]) for e in pts]
-    ups = _increasing_levels(coords)
-    downs = _increasing_levels([(x, -y) for x, y in coords])
+    ups = increasing_levels(coords)
+    downs = increasing_levels([(x, -y) for x, y in coords])
     return pts, ups, downs
 
 

@@ -20,6 +20,7 @@ from .core import (
     classify_pair,
     conflict_masks,
     grid_to_graph,
+    increasing_levels,
     nesting_depths,
 )
 from .errors import InsufficientInputError, ParseError, SizeLimitError
@@ -313,29 +314,21 @@ def has_twist(g: OrderedGraph, size: int, budget: int = DEFAULT_SEARCH_BUDGET):
 
 
 def _lis_indices(points: list[tuple[int, int]]) -> list[int]:
-    """Indices of one longest strictly-increasing subsequence (points by x)."""
-    import bisect
+    """Indices of one longest strictly-increasing subsequence (points by x).
 
-    tails: list[int] = []
-    tail_idx: list[int] = []
-    parent = [-1] * len(points)
-    for i, (_, y) in enumerate(points):
-        pos = bisect.bisect_left(tails, y)
-        if pos == len(tails):
-            tails.append(y)
-            tail_idx.append(i)
-        else:
-            tails[pos] = y
-            tail_idx[pos] = i
-        parent[i] = tail_idx[pos - 1] if pos else -1
-    if not tails:
-        return []
-    out = []
-    i = tail_idx[len(tails) - 1]
-    while i != -1:
-        out.append(i)
-        i = parent[i]
-    return out[::-1]
+    Walked back over `core.increasing_levels`, as `rainbow_chain` walks
+    depths: from the end, take the first index whose level is the one still
+    needed.  Points of one level never increase, so the last point of level
+    l before a point of level l + 1 lies below it; O(m) after the kernel.
+    """
+    levels = increasing_levels(points)
+    need = max(levels, default=0)
+    chain = []
+    for i in range(len(levels) - 1, -1, -1):
+        if levels[i] == need:
+            chain.append(i)
+            need -= 1
+    return chain[::-1]
 
 
 def _lds_indices(points: list[tuple[int, int]]) -> list[int]:
@@ -431,55 +424,63 @@ def largest_thick_of_kind(
     cross, nest = conflict_masks(g)
     inner = nest if kind is PatternKind.THICK_TWIST else cross
     outer = cross if kind is PatternKind.THICK_TWIST else nest
-    groups: list[tuple[tuple[int, ...], int, int]] = []
+    groups: list[tuple[int, ...]] = []
     nodes = 0
 
-    def grow(members: list[int], cands: int, outer_common: int):
+    def words() -> int:
+        # Each group gets a mask of one bit per group: n groups also count
+        # the n * n // 64 machine words of their masks, so the budget bounds
+        # their memory too.
+        return len(groups) ** 2 // 64
+
+    def grow(members: list[int], cands: int):
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
+        if nodes + words() > budget:
             raise SizeLimitError(f"thick group enumeration exceeded {budget} nodes")
         if len(members) == t:
-            mask = 0
-            for e in members:
-                mask |= 1 << e
-            groups.append((tuple(members), mask, outer_common))
+            groups.append(tuple(members))
             return
         c = cands
         while c:
             e = (c & -c).bit_length() - 1
             c &= c - 1
             members.append(e)
-            grow(members, c & inner[e], outer_common & outer[e])
+            grow(members, c & inner[e])
             members.pop()
 
-    grow([], (1 << g.m) - 1, (1 << g.m) - 1)
+    grow([], (1 << g.m) - 1)
 
-    # Maximum clique over groups under full pairwise outer compatibility.
-    best: list[int] = []
-
-    def compatible(i: int, j: int) -> bool:
-        return groups[j][1] & ~groups[i][2] == 0
-
-    def extend(chosen: list[int], cands: list[int]):
-        nonlocal nodes, best
-        nodes += 1
-        if nodes > budget:
-            raise SizeLimitError(f"thick clique search exceeded {budget} nodes")
-        if not cands:
-            if len(chosen) > len(best):
-                best = chosen[:]
-            return
-        if len(chosen) + len(cands) <= len(best):
-            return
-        head, *rest = cands
-        chosen.append(head)
-        extend(chosen, [j for j in rest if compatible(head, j)])
-        chosen.pop()
-        extend(chosen, rest)
-
-    extend([], list(range(len(groups))))
-    chosen_groups = tuple(groups[i][0] for i in best)
+    # Two groups are compatible when every edge of one is outer-related to
+    # every edge of the other, a symmetric relation; the largest compatible
+    # set is a maximum clique.  Bitmasks over the groups: at[p][f] holds the
+    # groups whose p-th edge is f, and fits[e] the groups inside outer[e].
+    at = [[0] * g.m for _ in range(t)]
+    for j, members in enumerate(groups):
+        for p, f in enumerate(members):
+            at[p][f] |= 1 << j
+    fits = []
+    for e in range(g.m):
+        inside = (1 << len(groups)) - 1
+        for by_edge in at:
+            some = 0
+            rest = outer[e]
+            while rest:
+                some |= by_edge[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            inside &= some
+        fits.append(inside)
+    masks = []
+    for members in groups:
+        mask = fits[members[0]]
+        for e in members[1:]:
+            mask &= fits[e]
+        masks.append(mask)
+    try:
+        best = _max_clique(masks, budget - nodes - words())
+    except SizeLimitError:
+        raise SizeLimitError(f"thick clique search exceeded {budget} nodes") from None
+    chosen_groups = tuple(groups[i] for i in best)
     return PatternWitness(
         kind,
         len(best),

@@ -18,6 +18,7 @@ from .core import (
     classify_pair,
     conflict_masks,
     grid_edge_order,
+    increasing_levels,
     nesting_depths,
     to_grid,
     validate_assignment,
@@ -34,10 +35,13 @@ from .patterns import (
     DEFAULT_SEARCH_BUDGET,
     PatternKind,
     PatternWitness,
-    _lis_indices,
     has_twist,
 )
 from . import greene, solver
+
+# Edge sets up to this size are covered by exact solves; larger ones by
+# first-fit stacks (`bounded_twist_stack_cover`, the top quotient).
+EXACT_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def _twist_through(g: OrderedGraph, block_edges: list[int], a: int, v: int, k: i
     # Equal left endpoints in decreasing right order: two edges that share a
     # vertex never both join a strictly increasing run.
     stabbed.sort(key=lambda xy: (xy[0], -xy[1]))
-    return len(_lis_indices(stabbed)) >= k
+    return max(increasing_levels(stabbed)) >= k
 
 
 @dataclass(frozen=True)
@@ -328,10 +332,10 @@ def queue_cover(g: OrderedGraph, edge_ids) -> list[list[int]]:
 def bounded_twist_stack_cover(
     g: OrderedGraph,
     edge_ids,
-    exact_limit: int = 16,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> tuple[list[list[int]], bool]:
-    """Cover an edge set by stacks: exact for small sets, first-fit beyond.
+    """Cover an edge set by stacks: exact up to `EXACT_LIMIT` edges,
+    first-fit beyond.
 
     Stands in for the bounded-twist coloring subroutine; the transfer page
     bound is only asserted when the exact route ran.
@@ -340,7 +344,7 @@ def bounded_twist_stack_cover(
     if not ids:
         return [], True
     sub, idmap = subgraph(g, ids)
-    if len(ids) <= exact_limit:
+    if len(ids) <= EXACT_LIMIT:
         try:
             _, assignment = solver.stack_number(sub, budget)
             return (
@@ -389,7 +393,6 @@ def transfer_layout(
     partition: IntervalPartition,
     layout_h: PageAssignment,
     k: int,
-    exact_limit: int = 16,
     budget: int = solver.DEFAULT_BUDGET,
 ) -> tuple[PageAssignment, TransferReport]:
     """Lift a valid layout of the quotient to a valid layout of the matching.
@@ -481,9 +484,7 @@ def transfer_layout(
                         )
                         l_set.extend(twist[:k])
                         rest.extend(twist[k:])
-                    stacks, exact = bounded_twist_stack_cover(
-                        g, l_set, exact_limit, budget
-                    )
+                    stacks, exact = bounded_twist_stack_cover(g, l_set, budget)
                     report.l_covers.append((len(l_set), len(stacks), exact))
                     for page in stacks:
                         new_page(PageKind.STACK, page)
@@ -507,9 +508,7 @@ def transfer_layout(
                         rest.extend(rainbow[:-k])
                     for page in queue_cover(g, b_set):
                         new_page(PageKind.QUEUE, page)
-                    stacks, exact = bounded_twist_stack_cover(
-                        g, rest, exact_limit, budget
-                    )
+                    stacks, exact = bounded_twist_stack_cover(g, rest, budget)
                     report.b_covers.append((len(rest), len(stacks), exact))
                     for page in stacks:
                         new_page(PageKind.STACK, page)
@@ -539,7 +538,6 @@ def transfer_layout(
 def iterated_quotient_layout(
     g: OrderedGraph,
     k: int,
-    exact_limit: int = 16,
     budget: int = solver.DEFAULT_BUDGET,
 ) -> PageAssignment:
     """Contract (k+1)-twist intervals until no (k+1)-twist remains, lay out
@@ -548,14 +546,13 @@ def iterated_quotient_layout(
     More than k contraction levels certify a k-thick rainbow, which is
     raised as DepthExceededError carrying the witness.
     """
-    assignment, _ = iterated_quotient_layout_detailed(g, k, exact_limit, budget)
+    assignment, _ = iterated_quotient_layout_detailed(g, k, budget)
     return assignment
 
 
 def iterated_quotient_layout_detailed(
     g: OrderedGraph,
     k: int,
-    exact_limit: int = 16,
     budget: int = solver.DEFAULT_BUDGET,
 ):
     """`iterated_quotient_layout` with the per-level `TransferReport`s,
@@ -593,12 +590,10 @@ def iterated_quotient_layout_detailed(
         origin = [origin[qres.origins[e]] for e in range(qres.h.m)]
         current = qres.h
 
-    if current.m <= exact_limit:
+    if current.m <= EXACT_LIMIT:
         _, top = solver.mixed_page_number(current, budget)
     else:
-        stacks, _ = bounded_twist_stack_cover(
-            current, range(current.m), exact_limit, budget
-        )
+        stacks, _ = bounded_twist_stack_cover(current, range(current.m), budget)
         page_of = {}
         for p, members in enumerate(stacks):
             for e in members:
@@ -611,9 +606,7 @@ def iterated_quotient_layout_detailed(
     reports = []
     layout = top
     for level_g, partition, _, _ in reversed(levels):
-        layout, report = transfer_layout(
-            level_g, partition, layout, k, exact_limit, budget
-        )
+        layout, report = transfer_layout(level_g, partition, layout, k, budget)
         reports.append(report)
     return layout, reports
 

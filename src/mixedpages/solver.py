@@ -382,6 +382,17 @@ class CriticalityVerdict:
     nodes: int
 
 
+def mode_specs(mode: tuple) -> list[PageSpec]:
+    """The page specs of a criticality mode: ('sq', s, q) is the one split
+    of s stacks and q queues, ('k', k) every split of k pages."""
+    if mode[0] == "sq":
+        _, s, q = mode
+        return [PageSpec.split(s, q)]
+    if mode[0] == "k":
+        return splits(mode[1])
+    raise ValueError(f"bad criticality mode {mode!r}")
+
+
 def criticality(
     g: OrderedGraph, mode: tuple, budget: int = DEFAULT_BUDGET
 ) -> CriticalityVerdict:
@@ -396,14 +407,7 @@ def criticality(
     """
     total = 0
     cross, nest = conflict_masks(g)
-
-    if mode[0] == "sq":
-        _, s, q = mode
-        specs = [PageSpec.split(s, q)]
-    elif mode[0] == "k":
-        specs = splits(mode[1])
-    else:
-        raise ValueError(f"bad criticality mode {mode!r}")
+    specs = mode_specs(mode)
 
     def decide(active: list[int], spec: PageSpec) -> bool:
         nonlocal total

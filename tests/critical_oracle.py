@@ -19,7 +19,6 @@ from mixedpages.enumeration import (
     CriticalSet,
     EnumFamily,
     _bounds,
-    _modes_specs,
     contains_pattern,
     enumerate_matchings_up_to,
 )
@@ -99,7 +98,7 @@ def find_critical(
     budget: int = solver.DEFAULT_BUDGET,
     node_budget: int | None = None,
 ) -> CriticalSet:
-    specs = _modes_specs(mode)
+    specs = solver.mode_specs(mode)
     result = CriticalSet(parameters=mode)
     result.complete_up_to = _bounds(family)
     for g in stream(family):

@@ -186,9 +186,7 @@ def iterated_quotient_layout_detailed(
     if current.m <= exact_limit:
         _, top = solver.mixed_page_number(current, budget)
     else:
-        stacks, _ = bounded_twist_stack_cover(
-            current, range(current.m), exact_limit, budget
-        )
+        stacks, _ = bounded_twist_stack_cover(current, range(current.m), budget=budget)
         page_of = {}
         for p, members in enumerate(stacks):
             for e in members:
@@ -201,9 +199,7 @@ def iterated_quotient_layout_detailed(
     reports = []
     layout = top
     for level_g, partition, _, _ in reversed(levels):
-        layout, report = transfer_layout(
-            level_g, partition, layout, k, exact_limit, budget
-        )
+        layout, report = transfer_layout(level_g, partition, layout, k, budget=budget)
         reports.append(report)
     return layout, reports
 

@@ -112,6 +112,12 @@ class TestCommands:
         assert out.out == ""
         assert "unknown (budget exceeded)" in out.err and "exceeded 1 nodes" in out.err
 
+    def test_detect_thick_on_1200_disjoint_edges(self, capsys, tmp_path):
+        path = tmp_path / "disjoint.olg"
+        path.write_text(dump_olg(build_graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])))
+        assert main(["detect", str(path), "--kind", "thick", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 1
+
     def test_ferrers_json(self, capsys, diamond_file):
         assert main(["ferrers", diamond_file, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

@@ -17,7 +17,9 @@ masks that stop at an edge's end, the rainbow on nesting depths and the
 one-pass diamond matrix against the pair scans and repeated passes they
 replaced (kept in pair_scan_oracle.py), and the quadrant split that
 classifies each element once against its closure-based original (kept in
-quadrant_oracle.py)."""
+quadrant_oracle.py), and the LIS chain walked over the shared levels and
+the thick search on `_max_clique` against their originals (kept in
+kernel_oracle.py)."""
 
 import json
 import random
@@ -27,6 +29,7 @@ from contextlib import contextmanager
 import pytest
 
 import critical_oracle
+import kernel_oracle
 import pair_scan_oracle
 import quadrant_oracle
 import quotient_oracle
@@ -58,6 +61,7 @@ from mixedpages.errors import (
 )
 from mixedpages.greene import FamilyKind, ferrers, max_family
 from mixedpages.patterns import (
+    PatternKind,
     _clique_of_size,
     _max_clique,
     largest_rainbow,
@@ -457,6 +461,36 @@ def test_quadrant_split_matches_the_closure_code():
                 children += [child for child in want if child]
             leaves = children
     assert splits > 60 and refusals > 40
+
+
+def test_lis_walk_matches_the_parent_links():
+    """The chain walked back over the shared LIS levels is the chain of the
+    patience sort's parent links, also with tied y values."""
+    rng = random.Random(27)
+    for _ in range(20000):
+        n = rng.randint(0, 30)
+        top = rng.choice((3, n, 3 * n)) or 1
+        points = [(x, rng.randint(1, top)) for x in range(1, n + 1)]
+        assert patterns._lis_indices(points) == kernel_oracle._lis_indices(points)
+
+
+def test_thick_search_matches_the_recursive_clique():
+    """The same largest k as the recursive clique search over the groups,
+    with a witness of k groups of t edges that passes its re-check."""
+    rng = random.Random(28)
+    graphs = [rand_graph(rng, rng.randint(2, 10), rng.randint(0, 14)) for _ in range(150)]
+    graphs += [rand_matching(rng, rng.randint(0, 14)) for _ in range(150)]
+    found = 0
+    for g in graphs:
+        for t in (1, 2, 3):
+            for kind in (PatternKind.THICK_TWIST, PatternKind.THICK_RAINBOW):
+                got = patterns.largest_thick_of_kind(g, t, kind)
+                assert got.k == kernel_oracle.largest_thick_of_kind(g, t, kind).k
+                assert (got.kind, got.t, len(got.groups)) == (kind, t, got.k)
+                assert all(len(group) == t for group in got.groups)
+                assert witness_violations(g, got) == []
+                found += got.k >= 2
+    assert found > 300
 
 
 def rand_grid(rng, m):

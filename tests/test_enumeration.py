@@ -119,11 +119,29 @@ class TestFindCritical:
     def test_progress_goes_to_stderr(self, capsys, monkeypatch):
         # A stream of 10^5 single edges reaches the first progress line fast.
         edge = build_graph(2, [(0, 1)])
-        monkeypatch.setattr(EnumFamily, "stream", lambda self: [edge] * 100000)
+        monkeypatch.setattr(EnumFamily, "level", lambda self, m: [edge] * 100000)
         find_critical(EnumFamily("matchings", 1), ("k", 1), progress=True)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("scanned 100000, found ")
+
+    def test_progress_counts_across_levels(self, capsys, monkeypatch):
+        # Two levels of 50000 single edges: the line per 100000 candidates
+        # comes at the end of the second level, counted from the first.
+        edge = build_graph(2, [(0, 1)])
+        monkeypatch.setattr(EnumFamily, "level", lambda self, m: [edge] * 50000)
+        find_critical(EnumFamily("matchings", 2), ("k", 1), progress=True)
+        assert capsys.readouterr().err.splitlines() == [
+            "level 1: scanned 50000, found 0",
+            "scanned 100000, found 0",
+            "level 2: scanned 100000, found 0",
+        ]
+
+    def test_progress_prints_empty_levels(self, capsys):
+        find_critical(EnumFamily("separated", 3, 1, 1), ("k", 1), progress=True)
+        assert capsys.readouterr().err.splitlines() == [
+            f"level {m}: scanned 1, found 0" for m in (1, 2, 3)
+        ]
 
     def test_checkpoint_written(self, tmp_path):
         path = tmp_path / "check.json"

@@ -172,7 +172,7 @@ class TestInternalChecks:
     def test_diamond_statistics_collision(self, monkeypatch):
         from mixedpages import greene
 
-        monkeypatch.setattr(greene, "_increasing_levels", lambda pts: [1] * len(pts))
+        monkeypatch.setattr(greene, "increasing_levels", lambda pts: [1] * len(pts))
         with pytest.raises(InternalError, match="bijection"):
             greene._diamond_matrix(GridMatching((3, 4, 1, 2)), [0, 1, 2, 3], 2, 2)
 

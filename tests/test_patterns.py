@@ -193,6 +193,21 @@ class TestLargestThick:
         assert largest_thick(g, 3).k == 2  # no 3-thick 3-pattern
         assert largest_square_thick(g).k == 2
 
+    def test_disjoint_edges_raise_no_recursion_error(self):
+        g = build_graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+        assert largest_thick(g, 1).k == 1
+        assert largest_square_thick(g).k == 1
+
+    def test_group_masks_count_toward_the_budget(self):
+        from mixedpages.errors import SizeLimitError
+
+        # 1200 one-edge groups: 1201 enumeration nodes and 1200**2 // 64 =
+        # 22500 words of compatibility masks.
+        g = build_graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+        with pytest.raises(SizeLimitError, match="enumeration exceeded 20000 nodes"):
+            largest_thick(g, 1, budget=20000)
+        assert largest_thick(g, 1, budget=1201 + 22500 + 1).k == 1
+
     def test_alternating_subdivision_has_wide_nonsquare_thick(self):
         # Fixing t=2 the family does contain a 2-thick 4-twist; the square
         # reading (t = k) is the bounded quantity.

@@ -19,6 +19,7 @@ from mixedpages.errors import (
 from mixedpages.patterns import PatternKind, largest_twist, witness_violations
 from mixedpages.constructions import gen_thick_rainbow, gen_thick_twist
 from mixedpages.quotient import (
+    EXACT_LIMIT,
     IntervalPartition,
     bounded_twist_stack_cover,
     edge_color,
@@ -196,9 +197,10 @@ class TestCovers:
         assert exact and len(stacks) == 3
 
     def test_stack_cover_first_fit_beyond_limit(self):
-        g = grid_to_graph(GridMatching((1, 2, 3, 4)))
-        stacks, exact = bounded_twist_stack_cover(g, range(4), exact_limit=2)
-        assert not exact and len(stacks) == 4
+        m = EXACT_LIMIT + 1
+        g = grid_to_graph(GridMatching(tuple(range(1, m + 1))))
+        stacks, exact = bounded_twist_stack_cover(g, range(m))
+        assert not exact and len(stacks) == m
 
 
 class TestTransferLayout:
