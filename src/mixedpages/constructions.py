@@ -16,7 +16,7 @@ from .core import (
     classify_pair,
     grid_to_graph,
 )
-from .errors import BadParamsError, InternalError, RealizationNotFoundError
+from .errors import BadParamsError, InternalError
 from .patterns import PatternKind
 
 
@@ -152,60 +152,12 @@ def _graph_from_arcs(n: int, arcs: list[tuple[int, int]], target) -> OrderedGrap
     return g if got == target else None
 
 
-def _realize_by_search(n: int, target: set[frozenset[int]]) -> OrderedGraph:
-    """Backtracking placement of arcs whose crossing graph matches target.
-
-    Inserting later arcs never changes the interleaving of already placed
-    ones, so partial layouts are checked incrementally.
-    """
-
-    def crossings_ok(tokens: list[int]) -> bool:
-        span: dict[int, list[int]] = {}
-        for pos, arc in enumerate(tokens):
-            span.setdefault(arc, []).append(pos)
-        arcs = sorted(span)
-        for ai, a in enumerate(arcs):
-            for b in arcs[ai + 1:]:
-                (a1, a2), (b1, b2) = span[a], span[b]
-                crosses = a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2
-                if crosses != (frozenset((a, b)) in target):
-                    return False
-        return True
-
-    def place(arc: int, tokens: list[int]):
-        if arc == n:
-            return tokens
-        for i in range(len(tokens) + 1):
-            for j in range(i + 1, len(tokens) + 2):
-                cand = tokens[:i] + [arc] + tokens[i:j - 1] + [arc] + tokens[j - 1:]
-                if crossings_ok(cand):
-                    done = place(arc + 1, cand)
-                    if done:
-                        return done
-        return None
-
-    tokens = place(0, [])
-    if tokens is None:
-        raise RealizationNotFoundError(f"no arc realization for {n} arcs")
-    first: dict[int, int] = {}
-    arcs: list[tuple[int, int]] = [(-1, -1)] * n
-    for pos, arc in enumerate(tokens):
-        if arc in first:
-            arcs[arc] = (first[arc], pos)
-        else:
-            first[arc] = pos
-    g = _graph_from_arcs(n, arcs, target)
-    if g is None:
-        raise RealizationNotFoundError("search produced a mismatching layout")
-    return g
-
-
 def gen_stack_critical(s: int, n: int) -> OrderedGraph:
     """Matching whose crossing graph is the circulant C(n; 1..s-1).
 
     For s = 2 this is an odd cycle; for s >= 3 the cycle length must satisfy
     n = r*s + 1.  The realization is verified against the target conflict
-    graph and falls back to explicit search if the closed form ever failed.
+    graph; a mismatch is an internal error.
     """
     if s < 2:
         raise BadParamsError("s must be at least 2")
@@ -222,14 +174,16 @@ def gen_stack_critical(s: int, n: int) -> OrderedGraph:
         arcs = [(i, n + i) for i in range(n)]
     else:
         # Chords of a circle on 2n points, cut open between 2n-1 and 0:
-        # chord i runs from 2i to 2(i+s-1)+1 (mod 2n).
+        # chord i runs from 2i to 2(i+s-1)+1 (mod 2n).  As n > 2s-1, it
+        # crosses exactly the chords i-s+1..i-1 and i+1..i+s-1 (mod n), and
+        # cutting the circle open keeps which chords interleave.
         arcs = []
         for i in range(n):
             a, b = 2 * i, (2 * (i + s - 1) + 1) % (2 * n)
             arcs.append((min(a, b), max(a, b)))
     g = _graph_from_arcs(n, arcs, target)
     if g is None:
-        g = _realize_by_search(n, target)
+        raise InternalError(f"the chords of C({n}; 1..{s - 1}) cross wrongly")
     return g
 
 

@@ -58,10 +58,6 @@ class BudgetExceededError(MixedPagesError):
         self.nodes = nodes
 
 
-class RealizationNotFoundError(MixedPagesError):
-    """No arc realization of the requested conflict graph was found."""
-
-
 class InsufficientInputError(MixedPagesError):
     """The subdivision procedure ran out of points to recurse on."""
 

@@ -433,23 +433,29 @@ def largest_thick_of_kind(
         # their memory too.
         return len(groups) ** 2 // 64
 
-    def grow(members: list[int], cands: int):
-        nonlocal nodes
+    # The groups, depth-first on an explicit stack: a node is one candidate
+    # set entered (the root included), which tries its edges lowest first,
+    # each with the higher candidates it is inner-related to.
+    members: list[int] = []
+    pending: list[int] = []  # per open set: its candidates above the edge tried
+    cands = (1 << g.m) - 1
+    while True:
         nodes += 1
         if nodes + words() > budget:
             raise SizeLimitError(f"thick group enumeration exceeded {budget} nodes")
         if len(members) == t:
             groups.append(tuple(members))
-            return
-        c = cands
-        while c:
-            e = (c & -c).bit_length() - 1
-            c &= c - 1
-            members.append(e)
-            grow(members, c & inner[e])
+            cands = 0
+        while not cands and pending:
+            cands = pending.pop()
             members.pop()
-
-    grow([], (1 << g.m) - 1)
+        if not cands:
+            break
+        e = (cands & -cands).bit_length() - 1
+        cands &= cands - 1
+        pending.append(cands)
+        members.append(e)
+        cands &= inner[e]
 
     # Two groups are compatible when every edge of one is outer-related to
     # every edge of the other, a symmetric relation; the largest compatible

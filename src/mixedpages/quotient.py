@@ -6,6 +6,7 @@ plus the iterated-quotient driver and the degree reduction via edge coloring.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .core import (
@@ -73,9 +74,7 @@ class IntervalPartition:
         return list(zip(self.starts, ends))
 
     def block_of(self, v: int) -> int:
-        import bisect
-
-        return bisect.bisect_right(self.starts, v) - 1
+        return bisect_right(self.starts, v) - 1
 
 
 def subgraph(g: OrderedGraph, edge_ids) -> tuple[OrderedGraph, list[int]]:
@@ -337,8 +336,8 @@ def bounded_twist_stack_cover(
     """Cover an edge set by stacks: exact up to `EXACT_LIMIT` edges,
     first-fit beyond.
 
-    Stands in for the bounded-twist coloring subroutine; the transfer page
-    bound is only asserted when the exact route ran.
+    Stands in for the bounded-twist coloring subroutine; the returned flag
+    reports which route ran (True for the exact one).
     """
     ids = sorted(edge_ids)
     if not ids:
@@ -354,7 +353,7 @@ def bounded_twist_stack_cover(
         except BudgetExceededError:
             pass
     cross, _ = conflict_masks(sub)
-    order = sorted(range(sub.m), key=lambda e: (-bin(cross[e]).count("1"), e))
+    order = sorted(range(sub.m), key=lambda e: (-cross[e].bit_count(), e))
     stacks: list[tuple[int, list[int]]] = []  # (mask, members)
     for e in order:
         for i, (mask, members) in enumerate(stacks):
@@ -375,8 +374,6 @@ class TransferReport:
     ell: int
     m_intra: int
     k: int
-    l_covers: list[tuple[int, int, bool]] = field(default_factory=list)
-    b_covers: list[tuple[int, int, bool]] = field(default_factory=list)
     branches: set[str] = field(default_factory=set)
 
     @property
@@ -397,13 +394,20 @@ def transfer_layout(
 ) -> tuple[PageAssignment, TransferReport]:
     """Lift a valid layout of the quotient to a valid layout of the matching.
 
-    Follows the transfer proof: shared pages for intra-interval edges, then
-    per quotient page and per one-sided star forest a separated sub-layout
-    for every star, with stack reuse and the L/B splitting of the per-star
-    queues/stacks.  The output is validated unconditionally.
+    Follows the transfer proof: intra-interval edges share a pool of pages,
+    and each quotient page is split into one-sided star forests whose stars
+    get separated sub-layouts.  One lift serves both page kinds, a queue
+    page being a stack page mirrored (twists and rainbows swapped).  The
+    stars' sub-layout pages of the page's kind share pages.  Of their j-th
+    pages of the other kind, sorted by left endpoint (descending on a queue
+    page), the first k edges per star form the L-set (the B-set on a queue
+    page) and go to pages of the page's kind, the rest to the other kind.
+    The output is validated unconditionally.
     """
     if not g.is_matching():
         raise InvalidInputError("transfer needs a matching")
+    if k < 1:
+        raise InvalidInputError("k must be positive")
     qres = quotient_graph(g, partition)
     h = qres.h
     if len(layout_h.page_of) != h.m:
@@ -452,87 +456,68 @@ def transfer_layout(
         if not members:
             continue
         kind = layout_h.spec.kinds[p]
+        stack_page = kind is PageKind.STACK
+        other = PageKind.QUEUE if stack_page else PageKind.STACK
         for forest in star_forests(h, members, kind):
-            star_stacks: list[list[list[int]]] = []
-            star_queues: list[list[list[int]]] = []
+            own: list[list[list[int]]] = []  # per star, its alpha pages of `kind`
+            rest: list[list[list[int]]] = []  # and of `other`
             for star in forest.stars:
                 ids = [qres.origins[e] for e in star.edges]
                 sub, idmap = subgraph(g, ids)
                 grid = to_grid(sub)
                 alpha = greene.approx_mixed_layout(grid)
                 col_to_global = [idmap[e] for e in grid_edge_order(sub)]
-                stacks, queues = [], []
+                own.append([])
+                rest.append([])
                 for q, page in enumerate(alpha.pages()):
-                    bucket = stacks if alpha.spec.kinds[q] is PageKind.STACK else queues
-                    bucket.append([col_to_global[e] for e in page])
-                star_stacks.append(stacks)
-                star_queues.append(queues)
+                    bucket = own if alpha.spec.kinds[q] is kind else rest
+                    bucket[-1].append([col_to_global[e] for e in page])
 
-            if kind is PageKind.STACK:
-                # Stars do not cross: their alpha-stacks share pages.
-                for i in range(max((len(s) for s in star_stacks), default=0)):
-                    new_page(
-                        PageKind.STACK,
-                        [e for s in star_stacks for e in (s[i] if i < len(s) else [])],
+            for i in range(max((len(s) for s in own), default=0)):
+                new_page(kind, [e for s in own for e in (s[i] if i < len(s) else [])])
+            for j in range(max((len(s) for s in rest), default=0)):
+                report.branches.add("stack-page-L" if stack_page else "queue-page-B")
+                head, tail = [], []
+                for s in rest:
+                    piece = sorted(
+                        s[j] if j < len(s) else [],
+                        key=lambda e: g.edges[e][0],
+                        reverse=not stack_page,
                     )
-                for j in range(max((len(q) for q in star_queues), default=0)):
-                    report.branches.add("stack-page-L")
-                    l_set, rest = [], []
-                    for qs in star_queues:
-                        twist = sorted(
-                            qs[j] if j < len(qs) else [], key=lambda e: g.edges[e][0]
-                        )
-                        l_set.extend(twist[:k])
-                        rest.extend(twist[k:])
-                    stacks, exact = bounded_twist_stack_cover(g, l_set, budget)
-                    report.l_covers.append((len(l_set), len(stacks), exact))
-                    for page in stacks:
-                        new_page(PageKind.STACK, page)
-                    for page in queue_cover(g, rest):
-                        new_page(PageKind.QUEUE, page)
-            else:
-                # Stars do not nest: their alpha-queues share pages.
-                for i in range(max((len(q) for q in star_queues), default=0)):
-                    new_page(
-                        PageKind.QUEUE,
-                        [e for q in star_queues for e in (q[i] if i < len(q) else [])],
-                    )
-                for j in range(max((len(s) for s in star_stacks), default=0)):
-                    report.branches.add("queue-page-B")
-                    b_set, rest = [], []
-                    for ss in star_stacks:
-                        rainbow = sorted(
-                            ss[j] if j < len(ss) else [], key=lambda e: g.edges[e][0]
-                        )
-                        b_set.extend(rainbow[-k:])
-                        rest.extend(rainbow[:-k])
-                    for page in queue_cover(g, b_set):
-                        new_page(PageKind.QUEUE, page)
-                    stacks, exact = bounded_twist_stack_cover(g, rest, budget)
-                    report.b_covers.append((len(rest), len(stacks), exact))
-                    for page in stacks:
-                        new_page(PageKind.STACK, page)
+                    head.extend(piece[:k])
+                    tail.extend(piece[k:])
+                for cover_kind, ids in ((kind, head), (other, tail)):
+                    if cover_kind is PageKind.STACK:
+                        cover, _ = bounded_twist_stack_cover(g, ids, budget)
+                    else:
+                        cover = queue_cover(g, ids)
+                    for page in cover:
+                        new_page(cover_kind, page)
 
-    kinds = []
-    page_of: dict[int, int] = {}
-    kept = 0
-    for kind, members in pages:
-        if not members:
-            continue
-        kinds.append(kind)
-        for e in members:
-            if e in page_of:
-                raise InternalError(f"transfer assigned edge {e} twice")
-            page_of[e] = kept
-        kept += 1
-    if len(page_of) != g.m:
-        raise InternalError("transfer missed some edges")
-    assignment = PageAssignment(PageSpec(tuple(kinds)), tuple([page_of[e] for e in range(g.m)]))
+    assignment = _assignment(pages, g.m)
     bad = validate_assignment(g, assignment)
     if bad:
         raise InternalError(f"transfer produced an invalid layout: {bad[:3]}")
-    report.pages_used = kept
+    report.pages_used = len(assignment.spec)
     return assignment, report
+
+
+def _assignment(pages: list[tuple[PageKind, list[int]]], m: int) -> PageAssignment:
+    """The assignment of edges 0..m-1 to the nonempty `(kind, members)`
+    pages, in order; an edge placed twice or never is an internal error."""
+    kinds = []
+    page_of: dict[int, int] = {}
+    for kind, members in pages:
+        if not members:
+            continue
+        for e in members:
+            if e in page_of:
+                raise InternalError(f"transfer assigned edge {e} twice")
+            page_of[e] = len(kinds)
+        kinds.append(kind)
+    if len(page_of) != m:
+        raise InternalError("transfer missed some edges")
+    return PageAssignment(PageSpec(tuple(kinds)), tuple([page_of[e] for e in range(m)]))
 
 
 def iterated_quotient_layout(
@@ -594,14 +579,7 @@ def iterated_quotient_layout_detailed(
         _, top = solver.mixed_page_number(current, budget)
     else:
         stacks, _ = bounded_twist_stack_cover(current, range(current.m), budget)
-        page_of = {}
-        for p, members in enumerate(stacks):
-            for e in members:
-                page_of[e] = p
-        top = PageAssignment(
-            PageSpec.split(len(stacks), 0),
-            tuple([page_of[e] for e in range(current.m)]),
-        )
+        top = _assignment([(PageKind.STACK, page) for page in stacks], current.m)
 
     reports = []
     layout = top

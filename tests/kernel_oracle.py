@@ -1,12 +1,15 @@
 """The longest increasing chain and the thick-pattern search as they were
 before they moved onto the shared kernels, kept verbatim as oracles for the
 differential tests: `_lis_indices` with its own patience sort and parent
-links, and `largest_thick_of_kind` with its recursive clique search over
-the groups.
+links, `largest_thick_of_kind` with its recursive clique search over the
+groups, and `thick_with_recursive_grow`, the later search on `_max_clique`
+that still enumerated the groups recursively.
 
 The package must return the same chain as `_lis_indices`, and the same k
 as `largest_thick_of_kind`; its thick witness may be another clique of
-that size, so it is checked with `witness_violations` instead.
+that size, so it is checked with `witness_violations` instead.  Against
+`thick_with_recursive_grow` it must return the same witness, or raise the
+same `SizeLimitError`, at every budget.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from mixedpages.patterns import (
     PatternKind,
     PatternWitness,
     _as_graph,
+    _max_clique,
 )
 
 
@@ -106,6 +110,82 @@ def largest_thick_of_kind(
 
     extend([], list(range(len(groups))))
     chosen_groups = tuple(groups[i][0] for i in best)
+    return PatternWitness(
+        kind,
+        len(best),
+        t,
+        tuple(e for grp in chosen_groups for e in grp),
+        chosen_groups,
+    )
+
+
+def thick_with_recursive_grow(
+    g, t: int, kind: PatternKind, budget: int = DEFAULT_SEARCH_BUDGET
+) -> PatternWitness:
+    """Largest k with a t-thick k-twist (k-rainbow); exact within budget."""
+    if t < 1:
+        raise ValueError("thickness must be positive")
+    g = _as_graph(g)
+    cross, nest = conflict_masks(g)
+    inner = nest if kind is PatternKind.THICK_TWIST else cross
+    outer = cross if kind is PatternKind.THICK_TWIST else nest
+    groups: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def words() -> int:
+        # Each group gets a mask of one bit per group: n groups also count
+        # the n * n // 64 machine words of their masks, so the budget bounds
+        # their memory too.
+        return len(groups) ** 2 // 64
+
+    def grow(members: list[int], cands: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes + words() > budget:
+            raise SizeLimitError(f"thick group enumeration exceeded {budget} nodes")
+        if len(members) == t:
+            groups.append(tuple(members))
+            return
+        c = cands
+        while c:
+            e = (c & -c).bit_length() - 1
+            c &= c - 1
+            members.append(e)
+            grow(members, c & inner[e])
+            members.pop()
+
+    grow([], (1 << g.m) - 1)
+
+    # Two groups are compatible when every edge of one is outer-related to
+    # every edge of the other, a symmetric relation; the largest compatible
+    # set is a maximum clique.  Bitmasks over the groups: at[p][f] holds the
+    # groups whose p-th edge is f, and fits[e] the groups inside outer[e].
+    at = [[0] * g.m for _ in range(t)]
+    for j, members in enumerate(groups):
+        for p, f in enumerate(members):
+            at[p][f] |= 1 << j
+    fits = []
+    for e in range(g.m):
+        inside = (1 << len(groups)) - 1
+        for by_edge in at:
+            some = 0
+            rest = outer[e]
+            while rest:
+                some |= by_edge[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            inside &= some
+        fits.append(inside)
+    masks = []
+    for members in groups:
+        mask = fits[members[0]]
+        for e in members[1:]:
+            mask &= fits[e]
+        masks.append(mask)
+    try:
+        best = _max_clique(masks, budget - nodes - words())
+    except SizeLimitError:
+        raise SizeLimitError(f"thick clique search exceeded {budget} nodes") from None
+    chosen_groups = tuple(groups[i] for i in best)
     return PatternWitness(
         kind,
         len(best),

@@ -3,14 +3,21 @@ kept verbatim as oracles for the differential tests: the partition that
 searched the whole block for a twist at every vertex, the star-forest split
 that checked its page pairwise, the level loop that probed the whole graph
 for a twist before each partition, and the two quadratic nesting-depth DPs
-of `queue_cover` and `solver.queue_layout`.
+of `queue_cover` and `solver.queue_layout`, and the transfer that wrote
+out the lift of a stack page and of a queue page separately, as mirror
+images (`mirrored_transfer_layout`, with its report that also listed the
+L- and B-set covers; it runs on this module's star-forest split and queue
+cover).
 
 The package must return exactly what these return, errors included.
 """
 
 from __future__ import annotations
 
-from mixedpages import solver
+import math
+from dataclasses import dataclass, field
+
+from mixedpages import greene, solver
 from mixedpages.core import (
     OrderedGraph,
     PageAssignment,
@@ -18,8 +25,16 @@ from mixedpages.core import (
     PageSpec,
     Relation,
     classify_pair,
+    grid_edge_order,
+    to_grid,
+    validate_assignment,
 )
-from mixedpages.errors import DepthExceededError, InvalidInputError, InvalidPageError
+from mixedpages.errors import (
+    DepthExceededError,
+    InternalError,
+    InvalidInputError,
+    InvalidPageError,
+)
 from mixedpages.patterns import DEFAULT_SEARCH_BUDGET, has_twist
 from mixedpages.quotient import (
     IntervalPartition,
@@ -222,3 +237,170 @@ def queue_layout(g: OrderedGraph) -> PageAssignment:
     return PageAssignment(
         PageSpec.split(0, q), tuple(d - 1 for d in depth)
     )
+
+
+@dataclass
+class TransferReport:
+    pages_used: int
+    ell: int
+    m_intra: int
+    k: int
+    l_covers: list[tuple[int, int, bool]] = field(default_factory=list)
+    b_covers: list[tuple[int, int, bool]] = field(default_factory=list)
+    branches: set[str] = field(default_factory=set)
+
+    @property
+    def bound(self) -> float:
+        """Transfer bound with the (k+1)-based log term used on both branches."""
+        k = self.k
+        return 6 * self.ell * 2 * k**7 * (
+            1 + 14 * (k + 1) * math.log2(k + 1) + k
+        ) + 2 * self.m_intra
+
+
+def mirrored_transfer_layout(
+    g: OrderedGraph,
+    partition: IntervalPartition,
+    layout_h: PageAssignment,
+    k: int,
+    budget: int = solver.DEFAULT_BUDGET,
+) -> tuple[PageAssignment, TransferReport]:
+    """Lift a valid layout of the quotient to a valid layout of the matching.
+
+    Follows the transfer proof: shared pages for intra-interval edges, then
+    per quotient page and per one-sided star forest a separated sub-layout
+    for every star, with stack reuse and the L/B splitting of the per-star
+    queues/stacks.  The output is validated unconditionally.
+    """
+    if not g.is_matching():
+        raise InvalidInputError("transfer needs a matching")
+    qres = quotient_graph(g, partition)
+    h = qres.h
+    if len(layout_h.page_of) != h.m:
+        raise InvalidInputError("quotient layout does not cover the quotient")
+    if validate_assignment(h, layout_h):
+        raise InvalidInputError("quotient layout is invalid")
+
+    pages: list[tuple[PageKind, list[int]]] = []
+
+    def new_page(kind: PageKind, edges: list[int]) -> int:
+        pages.append((kind, list(edges)))
+        return len(pages) - 1
+
+    # Intra-interval edges: a pool of m stacks plus m queues shared by all
+    # intervals, where m is the worst interval page count.
+    intra_by_block: dict[int, list[int]] = {}
+    for e in qres.intra:
+        intra_by_block.setdefault(partition.block_of(g.edges[e][0]), []).append(e)
+    block_layouts = []
+    m_intra = 0
+    for block, ids in sorted(intra_by_block.items()):
+        sub, idmap = subgraph(g, ids)
+        _, assignment = solver.mixed_page_number(sub, budget)
+        block_layouts.append((idmap, assignment))
+        m_intra = max(m_intra, len(assignment.spec))
+    stack_pool = [new_page(PageKind.STACK, []) for _ in range(m_intra)]
+    queue_pool = [new_page(PageKind.QUEUE, []) for _ in range(m_intra)]
+    for idmap, assignment in block_layouts:
+        next_stack = 0
+        next_queue = 0
+        for p, members in enumerate(assignment.pages()):
+            if not members:
+                continue
+            if assignment.spec.kinds[p] is PageKind.STACK:
+                slot, next_stack = stack_pool[next_stack], next_stack + 1
+            else:
+                slot, next_queue = queue_pool[next_queue], next_queue + 1
+            pages[slot][1].extend(idmap[e] for e in members)
+
+    report = TransferReport(
+        pages_used=0, ell=len(layout_h.spec), m_intra=m_intra, k=k
+    )
+
+    # Inter-interval edges, one quotient page and one star forest at a time.
+    for p, members in enumerate(layout_h.pages()):
+        if not members:
+            continue
+        kind = layout_h.spec.kinds[p]
+        for forest in star_forests(h, members, kind):
+            star_stacks: list[list[list[int]]] = []
+            star_queues: list[list[list[int]]] = []
+            for star in forest.stars:
+                ids = [qres.origins[e] for e in star.edges]
+                sub, idmap = subgraph(g, ids)
+                grid = to_grid(sub)
+                alpha = greene.approx_mixed_layout(grid)
+                col_to_global = [idmap[e] for e in grid_edge_order(sub)]
+                stacks, queues = [], []
+                for q, page in enumerate(alpha.pages()):
+                    bucket = stacks if alpha.spec.kinds[q] is PageKind.STACK else queues
+                    bucket.append([col_to_global[e] for e in page])
+                star_stacks.append(stacks)
+                star_queues.append(queues)
+
+            if kind is PageKind.STACK:
+                # Stars do not cross: their alpha-stacks share pages.
+                for i in range(max((len(s) for s in star_stacks), default=0)):
+                    new_page(
+                        PageKind.STACK,
+                        [e for s in star_stacks for e in (s[i] if i < len(s) else [])],
+                    )
+                for j in range(max((len(q) for q in star_queues), default=0)):
+                    report.branches.add("stack-page-L")
+                    l_set, rest = [], []
+                    for qs in star_queues:
+                        twist = sorted(
+                            qs[j] if j < len(qs) else [], key=lambda e: g.edges[e][0]
+                        )
+                        l_set.extend(twist[:k])
+                        rest.extend(twist[k:])
+                    stacks, exact = bounded_twist_stack_cover(g, l_set, budget)
+                    report.l_covers.append((len(l_set), len(stacks), exact))
+                    for page in stacks:
+                        new_page(PageKind.STACK, page)
+                    for page in queue_cover(g, rest):
+                        new_page(PageKind.QUEUE, page)
+            else:
+                # Stars do not nest: their alpha-queues share pages.
+                for i in range(max((len(q) for q in star_queues), default=0)):
+                    new_page(
+                        PageKind.QUEUE,
+                        [e for q in star_queues for e in (q[i] if i < len(q) else [])],
+                    )
+                for j in range(max((len(s) for s in star_stacks), default=0)):
+                    report.branches.add("queue-page-B")
+                    b_set, rest = [], []
+                    for ss in star_stacks:
+                        rainbow = sorted(
+                            ss[j] if j < len(ss) else [], key=lambda e: g.edges[e][0]
+                        )
+                        b_set.extend(rainbow[-k:])
+                        rest.extend(rainbow[:-k])
+                    for page in queue_cover(g, b_set):
+                        new_page(PageKind.QUEUE, page)
+                    stacks, exact = bounded_twist_stack_cover(g, rest, budget)
+                    report.b_covers.append((len(rest), len(stacks), exact))
+                    for page in stacks:
+                        new_page(PageKind.STACK, page)
+
+    kinds = []
+    page_of: dict[int, int] = {}
+    kept = 0
+    for kind, members in pages:
+        if not members:
+            continue
+        kinds.append(kind)
+        for e in members:
+            if e in page_of:
+                raise InternalError(f"transfer assigned edge {e} twice")
+            page_of[e] = kept
+        kept += 1
+    if len(page_of) != g.m:
+        raise InternalError("transfer missed some edges")
+    assignment = PageAssignment(PageSpec(tuple(kinds)), tuple([page_of[e] for e in range(g.m)]))
+    bad = validate_assignment(g, assignment)
+    if bad:
+        raise InternalError(f"transfer produced an invalid layout: {bad[:3]}")
+    report.pages_used = kept
+    return assignment, report
+

@@ -18,8 +18,11 @@ one-pass diamond matrix against the pair scans and repeated passes they
 replaced (kept in pair_scan_oracle.py), and the quadrant split that
 classifies each element once against its closure-based original (kept in
 quadrant_oracle.py), and the LIS chain walked over the shared levels and
-the thick search on `_max_clique` against their originals (kept in
-kernel_oracle.py)."""
+the thick search on `_max_clique` against their originals, and its group
+enumeration on an explicit stack against the recursive one (kept in
+kernel_oracle.py), and the one transfer lift for both page kinds against
+the mirrored stack-page and queue-page lifts it replaced (kept in
+quotient_oracle.py)."""
 
 import json
 import random
@@ -37,7 +40,13 @@ import recursive_oracle
 import simplex_oracle
 from conftest import brute_force_fits, rand_graph, rand_matching
 from mixedpages import core, enumeration, greene, patterns, quotient, solver
-from mixedpages.constructions import gen_2critical, gen_diamond, gen_tight_2k
+from mixedpages.constructions import (
+    gen_2critical,
+    gen_diamond,
+    gen_thick_rainbow,
+    gen_thick_twist,
+    gen_tight_2k,
+)
 from mixedpages.core import (
     GridMatching,
     OrderedGraph,
@@ -493,6 +502,47 @@ def test_thick_search_matches_the_recursive_clique():
     assert found > 300
 
 
+def thick_or_limit(fn, g, t, kind, budget):
+    try:
+        return "ok", fn(g, t, kind, budget)
+    except SizeLimitError as exc:
+        return "size limit", str(exc)
+
+
+def least_budget(fn, g, t, kind):
+    """The smallest budget at which the search answers: its node count."""
+    low, high = 0, 1
+    while thick_or_limit(fn, g, t, kind, high)[0] == "size limit":
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if thick_or_limit(fn, g, t, kind, mid)[0] == "size limit":
+            low = mid
+        else:
+            high = mid
+    return high
+
+
+def test_thick_groups_on_a_stack_match_the_recursive_grow():
+    """The group enumeration on an explicit stack gives the recursive one's
+    whole witness, counts the same nodes, and raises the same error at
+    every small budget."""
+    rng = random.Random(30)
+    graphs = [rand_graph(rng, rng.randint(2, 10), rng.randint(0, 14)) for _ in range(60)]
+    graphs += [rand_matching(rng, rng.randint(0, 14)) for _ in range(60)]
+    old, new = kernel_oracle.thick_with_recursive_grow, patterns.largest_thick_of_kind
+    outcomes = set()
+    for g in graphs:
+        for t in (1, 2, 3):
+            for kind in (PatternKind.THICK_TWIST, PatternKind.THICK_RAINBOW):
+                for budget in (0, 1, 3, 10, 30, 100, 300, patterns.DEFAULT_SEARCH_BUDGET):
+                    want = thick_or_limit(old, g, t, kind, budget)
+                    assert thick_or_limit(new, g, t, kind, budget) == want
+                    outcomes.add(want[1].split(" exceeded")[0] if want[0] == "size limit" else "k")
+                assert least_budget(new, g, t, kind) == least_budget(old, g, t, kind)
+    assert outcomes == {"k", "thick group enumeration", "thick clique search"}
+
+
 def rand_grid(rng, m):
     pi = list(range(1, m + 1))
     rng.shuffle(pi)
@@ -787,6 +837,77 @@ def test_iterated_layout_matches_level_loop_oracle(monkeypatch):
     assert new == old
     routes = [out[0] for out in new]
     assert routes.count("ok") > 100 and routes.count("DepthExceededError") > 30
+
+
+def lift_outcome(fn, *args):
+    """The assignment and the report fields that both transfers keep, or the
+    type and message of a package error."""
+    try:
+        a, report = fn(*args)
+    except MixedPagesError as exc:
+        return type(exc).__name__, str(exc)
+    return a, report.pages_used, report.ell, report.m_intra, report.k, report.branches
+
+
+def mixed_layout(rng, h):
+    """A valid layout of h with stacks and queues in random order: a random
+    part of the edges on stacks, the rest on queues."""
+    on_stacks = [e for e in range(h.m) if rng.random() < 0.5]
+    on_queues = sorted(set(range(h.m)) - set(on_stacks))
+    pages = [(PageKind.STACK, p) for p in quotient.bounded_twist_stack_cover(h, on_stacks)[0]]
+    pages += [(PageKind.QUEUE, p) for p in quotient.queue_cover(h, on_queues)]
+    rng.shuffle(pages)
+    return quotient._assignment(pages, h.m)
+
+
+def transfer_cases(monkeypatch):
+    """Transfer inputs: the levels of iterated layouts of random matchings
+    and of thick twists and rainbows at k = 1..4, and direct transfers of
+    random mixed layouts over random partitions, plus rejected inputs."""
+    rng = random.Random(29)
+    cases = []
+    real = quotient.transfer_layout
+
+    def record(*args):
+        cases.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quotient, "transfer_layout", record)
+    graphs = [rand_matching(rng, rng.randint(0, 90)) for _ in range(25)]
+    graphs += [gen(t, r) for gen in (gen_thick_twist, gen_thick_rainbow)
+               for t in range(1, 5) for r in range(1, 5)]
+    for g in graphs:
+        for k in (1, 2, 3, 4):
+            raised(quotient.iterated_quotient_layout_detailed, g, k)
+    monkeypatch.undo()
+    for _ in range(150):
+        g = rand_matching(rng, rng.randint(0, 40))
+        starts = sorted({0, *rng.sample(range(1, max(g.n, 1)), rng.randint(0, g.n // 3))})
+        part = quotient.IntervalPartition(g.n, tuple(starts) if g.n else ())
+        h = quotient.quotient_graph(g, part).h
+        cases.append((g, part, mixed_layout(rng, h), rng.randint(1, 4)))
+    g = gen_thick_twist(2, 3)
+    part = quotient.IntervalPartition.singletons(g.n)
+    h = quotient.quotient_graph(g, part).h
+    cases.append((g, part, PageAssignment(PageSpec.from_string("S"), (0,) * h.m), 2))
+    cases.append((g, part, PageAssignment(PageSpec.from_string("S"), (0,)), 2))
+    cases.append((build_graph(3, [(0, 2), (1, 2)]), quotient.IntervalPartition.singletons(3),
+                  PageAssignment(PageSpec.from_string("SS"), (0, 1)), 1))
+    return cases
+
+
+def test_transfer_matches_mirrored_lift(monkeypatch):
+    """The one lift for both page kinds returns the pages, in order, of the
+    transfer that wrote out the stack-page and queue-page lifts apart."""
+    cases = transfer_cases(monkeypatch)
+    branches = []
+    for args in cases:
+        got = lift_outcome(quotient.transfer_layout, *args)
+        assert got == lift_outcome(quotient_oracle.mirrored_transfer_layout, *args), args[1:]
+        branches.append(got[-1] if len(got) == 6 else {"error"})
+    assert sum("stack-page-L" in b for b in branches) > 100
+    assert sum("queue-page-B" in b for b in branches) > 50
+    assert sum("error" in b for b in branches) == 3
 
 
 def forests_or_error(fn, h, page, kind):

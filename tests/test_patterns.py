@@ -198,6 +198,14 @@ class TestLargestThick:
         assert largest_thick(g, 1).k == 1
         assert largest_square_thick(g).k == 1
 
+    def test_deep_groups_raise_no_recursion_error(self):
+        from mixedpages.errors import SizeLimitError
+
+        # An 1100-rainbow holds 2**1100 nesting groups of at most 1100 edges.
+        g = build_graph(2200, [(i, 2199 - i) for i in range(1100)])
+        with pytest.raises(SizeLimitError, match="enumeration exceeded"):
+            largest_thick(g, 1100, budget=10**5)
+
     def test_group_masks_count_toward_the_budget(self):
         from mixedpages.errors import SizeLimitError
 

@@ -239,6 +239,12 @@ class TestTransferLayout:
         with pytest.raises(InvalidInputError):
             transfer_layout(g, part, bad, 2)
 
+    def test_k_below_one_rejected(self):
+        g = gen_thick_twist(2, 3)
+        _, layout = solver.mixed_page_number(g)
+        with pytest.raises(InvalidInputError, match="k must be positive"):
+            transfer_layout(g, IntervalPartition.singletons(g.n), layout, 0)
+
     def test_non_matching_rejected(self):
         g = build_graph(3, [(0, 2), (1, 2)])
         with pytest.raises(InvalidInputError):
