@@ -133,13 +133,14 @@ class TestStackCritical:
         g = gen_stack_critical(3, 4)
         assert solver.stack_number(g)[0] == 4
 
-    @pytest.mark.parametrize("s, n", [(2, n) for n in range(3, 80, 2)] + [
-        (s, r * s + 1) for s in range(3, 12) for r in range(1, 12)
-    ])
-    def test_closed_form_realizes_the_circulant(self, s, n):
+    def test_closed_form_realizes_the_circulant(self):
         # `gen_stack_critical` checks the crossing graph itself and raises
         # InternalError on a mismatch.
-        assert gen_stack_critical(s, n).m == n
+        cases = [(2, n) for n in range(3, 80, 2)]
+        cases += [(s, r * s + 1) for s in range(3, 12) for r in range(1, 12)]
+        assert len(cases) == 138
+        for s, n in cases:
+            assert gen_stack_critical(s, n).m == n
 
     def test_wrong_crossings_raise_internal_error(self, monkeypatch):
         from mixedpages import constructions
