@@ -18,6 +18,7 @@ from .core import (
     OrderedGraph,
     PageAssignment,
     PageKind,
+    PageSpec,
     dump_assignment,
     dump_olg,
     dump_perm,
@@ -166,37 +167,31 @@ def render_arcs(g: OrderedGraph, assignment: PageAssignment | None = None) -> st
 
 def cmd_solve(args) -> int:
     g = load_graph(args.input)
-    try:
-        if args.mn:
-            k, assignment = solver.mixed_page_number(g, args.budget)
-            label = {"mn": k}
-        elif args.sn:
-            k, assignment = solver.stack_number(g, args.budget)
-            label = {"sn": k}
-        elif args.qn:
-            k, assignment = solver.queue_number(g)
-            label = {"qn": k}
-        else:
-            from .core import PageSpec
-
-            if not args.spec:
-                raise MixedPagesError("solve needs --spec, --mn, --sn, or --qn")
-            try:
-                spec = PageSpec.from_string(args.spec)
-            except ValueError:
-                raise MixedPagesError(f"bad page spec {args.spec!r}") from None
-            res = solver.feasible(g, spec, args.budget)
-            if res.status == "unknown":
-                print("unknown (budget exceeded)")
-                return UNKNOWN
-            if not res.feasible:
-                print("infeasible")
-                return INFEASIBLE
-            print(dump_assignment(res.assignment))
-            return OK
-    except BudgetExceededError:
-        print("unknown (budget exceeded)")
-        return UNKNOWN
+    if args.mn:
+        k, assignment = solver.mixed_page_number(g, args.budget)
+        label = {"mn": k}
+    elif args.sn:
+        k, assignment = solver.stack_number(g, args.budget)
+        label = {"sn": k}
+    elif args.qn:
+        k, assignment = solver.queue_number(g)
+        label = {"qn": k}
+    else:
+        if not args.spec:
+            raise MixedPagesError("solve needs --spec, --mn, --sn, or --qn")
+        try:
+            spec = PageSpec.from_string(args.spec)
+        except ValueError:
+            raise MixedPagesError(f"bad page spec {args.spec!r}") from None
+        res = solver.feasible(g, spec, args.budget)
+        if res.status == "unknown":
+            print("unknown (budget exceeded)")
+            return UNKNOWN
+        if not res.feasible:
+            print("infeasible")
+            return INFEASIBLE
+        print(dump_assignment(res.assignment))
+        return OK
     if args.json:
         print(json.dumps({**label, "assignment": json.loads(dump_assignment(assignment))}))
     else:
@@ -206,27 +201,22 @@ def cmd_solve(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    try:
-        if args.kind in ("diamond",):
-            host = load_grid(args.input)
-            w = largest_diamond(host, exact=args.exact, budget=args.budget)
-        else:
-            host = load_graph(args.input)
-            if args.kind == "twist":
-                w = largest_twist(host, args.budget)
-            elif args.kind == "rainbow":
-                w = largest_rainbow(host)
-            elif args.kind == "thick":
-                if args.t:
-                    w = largest_thick(host, args.t, args.budget)
-                else:
-                    w = largest_square_thick(host, args.budget)
+    if args.kind in ("diamond",):
+        host = load_grid(args.input)
+        w = largest_diamond(host, exact=args.exact, budget=args.budget)
+    else:
+        host = load_graph(args.input)
+        if args.kind == "twist":
+            w = largest_twist(host, args.budget)
+        elif args.kind == "rainbow":
+            w = largest_rainbow(host)
+        elif args.kind == "thick":
+            if args.t:
+                w = largest_thick(host, args.t, args.budget)
             else:
-                raise MixedPagesError(f"unknown kind {args.kind}")
-    except SizeLimitError as exc:
-        # The searches of --kind twist, thick and diamond --exact ran out.
-        print(f"unknown (budget exceeded): {exc}", file=sys.stderr)
-        return UNKNOWN
+                w = largest_square_thick(host, args.budget)
+        else:
+            raise MixedPagesError(f"unknown kind {args.kind}")
     if args.json:
         print(w.to_json())
     else:
@@ -277,13 +267,9 @@ def cmd_gen(args) -> int:
 
 def cmd_layout(args) -> int:
     g = load_graph(args.input)
-    try:
-        assignment, reports = quotient.iterated_quotient_layout_detailed(
-            g, args.k, budget=args.budget
-        )
-    except BudgetExceededError:
-        print("unknown (budget exceeded)")
-        return UNKNOWN
+    assignment, reports = quotient.iterated_quotient_layout_detailed(
+        g, args.k, budget=args.budget
+    )
     print(dump_assignment(assignment))
     for i, rep in enumerate(reports):
         print(
@@ -297,24 +283,12 @@ def cmd_layout(args) -> int:
 def cmd_critical(args) -> int:
     g = load_graph(args.input)
     mode = ("k", args.k) if args.k is not None else ("sq", args.s, args.q)
-    try:
-        verdict = solver.criticality(g, mode, args.budget)
-    except BudgetExceededError:
-        print("unknown (budget exceeded)")
-        return UNKNOWN
+    verdict = solver.criticality(g, mode, args.budget)
     print(("critical" if verdict.critical else "not critical") + f": {verdict.reason}")
     return OK if verdict.critical else INFEASIBLE
 
 
 def cmd_enumerate_critical(args) -> int:
-    try:
-        return _enumerate_critical(args)
-    except BudgetExceededError:
-        print("unknown (budget exceeded)")
-        return UNKNOWN
-
-
-def _enumerate_critical(args) -> int:
     if args.conjecture:
         report = enumeration.conjecture_report(args.max_m, args.budget)
         summary = {
@@ -450,8 +424,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("enumerate-critical", help="mine critical patterns")
-    p.add_argument("--separated", action="store_true")
-    p.add_argument("--matchings", action="store_true")
+    family = p.add_mutually_exclusive_group()
+    family.add_argument("--separated", action="store_true")
+    family.add_argument("--matchings", action="store_true")
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--q", type=int)
@@ -469,8 +444,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("render", help="render a grid or arc diagram")
     p.add_argument("input")
-    p.add_argument("--grid", action="store_true")
-    p.add_argument("--arcs", action="store_true")
+    style = p.add_mutually_exclusive_group()
+    style.add_argument("--grid", action="store_true")
+    style.add_argument("--arcs", action="store_true")
     p.add_argument("--svg", action="store_true")
     p.add_argument("--witness")
     p.add_argument("--assignment")
@@ -482,9 +458,19 @@ def main(argv=None) -> int:
     p.add_argument("--witness")
     p.set_defaults(func=cmd_verify)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad arguments
+        return ERROR if exc.code else OK
     try:
         return args.func(args)
+    except BudgetExceededError:
+        print("unknown (budget exceeded)")
+        return UNKNOWN
+    except SizeLimitError as exc:
+        # Exact pattern searches say on stderr which one ran out.
+        print(f"unknown (budget exceeded): {exc}", file=sys.stderr)
+        return UNKNOWN
     except MixedPagesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR

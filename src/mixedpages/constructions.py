@@ -11,9 +11,8 @@ from __future__ import annotations
 from .core import (
     GridMatching,
     OrderedGraph,
-    Relation,
     build_graph,
-    classify_pair,
+    conflict_masks,
     grid_to_graph,
 )
 from .errors import BadParamsError, InternalError
@@ -129,25 +128,18 @@ def _circulant_edges(n: int, s: int) -> set[frozenset[int]]:
     }
 
 
-def _crossing_graph_edges(g: OrderedGraph) -> set[frozenset[int]]:
-    out = set()
-    for i in range(g.m):
-        for j in range(i + 1, g.m):
-            if classify_pair(g, i, j).kind is Relation.CROSS:
-                out.add(frozenset((i, j)))
-    return out
-
-
 def _graph_from_arcs(n: int, arcs: list[tuple[int, int]], target) -> OrderedGraph | None:
     """Build the matching and check its crossing graph matches `target` under
     the arc-label-to-edge-id map induced by edge sorting."""
     g = build_graph(2 * n, arcs)
     arc_of_edge = {tuple(sorted(arc)): i for i, arc in enumerate(arcs)}
     to_arc = [arc_of_edge[e] for e in g.edges]
+    cross, _ = conflict_masks(g)
     got = {
         frozenset((to_arc[a], to_arc[b]))
-        for pair in _crossing_graph_edges(g)
-        for a, b in [tuple(pair)]
+        for a in range(g.m)
+        for b in range(a + 1, g.m)
+        if cross[a] >> b & 1
     }
     return g if got == target else None
 

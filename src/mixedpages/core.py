@@ -24,6 +24,7 @@ from .errors import (
     BadEdgeIdError,
     CoverageMismatchError,
     DuplicateEdgeError,
+    InternalError,
     InvalidInputError,
     NotMatchingError,
     NotSeparatedError,
@@ -248,6 +249,24 @@ class PageAssignment:
         for e, p in enumerate(self.page_of):
             out[p].append(e)
         return out
+
+    @staticmethod
+    def from_pages(pages, m: int) -> "PageAssignment":
+        """The assignment of edges 0..m-1 to the nonempty `(kind, members)`
+        pages, in order; an edge placed twice or never is an internal error."""
+        kinds = []
+        page_of: dict[int, int] = {}
+        for kind, members in pages:
+            if not members:
+                continue
+            for e in members:
+                if e in page_of:
+                    raise InternalError(f"pages hold edge {e} twice")
+                page_of[e] = len(kinds)
+            kinds.append(kind)
+        if len(page_of) != m:
+            raise InternalError(f"pages missed some of the {m} edges they must cover")
+        return PageAssignment(PageSpec(tuple(kinds)), tuple([page_of[e] for e in range(m)]))
 
 
 @dataclass(frozen=True)

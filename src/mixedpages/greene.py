@@ -18,7 +18,6 @@ from .core import (
     GridMatching,
     PageAssignment,
     PageKind,
-    PageSpec,
     increasing_levels,
 )
 from .errors import InternalError
@@ -483,18 +482,6 @@ def _diamond_matrix(grid: GridMatching, elements: list[int], nrows: int, ncols: 
     return _fill_matrix(*_diamond_levels(grid, elements), nrows, ncols)
 
 
-def _matrix_witness(grid: GridMatching, matrix) -> PatternWitness:
-    side = len(matrix)
-    groups = tuple(tuple(row) for row in matrix)
-    return PatternWitness(
-        kind=PatternKind.DIAMOND,
-        k=side,
-        t=side,
-        edges=tuple(e for row in groups for e in row),
-        groups=groups,
-    )
-
-
 def diamond_matrix(grid: GridMatching) -> list[list[int]]:
     """Diamond of side equal to the Ferrers square, as a row-major matrix.
 
@@ -527,9 +514,8 @@ def diamond_matrix(grid: GridMatching) -> list[list[int]]:
 
 def diamond_witness(grid: GridMatching) -> PatternWitness:
     """A diamond of side equal to the Ferrers square (not always the maximum)."""
-    if grid.m == 0:
-        return PatternWitness(PatternKind.DIAMOND, 0, 0, (), ())
-    return _matrix_witness(grid, diamond_matrix(grid))
+    matrix = diamond_matrix(grid)
+    return PatternWitness.of(PatternKind.DIAMOND, len(matrix), len(matrix), matrix)
 
 
 def approx_mixed_layout(grid: GridMatching) -> PageAssignment:
@@ -542,25 +528,12 @@ def approx_mixed_layout(grid: GridMatching) -> PageAssignment:
     """
     m = grid.m
     if m == 0:
-        return PageAssignment(PageSpec(()), ())
+        return PageAssignment.from_pages([], 0)
     k = ferrers(grid).square
     chains = max_family(grid, FamilyKind.CHAINS, k)
     antichains = max_family(grid, FamilyKind.ANTICHAINS, k)
-    page_of: dict[int, int] = {}
-    pages: list[tuple[PageKind, list[int]]] = []
-    for part in antichains.parts:
-        pages.append((PageKind.STACK, list(part)))
-        for e in part:
-            page_of[e] = len(pages) - 1
+    on_stacks = antichains.covered_set()
+    pages = [(PageKind.STACK, part) for part in antichains.parts]
     for part in chains.parts:
-        rest = [e for e in part if e not in page_of]
-        if rest:
-            pages.append((PageKind.QUEUE, rest))
-            for e in rest:
-                page_of[e] = len(pages) - 1
-    if len(page_of) != m:
-        raise InternalError("chain and antichain families fail to cover the edges")
-    return PageAssignment(
-        PageSpec(tuple([kind for kind, _ in pages])),
-        tuple([page_of[e] for e in range(m)]),
-    )
+        pages.append((PageKind.QUEUE, [e for e in part if e not in on_stacks]))
+    return PageAssignment.from_pages(pages, m)

@@ -66,17 +66,22 @@ class PatternWitness:
         )
 
     @staticmethod
+    def of(kind: PatternKind, k: int, t: int, groups) -> "PatternWitness":
+        """The witness with these groups, each made a tuple, and with
+        `edges` the groups flattened in order."""
+        groups = tuple([tuple(grp) for grp in groups])
+        return PatternWitness(kind, k, t, tuple([e for grp in groups for e in grp]), groups)
+
+    @staticmethod
     def from_json(text: str) -> "PatternWitness":
         """Parse `to_json` output; malformed input raises ParseError."""
         try:
             data = json.loads(text)
-            groups = tuple(tuple(int(e) for e in g) for g in data["groups"])
+            groups = [[int(e) for e in g] for g in data["groups"]]
             kind, k, t = PatternKind(data["kind"]), int(data["k"]), int(data["t"])
         except MALFORMED_JSON as exc:
             raise ParseError(f"bad witness JSON: {exc}", 1) from None
-        return PatternWitness(
-            kind=kind, k=k, t=t, edges=tuple(e for g in groups for e in g), groups=groups
-        )
+        return PatternWitness.of(kind, k, t, groups)
 
 
 def _as_graph(host) -> OrderedGraph:
@@ -228,7 +233,7 @@ def _max_clique(masks: list[int], budget: int) -> tuple[int, ...]:
     highest color first and are cut when the color bound cannot beat the
     best clique so far.  Each expanded candidate list counts as one node.
     """
-    order = sorted(range(len(masks)), key=lambda v: -bin(masks[v]).count("1"))
+    order = sorted(range(len(masks)), key=lambda v: -masks[v].bit_count())
     if not order:
         return ()
     best: list[int] = []
@@ -389,8 +394,6 @@ def largest_diamond(
 
     if not exact:
         return greene.diamond_witness(grid)
-    if grid.m == 0:
-        return PatternWitness(PatternKind.DIAMOND, 0, 0, (), ())
     upper = min(
         greene.lis_length(grid.pi),
         greene.lds_length(grid.pi),
@@ -401,14 +404,7 @@ def largest_diamond(
         if found is None:
             break
         best = found
-    groups = tuple(tuple(row) for row in best)
-    return PatternWitness(
-        PatternKind.DIAMOND,
-        len(best),
-        len(best),
-        tuple(e for row in groups for e in row),
-        groups,
-    )
+    return PatternWitness.of(PatternKind.DIAMOND, len(best), len(best), best)
 
 
 # Thick patterns
@@ -486,14 +482,7 @@ def largest_thick_of_kind(
         best = _max_clique(masks, budget - nodes - words())
     except SizeLimitError:
         raise SizeLimitError(f"thick clique search exceeded {budget} nodes") from None
-    chosen_groups = tuple(groups[i] for i in best)
-    return PatternWitness(
-        kind,
-        len(best),
-        t,
-        tuple(e for grp in chosen_groups for e in grp),
-        chosen_groups,
-    )
+    return PatternWitness.of(kind, len(best), t, [groups[i] for i in best])
 
 
 def largest_thick(g, t: int, budget: int = DEFAULT_SEARCH_BUDGET) -> PatternWitness:
@@ -509,20 +498,13 @@ def largest_square_thick(g, budget: int = DEFAULT_SEARCH_BUDGET) -> PatternWitne
     stated in; it is monotone in k since trimming groups of a larger square
     pattern yields a smaller one."""
     g = _as_graph(g)
-    best = PatternWitness(PatternKind.THICK_TWIST, 0, 0, (), ())
+    best = PatternWitness.of(PatternKind.THICK_TWIST, 0, 0, [])
     k = 1
     while k * k <= g.m:
         w = largest_thick(g, k, budget)
         if w.k < k:
             break
-        trimmed = tuple(grp[:k] for grp in w.groups[:k])
-        best = PatternWitness(
-            w.kind,
-            k,
-            k,
-            tuple(e for grp in trimmed for e in grp),
-            trimmed,
-        )
+        best = PatternWitness.of(w.kind, k, k, [grp[:k] for grp in w.groups[:k]])
         k += 1
     return best
 
@@ -608,7 +590,7 @@ def thick_from_diamond(grid: GridMatching, k: int) -> PatternWitness:
 
     def assemble(seq, kind):
         if not seq:
-            return PatternWitness(kind, 0, 0, (), ())
+            return PatternWitness.of(kind, 0, 0, [])
         take = min(k, len(seq))
         size = min(take, min(len(leaves[i]) for i in seq[:take]))
         chosen = seq[:size]
@@ -616,16 +598,10 @@ def thick_from_diamond(grid: GridMatching, k: int) -> PatternWitness:
         for i in chosen:
             leaf = leaves[i]
             if kind is PatternKind.THICK_TWIST:
-                groups.append(tuple(leaf[r][0] for r in range(size)))
+                groups.append([leaf[r][0] for r in range(size)])
             else:
-                groups.append(tuple(leaf[0][c] for c in range(size)))
-        return PatternWitness(
-            kind,
-            size,
-            size,
-            tuple(e for grp in groups for e in grp),
-            tuple(groups),
-        )
+                groups.append(leaf[0][:size])
+        return PatternWitness.of(kind, size, size, groups)
 
     tw = assemble(inc, PatternKind.THICK_TWIST)
     rb = assemble(dec, PatternKind.THICK_RAINBOW)

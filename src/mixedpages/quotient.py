@@ -13,7 +13,6 @@ from .core import (
     OrderedGraph,
     PageAssignment,
     PageKind,
-    PageSpec,
     Relation,
     _page_sweeps,
     classify_pair,
@@ -43,6 +42,9 @@ from . import greene, solver
 # Edge sets up to this size are covered by exact solves; larger ones by
 # first-fit stacks (`bounded_twist_stack_cover`, the top quotient).
 EXACT_LIMIT = 16
+# Colors the exact 3-coloring of `_color_stars` may place before it gives up
+# and keeps the greedy coloring.
+COLOR_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,9 @@ def _degeneracy_order(vertices: list[int], adj: dict[int, set[int]]) -> list[int
 
 
 def _color_stars(stars: list[tuple[int, set[int]]]) -> list[int]:
-    """Proper coloring of the star conflict graph, aiming for 3 colors."""
+    """Proper coloring of the star conflict graph, aiming for 3 colors:
+    greedy by descending conflict degree, then, if that needs a 4th color,
+    an exact search for 3 colors, bounded by `COLOR_LIMIT`."""
     n = len(stars)
     conflicts: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
@@ -226,34 +230,43 @@ def _color_stars(stars: list[tuple[int, set[int]]]) -> list[int]:
     if max(colors, default=-1) < 3:
         return colors
 
-    # Greedy needed a 4th color: look for a proper 3-coloring exactly.
+    # Greedy needed a 4th color: look for a proper 3-coloring exactly,
+    # depth-first along `order` without recursion, placing at most
+    # COLOR_LIMIT colors.  A position tries the colors after the one it
+    # holds; with none left it is cleared and the search backs up.
     exact = [-1] * n
-
-    def assign(pos: int) -> bool:
-        if pos == n:
-            return True
+    pos = placed = 0
+    while 0 <= pos < n:
         i = order[pos]
-        for c in range(3):
-            if all(exact[j] != c for j in conflicts[i]):
-                exact[i] = c
-                if assign(pos + 1):
-                    return True
-                exact[i] = -1
-        return False
-
-    return exact if assign(0) else colors
+        c = exact[i] + 1
+        while c < 3 and any(exact[j] == c for j in conflicts[i]):
+            c += 1
+        if c == 3:
+            exact[i] = -1
+            pos -= 1
+            continue
+        placed += 1
+        if placed > COLOR_LIMIT:
+            return colors
+        exact[i] = c
+        pos += 1
+    return exact if pos == n else colors
 
 
 def star_forests(
     h: OrderedGraph, page_edges, kind: PageKind
 ) -> list[StarForest]:
-    """Partition one valid page into at most six one-sided star forests.
+    """Partition one valid page into one-sided star forests.
 
     2-degeneracy elimination gives stars (each vertex keeps its successor
     edges); the stars are colored into few vertex-disjoint groups and each
-    group is split by center side.  Validity is decided by one sweep of the
-    page (as in `validate_assignment`); only a failed sweep, or a repeated or
-    unknown edge id, runs the pairwise scan that names the offending pair.
+    group is split by center side, so three colors give at most six forests.
+    `_color_stars` finds three on random maximal stack pages of up to 30
+    vertices, but maximal queue pages of that size can need up to 11
+    forests, and a page too large for its exact search keeps the greedy
+    colors.  Validity is decided by one sweep of the page (as in
+    `validate_assignment`); only a failed sweep, or a repeated or unknown
+    edge id, runs the pairwise scan that names the offending pair.
     An unknown id always raises `BadEdgeIdError`, also on a one-edge page.
     """
     page_edges = sorted(page_edges)
@@ -494,30 +507,12 @@ def transfer_layout(
                     for page in cover:
                         new_page(cover_kind, page)
 
-    assignment = _assignment(pages, g.m)
+    assignment = PageAssignment.from_pages(pages, g.m)
     bad = validate_assignment(g, assignment)
     if bad:
         raise InternalError(f"transfer produced an invalid layout: {bad[:3]}")
     report.pages_used = len(assignment.spec)
     return assignment, report
-
-
-def _assignment(pages: list[tuple[PageKind, list[int]]], m: int) -> PageAssignment:
-    """The assignment of edges 0..m-1 to the nonempty `(kind, members)`
-    pages, in order; an edge placed twice or never is an internal error."""
-    kinds = []
-    page_of: dict[int, int] = {}
-    for kind, members in pages:
-        if not members:
-            continue
-        for e in members:
-            if e in page_of:
-                raise InternalError(f"transfer assigned edge {e} twice")
-            page_of[e] = len(kinds)
-        kinds.append(kind)
-    if len(page_of) != m:
-        raise InternalError("transfer missed some edges")
-    return PageAssignment(PageSpec(tuple(kinds)), tuple([page_of[e] for e in range(m)]))
 
 
 def iterated_quotient_layout(
@@ -579,7 +574,9 @@ def iterated_quotient_layout_detailed(
         _, top = solver.mixed_page_number(current, budget)
     else:
         stacks, _ = bounded_twist_stack_cover(current, range(current.m), budget)
-        top = _assignment([(PageKind.STACK, page) for page in stacks], current.m)
+        top = PageAssignment.from_pages(
+            [(PageKind.STACK, page) for page in stacks], current.m
+        )
 
     reports = []
     layout = top
@@ -625,13 +622,8 @@ def _nested_twists_witness(g, current, origin, partition, twists, top_twist, lev
         ):
             chain[i].pop()
     t = min(len(grp) for grp in chain)
-    groups = tuple(tuple(grp[:t]) for grp in chain)
-    return PatternWitness(
-        PatternKind.THICK_RAINBOW,
-        len(groups),
-        t,
-        tuple(e for grp in groups for e in grp),
-        tuple(groups),
+    return PatternWitness.of(
+        PatternKind.THICK_RAINBOW, len(chain), t, [grp[:t] for grp in chain]
     )
 
 

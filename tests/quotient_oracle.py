@@ -7,7 +7,8 @@ of `queue_cover` and `solver.queue_layout`, and the transfer that wrote
 out the lift of a stack page and of a queue page separately, as mirror
 images (`mirrored_transfer_layout`, with its report that also listed the
 L- and B-set covers; it runs on this module's star-forest split and queue
-cover).
+cover), and the exact 3-coloring of the star conflict graph that recursed
+once per star with no node cap (`recursive_color_stars`).
 
 The package must return exactly what these return, errors included.
 """
@@ -148,6 +149,44 @@ def star_forests(
         StarForest(side, tuple(stars))
         for (_, side), stars in sorted(forests.items(), key=lambda kv: kv[0])
     ]
+
+
+def recursive_color_stars(stars: list[tuple[int, set[int]]]) -> list[int]:
+    """Proper coloring of the star conflict graph, aiming for 3 colors."""
+    n = len(stars)
+    conflicts: list[set[int]] = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if stars[i][1] & stars[j][1]:
+                conflicts[i].add(j)
+                conflicts[j].add(i)
+    order = sorted(range(n), key=lambda i: -len(conflicts[i]))
+    colors = [-1] * n
+    for i in order:
+        used = {colors[j] for j in conflicts[i] if colors[j] != -1}
+        c = 0
+        while c in used:
+            c += 1
+        colors[i] = c
+    if max(colors, default=-1) < 3:
+        return colors
+
+    # Greedy needed a 4th color: look for a proper 3-coloring exactly.
+    exact = [-1] * n
+
+    def assign(pos: int) -> bool:
+        if pos == n:
+            return True
+        i = order[pos]
+        for c in range(3):
+            if all(exact[j] != c for j in conflicts[i]):
+                exact[i] = c
+                if assign(pos + 1):
+                    return True
+                exact[i] = -1
+        return False
+
+    return exact if assign(0) else colors
 
 
 def queue_cover(g: OrderedGraph, edge_ids) -> list[list[int]]:

@@ -192,6 +192,22 @@ class TestCommands:
         assert main(["solve", str(path), "--mn"]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["solve"],
+        ["bogus"],
+        ["enumerate-critical", "--separated", "--matchings"],
+        ["render", "in.perm", "--grid", "--arcs"],
+    ])
+    def test_bad_arguments_exit_3(self, capsys, args):
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" in captured.err
+
+    @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, capsys, args):
+        assert main(args) == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_critical_verb(self, capsys, tmp_path):
         from mixedpages.constructions import gen_2critical
 

@@ -22,7 +22,8 @@ the thick search on `_max_clique` against their originals, and its group
 enumeration on an explicit stack against the recursive one (kept in
 kernel_oracle.py), and the one transfer lift for both page kinds against
 the mirrored stack-page and queue-page lifts it replaced (kept in
-quotient_oracle.py)."""
+quotient_oracle.py), and the capped 3-coloring of the stars of a page
+against the uncapped recursive search (kept in quotient_oracle.py)."""
 
 import json
 import random
@@ -857,7 +858,7 @@ def mixed_layout(rng, h):
     pages = [(PageKind.STACK, p) for p in quotient.bounded_twist_stack_cover(h, on_stacks)[0]]
     pages += [(PageKind.QUEUE, p) for p in quotient.queue_cover(h, on_queues)]
     rng.shuffle(pages)
-    return quotient._assignment(pages, h.m)
+    return PageAssignment.from_pages(pages, h.m)
 
 
 def transfer_cases(monkeypatch):
@@ -935,3 +936,72 @@ def test_star_forests_match_pairwise_check():
             assert forests_or_error(quotient.star_forests, h, page, kind) == want
             invalid += want[:1] == ("InvalidPageError",)
     assert invalid > 1500 and lone_bad_ids > 0
+
+
+def maximal_page(rng, n, kind):
+    """A random maximal stack (queue) page on n vertices: every vertex pair,
+    in random order, joins unless it crosses (nests with) an edge taken."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    edges = []
+    for a, b in pairs:
+        if kind is PageKind.STACK:
+            clash = any(a < c < b < d or c < a < d < b for c, d in edges)
+        else:
+            clash = any(a < c and d < b or c < a and b < d for c, d in edges)
+        if not clash:
+            edges.append((a, b))
+    return build_graph(n, sorted(edges))
+
+
+def test_bounded_star_coloring_matches_the_recursive_search(monkeypatch):
+    """Within its cap, the exact 3-coloring of `_color_stars` without
+    recursion returns the colors of the uncapped recursive search, on dense
+    pages where the search often recolors what greedy gave."""
+    rng = random.Random(31)
+    real = quotient._color_stars
+    outcomes = []
+
+    def both(stars):
+        got = real(stars)
+        with monkeypatch.context() as patch:
+            patch.setattr(quotient, "COLOR_LIMIT", 0)
+            greedy = real(stars)
+        outcomes.append((got == quotient_oracle.recursive_color_stars(stars), got != greedy))
+        return got
+
+    monkeypatch.setattr(quotient, "_color_stars", both)
+    for _ in range(300):
+        kind = rng.choice(KINDS)
+        h = maximal_page(rng, rng.randint(4, 30), kind)
+        quotient.star_forests(h, range(h.m), kind)
+    assert all(same for same, _ in outcomes)
+    assert sum(recolored for _, recolored in outcomes) > 30
+
+
+def test_large_outerplanar_page_needs_no_long_search():
+    """A 600-vertex maximal outerplanar stack page on which the uncapped
+    3-coloring searched for over a minute: the capped search gives up, and
+    the greedy colors still make valid one-sided star forests."""
+    rng = random.Random(5)
+    n = 600
+    edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    polygons = [(0, n - 1)]
+    while polygons:  # triangulate the polygon a..b through a random apex c
+        a, b = polygons.pop()
+        if b - a > 1:
+            c = rng.randrange(a + 1, b)
+            edges |= {(a, c), (c, b)}
+            polygons += [(a, c), (c, b)]
+    h = build_graph(n, sorted(edges))
+    assert h.m == 2 * n - 3
+    with time_limit(10):
+        forests = quotient.star_forests(h, range(h.m), PageKind.STACK)
+    assert sorted(e for f in forests for s in f.stars for e in s.edges) == list(range(h.m))
+    for forest in forests:
+        seen = set()
+        for star in forest.stars:
+            leaves = {u if v == star.center else v for u, v in map(h.edges.__getitem__, star.edges)}
+            assert all((leaf < star.center) == (forest.side == "right") for leaf in leaves)
+            assert not seen & (leaves | {star.center})
+            seen |= leaves | {star.center}
