@@ -126,23 +126,28 @@ def classify_pair(g: OrderedGraph, e1: int, e2: int) -> EdgeRelation:
 
 
 def conflict_masks(g: OrderedGraph) -> tuple[list[int], list[int]]:
-    """Per-edge bitmasks of crossing and nesting partners.
+    """Per-edge bitmasks of crossing and nesting partners."""
+    return _conflict_masks(g.edges)
+
+
+def _conflict_masks(edges) -> tuple[list[int], list[int]]:
+    """`conflict_masks` of a sorted edge tuple.
 
     Edges are sorted, so the inner loop stops at the first later edge that
     starts at or after v: it and every edge after it share v or lie to the
     right.  The work is O(m + overlapping pairs), not all pairs.  Inlined
     comparisons instead of classify_pair; this sits on the hot path of the
-    solver and of enumeration filters.
+    solver and of enumeration, which calls it on edge tuples directly.
     """
-    m = g.m
-    edges = g.edges
+    m = len(edges)
     cross = [0] * m
     nest = [0] * m
     for i in range(m):
         u, v = edges[i]
         bit_i = 1 << i
-        for j in range(i + 1, m):
-            x, y = edges[j]
+        j = i
+        for x, y in edges[i + 1:]:
+            j += 1
             if x >= v:
                 break
             # Here u <= x < v.
@@ -525,11 +530,29 @@ MALFORMED_JSON = (
 )
 
 
+def _json_int(value) -> int:
+    """`value` if it is a JSON integer.  `int()` would also take 1.9, "0"
+    and true; here they raise ValueError, which the parsers report."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _json_list(value) -> list:
+    """`value` if it is a JSON array; a string or an object raises
+    ValueError instead of being iterated."""
+    if type(value) is not list:
+        raise ValueError(f"{value!r} is not a list")
+    return value
+
+
 def parse_assignment(text: str) -> PageAssignment:
+    """Parse `dump_assignment` output: page kinds as "S"/"Q" strings and
+    pages as JSON integers; anything else raises ParseError."""
     try:
         data = json.loads(text)
-        spec = PageSpec(tuple(PageKind(c) for c in data["spec"]))
-        pages = tuple(int(p) for p in data["pages"])
+        spec = PageSpec(tuple([PageKind(c) for c in _json_list(data["spec"])]))
+        pages = tuple([_json_int(p) for p in _json_list(data["pages"])])
     except MALFORMED_JSON as exc:
         raise ParseError(f"bad assignment JSON: {exc}", 1) from None
     return PageAssignment(spec, pages)

@@ -16,23 +16,34 @@ from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import (
-    OrderedGraph,
-    build_graph,
-    canonicalize_pattern,
-    conflict_masks,
-    dump_olg,
-    parse_olg,
-)
+from .core import OrderedGraph, _conflict_masks, dump_olg, parse_olg
 from .errors import BudgetExceededError, InvalidInputError, ParseError
 from . import solver
 
 
+# A level is decided lookup-first when more than this share of the
+# candidates of the level below was infeasible.
+LOOKUP_FIRST_SHARE = 0.5
+
+
+def _graph(edges: tuple) -> OrderedGraph:
+    """The graph of a stream edge tuple, which is sorted and leaves no vertex
+    isolated: its vertices run up to its largest endpoint."""
+    return OrderedGraph(max([v for _, v in edges], default=-1) + 1, edges)
+
+
 def enumerate_matchings(m: int) -> Iterator[OrderedGraph]:
     """All ordered perfect matchings on 2m points; (2m-1)!! of them."""
+    for edges in _matching_level(m):
+        yield _graph(edges)
+
+
+def _matching_level(m: int) -> Iterator[tuple]:
+    """The edge tuples of `enumerate_matchings(m)`. Each step pairs the
+    smallest point left, so the edges come out sorted."""
     def pair_up(points: tuple[int, ...], edges: list[tuple[int, int]]):
         if not points:
-            yield build_graph(2 * m, edges)
+            yield tuple(edges)
             return
         first, rest = points[0], points[1:]
         for i, second in enumerate(rest):
@@ -62,27 +73,30 @@ def enumerate_separated(
     needed.
     """
     for m in range(1, max_edges + 1):
-        yield from _separated_level(max_rows, max_cols, m)
+        for edges in _separated_level(max_rows, max_cols, m):
+            yield _graph(edges)
 
 
-def _separated_level(max_rows: int, max_cols: int, m: int) -> Iterator[OrderedGraph]:
+def _separated_level(max_rows: int, max_cols: int, m: int) -> Iterator[tuple]:
+    """The edge tuples of the graphs of `enumerate_separated` with m edges."""
     for rows in range(1, min(m, max_rows) + 1):
         for cols in range(1, min(m, max_cols) + 1):
             if m <= rows * cols:
                 yield from _full_matrices(rows, cols, m)
 
 
-def _full_matrices(rows: int, cols: int, m: int) -> Iterator[OrderedGraph]:
-    """The rows x cols matrices with m ones and no empty row or column.
+def _full_matrices(rows: int, cols: int, m: int) -> Iterator[tuple]:
+    """The rows x cols matrices with m ones and no empty row or column, as
+    sorted edge tuples.
 
     A depth-first walk over ascending cells that enters no branch without a
     full completion. Cells ascend, so the next cell lies at most one row
     below the last one, or a row would stay empty. The picks left after a
     cell must cover every row below it and every empty column; in the last
     row the empty columns must also lie right of the cell. The cells are
-    sorted and distinct, so the graph is built directly.
+    sorted and distinct, and so are their edges.
     """
-    n, size, full = rows + cols, rows * cols, (1 << cols) - 1
+    size, full = rows * cols, (1 << cols) - 1
     edge = [(c // cols, rows + c % cols) for c in range(size)]
     cells = [0] * m
     covered = [0] * m  # covered[d]: the columns of cells[:d]
@@ -111,32 +125,41 @@ def _full_matrices(rows: int, cols: int, m: int) -> Iterator[OrderedGraph]:
             covered[d] = full & ~empty
             start[d] = c + 1
         else:
-            yield OrderedGraph(n, tuple([edge[x] for x in cells]))
+            yield tuple([edge[x] for x in cells])
 
 
 def contains_pattern(g: OrderedGraph, pattern: OrderedGraph) -> bool:
     """Ordered-subgraph containment: an order-preserving injective vertex map
-    sending every pattern edge to an edge of g."""
+    sending every pattern edge to an edge of g.
+
+    A depth-first search on an explicit stack, so patterns of any size end
+    without a RecursionError: `image` maps the first pattern vertices, and
+    the next one tries the vertices of g from `target` on, leaving room for
+    the pattern vertices after it. Each tried vertex must be adjacent to the
+    images of the pattern vertex's left neighbours. With no vertex left to
+    try, the search backs up and the vertex before moves one further right.
+    """
     if pattern.m > g.m or pattern.n > g.n:
         return False
     g_edges = set(g.edges)
     p_adj: list[list[int]] = [[] for _ in range(pattern.n)]
     for u, v in pattern.edges:
         p_adj[v].append(u)
-
-    def extend(v: int, image: list[int]) -> bool:
-        if v == pattern.n:
-            return True
-        lo = image[-1] + 1 if image else 0
-        for target in range(lo, g.n - (pattern.n - v) + 1):
-            if all((image[u], target) in g_edges for u in p_adj[v]):
-                image.append(target)
-                if extend(v + 1, image):
-                    return True
-                image.pop()
-        return False
-
-    return extend(0, [])
+    image: list[int] = []
+    target = 0
+    while len(image) < pattern.n:
+        v = len(image)
+        last = g.n - (pattern.n - v)
+        while target <= last and not all((image[u], target) in g_edges for u in p_adj[v]):
+            target += 1
+        if target <= last:
+            image.append(target)
+            target += 1
+        elif image:
+            target = image.pop() + 1
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -153,10 +176,11 @@ class EnumFamily:
             return enumerate_separated(self.max_rows, self.max_cols, self.max_edges)
         raise ValueError(f"unknown family shape {self.shape!r}")
 
-    def level(self, m: int) -> Iterator[OrderedGraph]:
-        """The graphs of the stream with exactly m edges, in stream order."""
+    def level(self, m: int) -> Iterator[tuple]:
+        """The edge tuples of the stream's graphs with exactly m edges, in
+        stream order."""
         if self.shape == "matchings":
-            return enumerate_matchings(m)
+            return _matching_level(m)
         if self.shape == "separated":
             return _separated_level(self.max_rows, self.max_cols, m)
         raise ValueError(f"unknown family shape {self.shape!r}")
@@ -180,54 +204,78 @@ class CriticalSet:
         }
 
 
-def _deletion_keys(edges, flat: list[int]) -> Iterator[bytes]:
-    """Table keys of the one-edge deletions of a graph without isolated
-    vertices, whose key is `flat`: the endpoints of its edges, flattened.
+_IDENTITY = bytes(range(256))
+
+
+def _drop_table(lo: int, hi: int) -> bytes:
+    """The `bytes.translate` table that closes the gaps left by dropping
+    vertices lo < hi: the vertices above lo move down by one, and those
+    above hi by one more. Dropping 255 moves nothing: no vertex lies above
+    it."""
+    return _IDENTITY[:lo + 1] + _IDENTITY[lo:hi] + _IDENTITY[hi - 1:254]
+
+
+def _has_infeasible_deletion(edges: tuple, key: bytes, below: set) -> bool:
+    """Is the table key of some one-edge deletion of a graph without
+    isolated vertices in `below`? `key` is the graph's own key: the
+    endpoints of its edges, flattened, as bytes.
 
     Deleting an edge keeps the order of the others. Only an endpoint left
     without edges drops out, and the vertices above it move down by one.
     """
-    degree = [0] * (max(flat) + 1)
-    for v in flat:
-        degree[v] += 1
-    top = len(degree)  # above every vertex: moves nothing
     for i, (u, v) in enumerate(edges):
-        rest = flat[:2 * i] + flat[2 * i + 2:]
-        a = u if degree[u] == 1 else top
-        b = v if degree[v] == 1 else top
-        if a != top or b != top:
-            rest = [w - (w > a) - (w > b) for w in rest]
-        yield bytes(rest)
+        rest = key[:2 * i] + key[2 * i + 2:]
+        drop_u, drop_v = key.count(u) == 1, key.count(v) == 1
+        if drop_u or drop_v:
+            rest = rest.translate(
+                _drop_table(u if drop_u else v, v if drop_u and drop_v else 255)
+            )
+        if rest in below:
+            return True
+    return False
 
 
-def _decide(g: OrderedGraph, specs, budget: int, below: set, infeasible: set) -> bool:
-    """Solve g once, trying the specs in order, and add its key to
-    `infeasible` when no spec lays it out. True when g is critical: it is
+def _decide(
+    edges: tuple, specs, budget: int, below: set, infeasible: set, lookup_first: bool
+) -> bool:
+    """Decide the candidate with these sorted edges, and add its key to
+    `infeasible` when no spec lays it out. True when it is critical: it is
     infeasible, has at least two edges, and none of its one-edge deletions
     is in `below`, the infeasible keys of the level one edge down.
 
     Feasibility is monotone under edge deletion and every deletion is in the
-    level below, so a deletion missing from `below` is feasible. A key is
-    the flattened edge list of the canonical form, as bytes; stream graphs
-    are canonical.
+    level below, so a deletion missing from `below` is feasible, and one in
+    `below` makes the candidate infeasible. A key is the flattened edge list
+    of the canonical form, as bytes; stream graphs are canonical.
+
+    Solve-first tries the specs in order and looks the deletions up only
+    for an infeasible candidate. `lookup_first` looks them up before the
+    solve, and a candidate with an infeasible deletion is not solved. Both
+    give the same verdicts and keys, except that lookup-first skips the
+    search, and so any budget error, of such a candidate.
 
     Only the verdict is needed, so every spec goes through `solver._fits`:
     specs of at most two pages are decided without search, and the budget
     bounds only the searches of three or more pages.
     """
-    cross, nest = conflict_masks(g)
-    everything = list(range(g.m))
+    if lookup_first:
+        key = bytes(sum(edges, ()))
+        if _has_infeasible_deletion(edges, key, below):
+            infeasible.add(key)
+            return False
+    cross, nest = _conflict_masks(edges)
+    everything = range(len(edges))
     for spec in specs:
         fits, _ = solver._fits(cross, nest, everything, spec, budget)
         if fits is None:
             raise BudgetExceededError("criticality check undecided")
         if fits:
             return False
-    edges = g.edges
-    flat = [v for e in edges for v in e]
-    infeasible.add(bytes(flat))
-    return len(edges) >= 2 and not any(
-        key in below for key in _deletion_keys(edges, flat)
+    if not lookup_first:
+        key = bytes(sum(edges, ()))
+    infeasible.add(key)
+    return len(edges) >= 2 and (
+        lookup_first or not _has_infeasible_deletion(edges, key, below)
     )
 
 
@@ -243,19 +291,27 @@ def find_critical(
     """The critical patterns of the family's stream for `mode`, level by
     level in edge count.
 
-    Each candidate is decided once, by `_decide`; at modes of at most two
-    pages (k <= 2, s + q <= 2) no candidate is searched, and `budget`
-    bounds only the searches of three or more pages. An infeasible
-    candidate enters its level's table of infeasible canonical keys, and it
-    is critical exactly when none of its one-edge deletions is in the table
-    of the level below. Only two tables are alive at a time, and none
-    outlives the call. `node_budget` caps the number of candidates;
-    `scanned` counts them.
+    Each candidate is decided once, by `_decide`, from its edge tuple; a
+    graph is built only for a critical one. At modes of at most two pages
+    (k <= 2, s + q <= 2) no candidate is searched, and `budget` bounds only
+    the searches of three or more pages. An infeasible candidate enters its
+    level's table of infeasible canonical keys, and it is critical exactly
+    when none of its one-edge deletions is in the table of the level below.
+    Only two tables are alive at a time, and none outlives the call.
+    `node_budget` caps the number of candidates; `scanned` counts them.
+
+    A level whose level below had more than `LOOKUP_FIRST_SHARE` of its
+    candidates infeasible is decided lookup-first: a candidate with a
+    deletion in the table below is infeasible by monotonicity and is not
+    solved. The choice changes no result; it is made once per level, from
+    the table below and that level's candidate count, so every shard makes
+    the same one.
 
     A finished level is the unit of every other feature:
     - `checkpoint`: after each level the file records that level's edge
-      count, `scanned`, the patterns so far and the level's infeasible
-      keys; a run with the same family and mode resumes at the next level.
+      count, its candidate count, `scanned`, the patterns so far and the
+      level's infeasible keys; a run with the same family and mode resumes
+      at the next level (solve-first if the file has no candidate count).
     - `jobs`: the candidates of each level are sharded by index modulo
       `jobs`, and the tables and patterns are merged before the next level.
       `jobs` only decides where the shards run: in-process for one job,
@@ -276,9 +332,9 @@ def find_critical(
         )
     result = CriticalSet(parameters=mode, complete_up_to=_bounds(family))
     started = time.monotonic()
-    done, below = 0, set()
+    done, below, size = 0, set(), None  # size: the candidates of level `done`
     if checkpoint:
-        done, below = _load_checkpoint(checkpoint, family, mode, result)
+        done, below, size = _load_checkpoint(checkpoint, family, mode, result)
 
     def report(count: int, found: list) -> None:
         scanned = result.scanned + count
@@ -288,7 +344,8 @@ def find_critical(
     with _workers(jobs) as pool:
         for level in range(done + 1, family.max_edges + 1):
             limit = None if node_budget is None else node_budget - result.scanned
-            tasks = [(family, mode, budget, level, jobs, shard, below, limit)
+            lookup_first = bool(size) and len(below) > LOOKUP_FIRST_SHARE * size
+            tasks = [(family, mode, budget, level, jobs, shard, below, limit, lookup_first)
                      for shard in range(jobs)]
             if pool is None:
                 shards = [_level_shard(tasks[0], report if progress else None)]
@@ -296,7 +353,8 @@ def find_critical(
                 shards = pool.map(_level_shard, tasks)
             if any(over for *_, over in shards):
                 raise BudgetExceededError("enumeration budget exceeded", nodes=node_budget + 1)
-            result.scanned += sum(count for count, *_ in shards)
+            size = sum(count for count, *_ in shards)
+            result.scanned += size
             result.patterns.extend(p for _, _, found, _ in shards for p in found)
             below = shards[0][1]
             for _, keys, _, _ in shards[1:]:
@@ -309,7 +367,7 @@ def find_critical(
                     file=sys.stderr,
                 )
             if checkpoint:
-                _write_checkpoint(checkpoint, family, result, level, below)
+                _write_checkpoint(checkpoint, family, result, level, below, size)
     result.runtime = time.monotonic() - started
     return result
 
@@ -328,18 +386,19 @@ def _level_shard(args, report=None):
     """One worker's share of a level: the candidates whose index in the level
     is `shard` modulo `jobs`. Returns the number decided, their infeasible
     keys, the critical ones, and whether the level reaches `limit`
-    candidates. `report`, if given, sees the count and the critical ones
-    after each decided candidate."""
-    family, mode, budget, level, jobs, shard, below, limit = args
+    candidates. `lookup_first` is the level's choice for `_decide`.
+    `report`, if given, sees the count and the critical ones after each
+    decided candidate."""
+    family, mode, budget, level, jobs, shard, below, limit, lookup_first = args
     specs = solver.mode_specs(mode)
     count, infeasible, found = 0, set(), []
-    for index, g in enumerate(family.level(level)):
+    for index, edges in enumerate(family.level(level)):
         if limit is not None and index >= limit:
             return count, infeasible, found, True
         if index % jobs == shard:
             count += 1
-            if _decide(g, specs, budget, below, infeasible):
-                found.append(canonicalize_pattern(g))
+            if _decide(edges, specs, budget, below, infeasible, lookup_first):
+                found.append(_graph(edges))
             if report:
                 report(count, found)
     return count, infeasible, found, False
@@ -353,7 +412,12 @@ def _bounds(family: EnumFamily) -> dict:
 
 
 def _write_checkpoint(
-    path: str, family: EnumFamily, result: CriticalSet, level: int, infeasible: set
+    path: str,
+    family: EnumFamily,
+    result: CriticalSet,
+    level: int,
+    infeasible: set,
+    candidates: int,
 ):
     """Write beside `path`, then rename over it: a write that fails or is
     cut short leaves the previous checkpoint whole."""
@@ -364,7 +428,11 @@ def _write_checkpoint(
         },
         "manifest": result.to_manifest(),
         "patterns": [dump_olg(p) for p in result.patterns],
-        "level": {"edges": level, "infeasible": sorted(key.hex() for key in infeasible)},
+        "level": {
+            "edges": level,
+            "candidates": candidates,
+            "infeasible": sorted(key.hex() for key in infeasible),
+        },
     }
     tmp = f"{path}.tmp"
     try:
@@ -379,12 +447,13 @@ def _write_checkpoint(
 
 def _load_checkpoint(
     path: str, family: EnumFamily, mode, result: CriticalSet
-) -> tuple[int, set]:
-    """The finished level and its infeasible keys from a checkpoint of the
-    same family and mode, with `result` restored to that level; (0, empty)
+) -> tuple[int, set, int | None]:
+    """The finished level, its infeasible keys and its candidate count (None
+    in a checkpoint written without it) from a checkpoint of the same
+    family and mode, with `result` restored to that level; (0, empty, None)
     when there is no such checkpoint."""
     if not os.path.exists(path):
-        return 0, set()
+        return 0, set(), None
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -398,12 +467,14 @@ def _load_checkpoint(
         } and manifest["parameters"] == list(mode)
         scanned, patterns = manifest["scanned"], data["patterns"]
         level, keys = data["level"]["edges"], data["level"]["infeasible"]
-    except (KeyError, TypeError) as exc:
+        size = data["level"].get("candidates")
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"checkpoint {path} is malformed: {exc!r}", 1) from None
     if not same_run:
-        return 0, set()
+        return 0, set(), None
     if (
-        not all(isinstance(x, int) for x in (scanned, level))
+        not all(type(x) is int for x in (scanned, level))
+        or not (size is None or type(size) is int)
         or not all(isinstance(x, list) for x in (patterns, keys))
         or not all(isinstance(olg, str) for olg in patterns)
     ):
@@ -414,7 +485,7 @@ def _load_checkpoint(
         raise ParseError(f"checkpoint {path} has a malformed level table", 1) from None
     result.patterns = [parse_olg(olg) for olg in patterns]
     result.scanned = scanned
-    return level, below
+    return level, below, size
 
 
 def conjecture_report(max_m: int, budget: int = solver.DEFAULT_BUDGET) -> dict:

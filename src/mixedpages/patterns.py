@@ -17,6 +17,8 @@ from .core import (
     GridMatching,
     OrderedGraph,
     Relation,
+    _json_int,
+    _json_list,
     classify_pair,
     conflict_masks,
     grid_to_graph,
@@ -74,11 +76,14 @@ class PatternWitness:
 
     @staticmethod
     def from_json(text: str) -> "PatternWitness":
-        """Parse `to_json` output; malformed input raises ParseError."""
+        """Parse `to_json` output; malformed input, and numbers that are not
+        JSON integers, raise ParseError."""
         try:
             data = json.loads(text)
-            groups = [[int(e) for e in g] for g in data["groups"]]
-            kind, k, t = PatternKind(data["kind"]), int(data["k"]), int(data["t"])
+            groups = [
+                [_json_int(e) for e in _json_list(g)] for g in _json_list(data["groups"])
+            ]
+            kind, k, t = PatternKind(data["kind"]), _json_int(data["k"]), _json_int(data["t"])
         except MALFORMED_JSON as exc:
             raise ParseError(f"bad witness JSON: {exc}", 1) from None
         return PatternWitness.of(kind, k, t, groups)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field
 
 from .core import (
@@ -195,30 +196,52 @@ class StarForest:
 
 
 def _degeneracy_order(vertices: list[int], adj: dict[int, set[int]]) -> list[int]:
+    """The reverse of the order that removes, one at a time, the remaining
+    vertex of least (remaining degree, vertex).
+
+    A heap holds an entry per vertex and degree.  Degrees only drop, so a
+    vertex's entry with its current degree pops before its older ones,
+    which are skipped once it is removed.  O(m log n), where taking the
+    least remaining vertex at each step took O(n^2).
+    """
     remaining = set(vertices)
     degree = {v: len(adj[v] & remaining) for v in remaining}
+    heap = [(d, v) for v, d in degree.items()]
+    heapify(heap)
     removal = []
-    while remaining:
-        v = min(remaining, key=lambda u: (degree[u], u))
+    while heap:
+        _, v = heappop(heap)
+        if v not in remaining:
+            continue
         removal.append(v)
         remaining.remove(v)
         for w in adj[v]:
             if w in remaining:
                 degree[w] -= 1
+                heappush(heap, (degree[w], w))
     return removal[::-1]
 
 
 def _color_stars(stars: list[tuple[int, set[int]]]) -> list[int]:
     """Proper coloring of the star conflict graph, aiming for 3 colors:
     greedy by descending conflict degree, then, if that needs a 4th color,
-    an exact search for 3 colors, bounded by `COLOR_LIMIT`."""
+    an exact search for 3 colors, bounded by `COLOR_LIMIT`.
+
+    Two stars conflict when they share a vertex; the conflicts are read off
+    the stars at each vertex, so their cost is the number of conflicting
+    pairs, not of all pairs.
+    """
     n = len(stars)
+    at: dict[int, list[int]] = {}
+    for i, (_, verts) in enumerate(stars):
+        for w in verts:
+            at.setdefault(w, []).append(i)
     conflicts: list[set[int]] = [set() for _ in range(n)]
+    for group in at.values():
+        for i in group:
+            conflicts[i].update(group)
     for i in range(n):
-        for j in range(i + 1, n):
-            if stars[i][1] & stars[j][1]:
-                conflicts[i].add(j)
-                conflicts[j].add(i)
+        conflicts[i].discard(i)
     order = sorted(range(n), key=lambda i: -len(conflicts[i]))
     colors = [-1] * n
     for i in order:

@@ -173,25 +173,31 @@ def _fits(
     """Verdict only: do the `active` edges fit on the spec's pages?
 
     Returns (fits, nodes), where fits is None when the search ran out of
-    budget.  Specs with at most two pages are decided without search; they
-    count 0 nodes and never consult the budget.  One page fits when no
-    active edge has an active conflict of its kind (`cross` on a stack,
-    `nest` on a queue); two pages go to `_two_pages`.  Specs with three or
-    more pages go to `_solve_masks`.
+    budget.  `active` lists distinct edge ids.  Specs with at most two
+    pages are decided without search; they count 0 nodes and never consult
+    the budget.  One page fits when no active edge has an active conflict
+    of its kind (`cross` on a stack, `nest` on a queue); two pages go to
+    `_two_pages`.  Specs with three or more pages go to `_solve_masks`.
     """
     kinds = spec.kinds
     if len(kinds) > 2:
         page_of, nodes, hit = _solve_masks(cross, nest, active, spec, budget)
         return (None if hit else page_of is not None), nodes
-    live = 0
-    for e in active:
-        live |= 1 << e
     if not kinds:
-        return not live, 0
+        return not active, 0
     stack = PageKind.STACK
     bar0 = cross if kinds[0] is stack else nest
-    if len(kinds) == 1:
-        return not any(bar0[e] & live for e in active), 0
+    m = len(cross)
+    if len(active) == m:  # distinct ids, so every edge: no mask to apply
+        if len(kinds) == 1:
+            return not any(bar0), 0
+        live = (1 << m) - 1
+    else:
+        live = 0
+        for e in active:
+            live |= 1 << e
+        if len(kinds) == 1:
+            return not any(bar0[e] & live for e in active), 0
     return _two_pages(bar0, cross if kinds[1] is stack else nest, live), 0
 
 

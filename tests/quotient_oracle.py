@@ -8,7 +8,11 @@ out the lift of a stack page and of a queue page separately, as mirror
 images (`mirrored_transfer_layout`, with its report that also listed the
 L- and B-set covers; it runs on this module's star-forest split and queue
 cover), and the exact 3-coloring of the star conflict graph that recursed
-once per star with no node cap (`recursive_color_stars`).
+once per star with no node cap (`recursive_color_stars`), and the
+degeneracy order that took the least remaining vertex by a scan at every
+step and the star coloring that tested every pair of stars for a shared
+vertex (`_degeneracy_order` and `_color_stars`, which this module's
+`star_forests` runs on).
 
 The package must return exactly what these return, errors included.
 """
@@ -38,11 +42,10 @@ from mixedpages.errors import (
 )
 from mixedpages.patterns import DEFAULT_SEARCH_BUDGET, has_twist
 from mixedpages.quotient import (
+    COLOR_LIMIT,
     IntervalPartition,
     Star,
     StarForest,
-    _color_stars,
-    _degeneracy_order,
     _nested_twists_witness,
     bounded_twist_stack_cover,
     quotient_graph,
@@ -149,6 +152,65 @@ def star_forests(
         StarForest(side, tuple(stars))
         for (_, side), stars in sorted(forests.items(), key=lambda kv: kv[0])
     ]
+
+
+def _degeneracy_order(vertices: list[int], adj: dict[int, set[int]]) -> list[int]:
+    remaining = set(vertices)
+    degree = {v: len(adj[v] & remaining) for v in remaining}
+    removal = []
+    while remaining:
+        v = min(remaining, key=lambda u: (degree[u], u))
+        removal.append(v)
+        remaining.remove(v)
+        for w in adj[v]:
+            if w in remaining:
+                degree[w] -= 1
+    return removal[::-1]
+
+
+def _color_stars(stars: list[tuple[int, set[int]]]) -> list[int]:
+    """Proper coloring of the star conflict graph, aiming for 3 colors:
+    greedy by descending conflict degree, then, if that needs a 4th color,
+    an exact search for 3 colors, bounded by `COLOR_LIMIT`."""
+    n = len(stars)
+    conflicts: list[set[int]] = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if stars[i][1] & stars[j][1]:
+                conflicts[i].add(j)
+                conflicts[j].add(i)
+    order = sorted(range(n), key=lambda i: -len(conflicts[i]))
+    colors = [-1] * n
+    for i in order:
+        used = {colors[j] for j in conflicts[i] if colors[j] != -1}
+        c = 0
+        while c in used:
+            c += 1
+        colors[i] = c
+    if max(colors, default=-1) < 3:
+        return colors
+
+    # Greedy needed a 4th color: look for a proper 3-coloring exactly,
+    # depth-first along `order` without recursion, placing at most
+    # COLOR_LIMIT colors.  A position tries the colors after the one it
+    # holds; with none left it is cleared and the search backs up.
+    exact = [-1] * n
+    pos = placed = 0
+    while 0 <= pos < n:
+        i = order[pos]
+        c = exact[i] + 1
+        while c < 3 and any(exact[j] == c for j in conflicts[i]):
+            c += 1
+        if c == 3:
+            exact[i] = -1
+            pos -= 1
+            continue
+        placed += 1
+        if placed > COLOR_LIMIT:
+            return colors
+        exact[i] = c
+        pos += 1
+    return exact if pos == n else colors
 
 
 def recursive_color_stars(stars: list[tuple[int, set[int]]]) -> list[int]:

@@ -1,5 +1,6 @@
-"""Recursive solver and clique searches as they were before the explicit-stack
-rewrite, kept verbatim as oracles for the differential tests.
+"""Recursive solver and clique searches, and the recursive ordered-subgraph
+containment of enumeration, as they were before the explicit-stack
+rewrites, kept verbatim as oracles for the differential tests.
 
 The package must return exactly what these return, node counts and budget
 flags included.
@@ -7,7 +8,7 @@ flags included.
 
 from __future__ import annotations
 
-from mixedpages.core import PageKind, PageSpec
+from mixedpages.core import OrderedGraph, PageKind, PageSpec
 from mixedpages.errors import SizeLimitError
 
 
@@ -148,3 +149,28 @@ def _clique_of_size(masks: list[int], size: int, budget: int) -> tuple[int, ...]
         return None
 
     return expand([], (1 << m) - 1)
+
+
+def contains_pattern(g: OrderedGraph, pattern: OrderedGraph) -> bool:
+    """Ordered-subgraph containment: an order-preserving injective vertex map
+    sending every pattern edge to an edge of g."""
+    if pattern.m > g.m or pattern.n > g.n:
+        return False
+    g_edges = set(g.edges)
+    p_adj: list[list[int]] = [[] for _ in range(pattern.n)]
+    for u, v in pattern.edges:
+        p_adj[v].append(u)
+
+    def extend(v: int, image: list[int]) -> bool:
+        if v == pattern.n:
+            return True
+        lo = image[-1] + 1 if image else 0
+        for target in range(lo, g.n - (pattern.n - v) + 1):
+            if all((image[u], target) in g_edges for u in p_adj[v]):
+                image.append(target)
+                if extend(v + 1, image):
+                    return True
+                image.pop()
+        return False
+
+    return extend(0, [])

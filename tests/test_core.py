@@ -38,7 +38,7 @@ from mixedpages.errors import (
     OutOfRangeError,
     ParseError,
 )
-from mixedpages.patterns import PatternWitness
+from mixedpages.patterns import PatternKind, PatternWitness
 
 
 class TestBuildGraph:
@@ -352,3 +352,82 @@ def test_json_parsers_reject_deep_nesting_and_infinity(parse):
                  '"k": Infinity, "t": 1, "groups": [[0]]}'):
         with pytest.raises(ParseError):
             parse(text)
+
+
+# Strict integers and round trips: what the dump functions write parses back
+# to an equal value, and a number that is not a JSON integer is refused.
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 9))
+    multi = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=not multi)) if pairs else []
+    return build_graph(n, edges, multi=multi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_olg_round_trips(g):
+    assert parse_olg(dump_olg(g), multi=g.multi) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda m: st.permutations(list(range(1, m + 1)))))
+def test_perm_round_trips(pi):
+    grid = GridMatching(tuple(pi))
+    assert parse_perm(dump_perm(grid)) == grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(list(PageKind)), max_size=4), st.lists(st.integers(-3, 9), max_size=6))
+def test_assignment_round_trips(kinds, pages):
+    a = PageAssignment(PageSpec(tuple(kinds)), tuple(pages))
+    assert parse_assignment(dump_assignment(a)) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(list(PatternKind)),
+    st.integers(-2, 9),
+    st.integers(-2, 9),
+    st.lists(st.lists(st.integers(-2, 20), max_size=4), max_size=4),
+)
+def test_witness_round_trips(kind, k, t, groups):
+    w = PatternWitness.of(kind, k, t, groups)
+    assert PatternWitness.from_json(w.to_json()) == w
+
+
+NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(), st.just([1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=4), NOT_INTEGERS, st.data())
+def test_json_parsers_refuse_every_non_integer(numbers, bad, data):
+    """A float, a boolean, a string, null or a list where an integer belongs
+    is a ParseError, wherever it stands; without it the text parses."""
+    spot = data.draw(st.integers(0, len(numbers)))
+    spec = ["S"] * (len(numbers) + 1)
+    good = numbers[:spot] + [0] + numbers[spot:]
+    assert parse_assignment(json.dumps({"spec": spec, "pages": good})).page_of == tuple(good)
+    with pytest.raises(ParseError):
+        parse_assignment(json.dumps({"spec": spec, "pages": numbers[:spot] + [bad] + numbers[spot:]}))
+    witness = {"kind": "twist", "k": 1, "t": 1, "groups": [good]}
+    assert PatternWitness.from_json(json.dumps(witness)).edges == tuple(good)
+    field = data.draw(st.sampled_from(["k", "t", "groups"]))
+    if field == "groups":
+        witness["groups"] = [numbers[:spot] + [bad] + numbers[spot:]]
+    else:
+        witness[field] = bad
+    with pytest.raises(ParseError):
+        PatternWitness.from_json(json.dumps(witness))
+
+
+def test_json_parsers_refuse_what_int_would_take():
+    with pytest.raises(ParseError):  # int() made this page_of=(1, 0)
+        parse_assignment('{"spec": ["S", "Q"], "pages": [1.9, "0"]}')
+    with pytest.raises(ParseError):  # and this page 1
+        parse_assignment('{"spec": ["S"], "pages": [true]}')
+    with pytest.raises(ParseError):  # a string was read as its letters
+        parse_assignment('{"spec": "SQ", "pages": [0, 1]}')
+    with pytest.raises(ParseError):  # int() made this k=2, t=1 and edges (0, 1)
+        PatternWitness.from_json('{"kind": "twist", "k": 2.7, "t": true, "groups": [[0.9, "1"]]}')

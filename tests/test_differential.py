@@ -57,6 +57,7 @@ from mixedpages.core import (
     Relation,
     Violation,
     build_graph,
+    canonicalize_pattern,
     classify_pair,
     conflict_masks,
     nesting_depths,
@@ -732,8 +733,8 @@ def test_resume_after_level_three(tmp_path, monkeypatch, resume_jobs):
     path = str(tmp_path / "check.json")
     real = enumeration._write_checkpoint
 
-    def stop_after_level_three(path, family, result, level, infeasible):
-        real(path, family, result, level, infeasible)
+    def stop_after_level_three(path, family, result, level, *table):
+        real(path, family, result, level, *table)
         if level == 3:
             raise Interrupted
 
@@ -748,9 +749,9 @@ def test_resume_after_level_three(tmp_path, monkeypatch, resume_jobs):
     decided = []
     real_decide = enumeration._decide
 
-    def counted(g, *args):
-        decided.append(g.m)
-        return real_decide(g, *args)
+    def counted(edges, *args):
+        decided.append(len(edges))
+        return real_decide(edges, *args)
 
     if resume_jobs == 1:
         monkeypatch.setattr(enumeration, "_decide", counted)
@@ -762,6 +763,106 @@ def test_resume_after_level_three(tmp_path, monkeypatch, resume_jobs):
     if resume_jobs == 1:
         assert min(decided) == 4
         assert len(decided) == whole.scanned - stopped["manifest"]["scanned"]
+
+
+def test_containment_on_a_stack_matches_the_recursive_search():
+    """`contains_pattern` on an explicit stack answers as the recursive
+    search it replaced, on random hosts with patterns cut out of them (with
+    a vertex moved or an edge added half of the time) and random patterns."""
+    rng = random.Random(41)
+    answers = []
+    for i in range(3000):
+        if i % 2:
+            host = rand_multigraph(rng, 10, 12)
+        else:
+            host = rand_graph(rng, rng.randint(0, 10), rng.randint(0, 14))
+        if i % 3 and host.m:
+            edges = rng.sample(host.edges, rng.randint(1, min(host.m, 6)))
+            pattern = canonicalize_pattern(OrderedGraph(host.n, tuple(sorted(edges)), host.multi))
+            if rng.random() < 0.5:
+                pairs = [(u, v) for u in range(pattern.n + 1) for v in range(u + 1, pattern.n + 1)]
+                pattern = build_graph(pattern.n + 1, [*pattern.edges, rng.choice(pairs)], multi=True)
+        else:
+            pattern = rand_graph(rng, rng.randint(0, 7), rng.randint(0, 6))
+        want = recursive_oracle.contains_pattern(host, pattern)
+        assert enumeration.contains_pattern(host, pattern) == want, (host, pattern)
+        answers.append(want)
+    assert 1000 < sum(answers) < 2000
+
+
+def test_containment_of_a_large_pattern_needs_no_recursion():
+    """600 disjoint edges contain themselves; the recursive search took one
+    frame per vertex and raised RecursionError here."""
+    g = build_graph(1200, [(2 * i, 2 * i + 1) for i in range(600)])
+    assert enumeration.contains_pattern(g, g)
+    assert not enumeration.contains_pattern(g, build_graph(1200, [(0, 2), *g.edges[2:]]))
+    with pytest.raises(RecursionError):
+        recursive_oracle.contains_pattern(g, g)
+
+
+def recorded_choices(monkeypatch) -> list:
+    """The lookup-first choice of every shard `find_critical` runs in-process."""
+    choices = []
+    real = enumeration._level_shard
+
+    def recorded(args, report=None):
+        choices.append(args[-1])
+        return real(args, report)
+
+    monkeypatch.setattr(enumeration, "_level_shard", recorded)
+    return choices
+
+
+@pytest.mark.parametrize("share", [0.0, 2.0])
+def test_lookup_first_and_solve_first_match_the_oracle(monkeypatch, share):
+    """Every level from the second lookup-first (share 0) or every level
+    solve-first (share 2) gives the patterns and `scanned` of the
+    per-candidate oracle, also in modes of three pages, whose candidates
+    are searched."""
+    monkeypatch.setattr(enumeration, "LOOKUP_FIRST_SHARE", share)
+    choices = recorded_choices(monkeypatch)
+    modes = MODES + [("sq", 3, 0), ("sq", 0, 3)]
+    found = 0
+    for family in FAMILIES:
+        for mode in modes:
+            want = critical_oracle.find_critical(family, mode)
+            got = enumeration.find_critical(family, mode)
+            assert (got.patterns, got.scanned) == (want.patterns, want.scanned), (family, mode)
+            found += len(want.patterns)
+    assert found == 64
+    assert any(choices) == (share == 0.0) and not all(choices)
+
+
+def test_checkpoint_keeps_the_level_choice(tmp_path, monkeypatch):
+    """A checkpoint records the level's candidate count, so a resumed run
+    makes the choice the whole run made; without the count it resumes
+    solve-first. Both give the whole run's result."""
+    family = enumeration.EnumFamily("separated", 6, 4, 4)
+    path = tmp_path / "check.json"
+    real = enumeration._write_checkpoint
+
+    def stop_after_level_five(path, family, result, level, *table):
+        real(path, family, result, level, *table)
+        if level == 5:
+            raise Interrupted
+
+    choices = recorded_choices(monkeypatch)
+    whole = enumeration.find_critical(family, ("k", 1))
+    assert choices == [False] * 4 + [True] * 2  # level 4 is 73% infeasible
+    monkeypatch.setattr(enumeration, "_write_checkpoint", stop_after_level_five)
+    with pytest.raises(Interrupted):
+        enumeration.find_critical(family, ("k", 1), checkpoint=str(path))
+    monkeypatch.setattr(enumeration, "_write_checkpoint", real)
+    stopped = json.loads(path.read_text())
+    assert stopped["level"]["candidates"] == sum(1 for _ in family.level(5))
+    for size, choice in ((stopped["level"]["candidates"], True), (None, False)):
+        if size is None:
+            del stopped["level"]["candidates"]
+        path.write_text(json.dumps(stopped))
+        choices.clear()
+        resumed = enumeration.find_critical(family, ("k", 1), checkpoint=str(path))
+        assert choices == [choice]
+        assert (resumed.patterns, resumed.scanned) == (whole.patterns, whole.scanned)
 
 
 def test_clique_of_size_matches_recursive_oracle():
@@ -977,6 +1078,33 @@ def test_bounded_star_coloring_matches_the_recursive_search(monkeypatch):
         quotient.star_forests(h, range(h.m), kind)
     assert all(same for same, _ in outcomes)
     assert sum(recolored for _, recolored in outcomes) > 30
+
+
+def test_star_split_matches_the_quadratic_one():
+    """The heap degeneracy order and the star conflicts read off each vertex
+    give the forests of the minimum scan and the pairwise star test, on
+    random maximal pages of both kinds, and the same order and colors on
+    random graphs and random stars."""
+    rng = random.Random(42)
+    for _ in range(150):
+        kind = rng.choice(KINDS)
+        h = maximal_page(rng, rng.randint(1, 60), kind)
+        assert quotient.star_forests(h, range(h.m), kind) == quotient_oracle.star_forests(
+            h, range(h.m), kind
+        )
+    for _ in range(300):
+        g = rand_multigraph(rng, 14, 30)
+        adj = {v: set() for v in range(g.n)}
+        for u, v in g.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        vertices = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
+        sub = {v: adj[v] for v in vertices}
+        assert quotient._degeneracy_order(vertices, sub) == quotient_oracle._degeneracy_order(
+            vertices, sub
+        )
+        stars = [(i, set(rng.sample(range(12), rng.randint(1, 4)))) for i in range(rng.randint(0, 25))]
+        assert quotient._color_stars(stars) == quotient_oracle._color_stars(stars)
 
 
 def test_large_outerplanar_page_needs_no_long_search():

@@ -118,7 +118,7 @@ class TestFindCritical:
 
     def test_progress_goes_to_stderr(self, capsys, monkeypatch):
         # A stream of 10^5 single edges reaches the first progress line fast.
-        edge = build_graph(2, [(0, 1)])
+        edge = ((0, 1),)
         monkeypatch.setattr(EnumFamily, "level", lambda self, m: [edge] * 100000)
         find_critical(EnumFamily("matchings", 1), ("k", 1), progress=True)
         captured = capsys.readouterr()
@@ -128,7 +128,7 @@ class TestFindCritical:
     def test_progress_counts_across_levels(self, capsys, monkeypatch):
         # Two levels of 50000 single edges: the line per 100000 candidates
         # comes at the end of the second level, counted from the first.
-        edge = build_graph(2, [(0, 1)])
+        edge = ((0, 1),)
         monkeypatch.setattr(EnumFamily, "level", lambda self, m: [edge] * 50000)
         find_critical(EnumFamily("matchings", 2), ("k", 1), progress=True)
         assert capsys.readouterr().err.splitlines() == [
@@ -171,7 +171,7 @@ class TestFindCritical:
         result = enumeration.CriticalSet(parameters=("k", 1))
         result.complete_up_to = {"max_edges": object()}  # not JSON: dump fails midway
         with pytest.raises(TypeError):
-            enumeration._write_checkpoint(str(path), family, result, 0, set())
+            enumeration._write_checkpoint(str(path), family, result, 0, set(), 0)
         assert path.read_text() == before
         assert [p.name for p in tmp_path.iterdir()] == ["check.json"]
 
