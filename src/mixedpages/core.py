@@ -145,9 +145,8 @@ def _conflict_masks(edges) -> tuple[list[int], list[int]]:
     for i in range(m):
         u, v = edges[i]
         bit_i = 1 << i
-        j = i
-        for x, y in edges[i + 1:]:
-            j += 1
+        for j in range(i + 1, m):
+            x, y = edges[j]
             if x >= v:
                 break
             # Here u <= x < v.
