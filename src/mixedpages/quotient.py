@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .core import (
     OrderedGraph,
