@@ -16,7 +16,6 @@ from .core import (
     grid_to_graph,
 )
 from .errors import BadParamsError, InternalError
-from .patterns import PatternKind
 
 
 def gen_diamond(k: int) -> GridMatching:
@@ -49,17 +48,6 @@ def gen_thick_rainbow(t: int, k: int) -> OrderedGraph:
         base = (k - 1 - block) * t
         pi.extend(base + s + 1 for s in range(t))
     return grid_to_graph(GridMatching(tuple(pi)))
-
-
-def gen_pattern(kind: PatternKind, k: int, t: int | None = None):
-    """Canonical realization of a named pattern family."""
-    if kind is PatternKind.DIAMOND:
-        return gen_diamond(k)
-    if kind is PatternKind.THICK_TWIST:
-        return gen_thick_twist(k if t is None else t, k)
-    if kind is PatternKind.THICK_RAINBOW:
-        return gen_thick_rainbow(k if t is None else t, k)
-    raise BadParamsError(f"no generator for {kind}")
 
 
 def gen_tight_2k(k: int) -> GridMatching:

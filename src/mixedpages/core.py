@@ -66,16 +66,6 @@ class OrderedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for u, w in self.edges if u == v or w == v)
-
-    def max_degree(self) -> int:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return max(deg, default=0)
-
     def is_matching(self) -> bool:
         seen = set()
         for u, v in self.edges:
@@ -94,6 +84,8 @@ class OrderedGraph:
 
 def build_graph(n: int, edges, multi: bool = False) -> OrderedGraph:
     """Normalize edges to u < v and sorted order; reject bad input."""
+    if n < 0:
+        raise OutOfRangeError(f"negative vertex count {n}")
     norm = []
     for u, v in edges:
         if u == v:
@@ -462,6 +454,13 @@ def canonicalize_pattern(g: OrderedGraph) -> OrderedGraph:
 # Text formats: .olg graphs, `perm:` lines, assignment JSON
 
 
+def _text_int(token: str) -> int:
+    """`token` if it is ASCII digits; `int()` also takes signs, `_` and other digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not a number")
+    return int(token)
+
+
 def parse_olg(text: str, multi: bool = False) -> OrderedGraph:
     """Parse the `.olg` format: `n m` header then one `u v` pair per line."""
     lines = text.splitlines()
@@ -471,7 +470,7 @@ def parse_olg(text: str, multi: bool = False) -> OrderedGraph:
     if len(head) != 2:
         raise ParseError(f"expected 'n m', got {lines[0]!r}", 1)
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = _text_int(head[0]), _text_int(head[1])
     except ValueError:
         raise ParseError(f"bad header {lines[0]!r}", 1) from None
     edges = []
@@ -483,7 +482,7 @@ def parse_olg(text: str, multi: bool = False) -> OrderedGraph:
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", lineno)
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((_text_int(parts[0]), _text_int(parts[1])))
         except ValueError:
             raise ParseError(f"bad edge {line!r}", lineno) from None
     if len(edges) != m:
@@ -503,7 +502,7 @@ def parse_perm(text: str) -> GridMatching:
     if not line.startswith("perm:"):
         raise ParseError("expected 'perm:' prefix", 1)
     try:
-        values = tuple(int(t) for t in line[len("perm:"):].split())
+        values = tuple([_text_int(t) for t in line[len("perm:"):].split()])
     except ValueError:
         raise ParseError(f"bad permutation values in {line!r}", 1) from None
     try:

@@ -283,7 +283,6 @@ def find_critical(
     family: EnumFamily,
     mode: tuple,
     budget: int = solver.DEFAULT_BUDGET,
-    node_budget: int | None = None,
     checkpoint: str | None = None,
     progress: bool = False,
     jobs: int = 1,
@@ -298,7 +297,7 @@ def find_critical(
     level's table of infeasible canonical keys, and it is critical exactly
     when none of its one-edge deletions is in the table of the level below.
     Only two tables are alive at a time, and none outlives the call.
-    `node_budget` caps the number of candidates; `scanned` counts them.
+    `scanned` counts the candidates.
 
     A level whose level below had more than `LOOKUP_FIRST_SHARE` of its
     candidates infeasible is decided lookup-first: a candidate with a
@@ -343,21 +342,18 @@ def find_critical(
 
     with _workers(jobs) as pool:
         for level in range(done + 1, family.max_edges + 1):
-            limit = None if node_budget is None else node_budget - result.scanned
             lookup_first = bool(size) and len(below) > LOOKUP_FIRST_SHARE * size
-            tasks = [(family, mode, budget, level, jobs, shard, below, limit, lookup_first)
+            tasks = [(family, mode, budget, level, jobs, shard, below, lookup_first)
                      for shard in range(jobs)]
             if pool is None:
                 shards = [_level_shard(tasks[0], report if progress else None)]
             else:
                 shards = pool.map(_level_shard, tasks)
-            if any(over for *_, over in shards):
-                raise BudgetExceededError("enumeration budget exceeded", nodes=node_budget + 1)
             size = sum(count for count, *_ in shards)
             result.scanned += size
-            result.patterns.extend(p for _, _, found, _ in shards for p in found)
+            result.patterns.extend(p for _, _, found in shards for p in found)
             below = shards[0][1]
-            for _, keys, _, _ in shards[1:]:
+            for _, keys, _ in shards[1:]:
                 below |= keys
             result.patterns.sort(key=lambda p: (p.m, p.n, p.edges))
             result.runtime = time.monotonic() - started
@@ -385,23 +381,20 @@ def _workers(jobs: int):
 def _level_shard(args, report=None):
     """One worker's share of a level: the candidates whose index in the level
     is `shard` modulo `jobs`. Returns the number decided, their infeasible
-    keys, the critical ones, and whether the level reaches `limit`
-    candidates. `lookup_first` is the level's choice for `_decide`.
-    `report`, if given, sees the count and the critical ones after each
-    decided candidate."""
-    family, mode, budget, level, jobs, shard, below, limit, lookup_first = args
+    keys and the critical ones. `lookup_first` is the level's choice for
+    `_decide`. `report`, if given, sees the count and the critical ones
+    after each decided candidate."""
+    family, mode, budget, level, jobs, shard, below, lookup_first = args
     specs = solver.mode_specs(mode)
     count, infeasible, found = 0, set(), []
     for index, edges in enumerate(family.level(level)):
-        if limit is not None and index >= limit:
-            return count, infeasible, found, True
         if index % jobs == shard:
             count += 1
             if _decide(edges, specs, budget, below, infeasible, lookup_first):
                 found.append(_graph(edges))
             if report:
                 report(count, found)
-    return count, infeasible, found, False
+    return count, infeasible, found
 
 
 def _bounds(family: EnumFamily) -> dict:

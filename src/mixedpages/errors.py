@@ -51,7 +51,7 @@ class InternalError(MixedPagesError):
 
 
 class BudgetExceededError(MixedPagesError):
-    """A solver or enumeration run hit its node budget before finishing."""
+    """A solver run hit its node budget before finishing."""
 
     def __init__(self, message: str = "search budget exceeded", nodes: int = 0):
         super().__init__(message)

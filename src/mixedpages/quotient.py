@@ -1,6 +1,6 @@
 """Interval partitions, quotient graphs, star-forest decompositions, and the
 constructive transfer of a quotient layout back to the original matching,
-plus the iterated-quotient driver and the degree reduction via edge coloring.
+plus the iterated-quotient driver.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ class IntervalPartition:
         ):
             raise InvalidInputError(f"bad interval starts {self.starts}")
 
-    @staticmethod
-    def singletons(n: int) -> "IntervalPartition":
-        return IntervalPartition(n, tuple(range(n)))
-
-    @staticmethod
-    def whole(n: int) -> "IntervalPartition":
-        return IntervalPartition(n, (0,) if n else ())
-
     def blocks(self) -> list[tuple[int, int]]:
         """Half-open (start, end) pairs."""
         ends = list(self.starts[1:]) + [self.n]
@@ -87,7 +79,7 @@ def subgraph(g: OrderedGraph, edge_ids) -> tuple[OrderedGraph, list[int]]:
 
 
 def interval_partition_by_twists(
-    g: OrderedGraph, k: int, budget: int = DEFAULT_SEARCH_BUDGET
+    g: OrderedGraph, k: int
 ) -> tuple[IntervalPartition, list[tuple[int, ...] | None]]:
     """Greedy left-to-right minimal blocks each containing a (k+1)-twist.
 
@@ -104,7 +96,7 @@ def interval_partition_by_twists(
     that brings no edge costs nothing; one that does costs O(b log b) per
     distinct left endpoint of its new edges, for a block of b edges.  Only
     the vertex that closes a block runs the clique search over the whole
-    block (`has_twist`, with `budget`), which picks the reported twist.
+    block (`has_twist`), which picks the reported twist.
     """
     if k < 1:
         raise InvalidInputError("k must be positive")
@@ -124,7 +116,7 @@ def interval_partition_by_twists(
         if not any(_twist_through(g, block_edges, a, v, k) for a in lefts):
             continue
         sub, ids = subgraph(g, block_edges)
-        found = has_twist(sub, k + 1, budget)
+        found = has_twist(sub, k + 1, DEFAULT_SEARCH_BUDGET)
         if found is None:
             raise InternalError(
                 f"a {k + 1}-twist through vertex {v} escaped the clique search"
@@ -648,132 +640,3 @@ def _nested_twists_witness(g, current, origin, partition, twists, top_twist, lev
     return PatternWitness.of(
         PatternKind.THICK_RAINBOW, len(chain), t, [grp[:t] for grp in chain]
     )
-
-
-# Degree reduction: proper edge coloring into matchings
-
-
-def edge_color(g: OrderedGraph) -> list[list[int]]:
-    """Proper edge coloring with at most Delta+1 colors, returned as a
-    partition of edge ids into matchings.
-
-    Plain greedy (smallest color free at both endpoints) is used when it
-    happens to stay within Delta+1, which it does on paths and stars; the
-    fan-rotation recoloring guarantees the bound otherwise.
-    """
-    if g.multi:
-        raise InvalidInputError("edge coloring expects a simple graph")
-    delta = g.max_degree()
-    if g.m == 0:
-        return []
-    used = [set() for _ in range(g.n)]
-    greedy: dict[int, list[int]] = {}
-    top = 0
-    for e, (u, v) in enumerate(g.edges):
-        c = 1
-        while c in used[u] or c in used[v]:
-            c += 1
-        used[u].add(c)
-        used[v].add(c)
-        greedy.setdefault(c, []).append(e)
-        top = max(top, c)
-    if top <= delta + 1:
-        return [greedy[c] for c in sorted(greedy)]
-    return _fan_rotation_color(g, delta)
-
-
-def _free_color(used: dict[int, int], palette) -> int:
-    """The first color of the palette that `used` does not hold."""
-    for c in palette:
-        if c not in used:
-            return c
-    raise InternalError("no free color within Delta+1")
-
-
-def _fan_rotation_color(g: OrderedGraph, delta: int) -> list[list[int]]:
-    palette = range(1, delta + 2)
-    color: dict[tuple[int, int], int] = {}
-    incident: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}  # v -> color -> other
-
-    def free(v: int) -> int:
-        return _free_color(incident[v], palette)
-
-    def set_color(u: int, v: int, c: int | None):
-        old = color.pop((min(u, v), max(u, v)), None)
-        if old is not None:
-            del incident[u][old]
-            del incident[v][old]
-        if c is not None:
-            color[(min(u, v), max(u, v))] = c
-            incident[u][c] = v
-            incident[v][c] = u
-
-    def get_color(u: int, v: int) -> int | None:
-        return color.get((min(u, v), max(u, v)))
-
-    for u, v in g.edges:
-        # Maximal fan of u starting at v.
-        fan = [v]
-        seen = {v}
-        while True:
-            last = fan[-1]
-            grown = False
-            for c, w in sorted(incident[u].items()):
-                if w not in seen and c not in incident[last]:
-                    fan.append(w)
-                    seen.add(w)
-                    grown = True
-                    break
-            if not grown:
-                break
-        c = free(u)
-        d = free(fan[-1])
-        if c != d and d in incident[u]:
-            # Invert the cd path starting at u (first edge colored d); this
-            # frees d at u without disturbing c/d-freeness elsewhere.
-            path = [u]
-            want = d
-            while want in incident[path[-1]]:
-                path.append(incident[path[-1]][want])
-                want = c if want == d else d
-            for i in range(len(path) - 1):
-                set_color(path[i], path[i + 1], None)
-            want = c
-            for i in range(len(path) - 1):
-                set_color(path[i], path[i + 1], want)
-                want = c if want == d else d
-
-        # First fan prefix that is still a fan and ends where d is free.
-        w_idx = None
-        for i, x in enumerate(fan):
-            if i > 0:
-                ci = get_color(u, x)
-                if ci is None or ci in incident[fan[i - 1]]:
-                    break
-            if d not in incident[x]:
-                w_idx = i
-                break
-        if w_idx is None:
-            raise InternalError("fan rotation failed to find a target")
-        shifted = [get_color(u, fan[i + 1]) for i in range(w_idx)]
-        for i in range(w_idx + 1):
-            if get_color(u, fan[i]) is not None:
-                set_color(u, fan[i], None)
-        for i in range(w_idx):
-            set_color(u, fan[i], shifted[i])
-        set_color(u, fan[w_idx], d)
-
-    out: dict[int, list[int]] = {}
-    for e, (a, b) in enumerate(g.edges):
-        out.setdefault(color[(a, b)], []).append(e)
-    matchings = [out[c] for c in sorted(out)]
-    for matching in matchings:
-        seen = set()
-        for e in matching:
-            a, b = g.edges[e]
-            if a in seen or b in seen:
-                raise InternalError(f"color class {matching} is not a matching")
-            seen.update((a, b))
-    if len(matchings) > delta + 1:
-        raise InternalError(f"{len(matchings)} colors exceed Delta+1 = {delta + 1}")
-    return matchings

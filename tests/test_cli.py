@@ -192,6 +192,14 @@ class TestCommands:
         assert main(["solve", str(path), "--mn"]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [["solve", "--mn"], ["layout", "--k", "2"]])
+    def test_negative_vertex_count_exits_3(self, capsys, tmp_path, args):
+        path = tmp_path / "negative.olg"
+        path.write_text("-3 0\n")
+        assert main([args[0], str(path), *args[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: line 1" in captured.err
+
     @pytest.mark.parametrize("args", [
         ["solve"],
         ["bogus"],

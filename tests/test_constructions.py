@@ -16,7 +16,6 @@ from mixedpages.constructions import (
     gen_alternating_subdivision,
     gen_diamond,
     gen_k_critical,
-    gen_pattern,
     gen_sq_critical,
     gen_stack_critical,
     gen_thick_rainbow,
@@ -28,16 +27,16 @@ from mixedpages import solver
 
 class TestGenPattern:
     def test_diamond_two(self):
-        grid = gen_pattern(PatternKind.DIAMOND, 2)
+        grid = gen_diamond(2)
         assert grid.pi == (3, 4, 1, 2)
         w = largest_diamond(grid)
         assert w.k == 2 and witness_violations(grid, w) == []
 
     def test_diamond_one_is_single_edge(self):
-        assert gen_pattern(PatternKind.DIAMOND, 1).pi == (1,)
+        assert gen_diamond(1).pi == (1,)
 
     def test_thick_twist_groups(self):
-        g = gen_pattern(PatternKind.THICK_TWIST, 3, 2)
+        g = gen_thick_twist(2, 3)
         assert g.m == 6
         w = largest_thick_of_kind(g, 2, PatternKind.THICK_TWIST)
         assert w.k == 3

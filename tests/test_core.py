@@ -66,6 +66,10 @@ class TestBuildGraph:
         with pytest.raises(OutOfRangeError):
             build_graph(3, [(1, 1)])
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(OutOfRangeError, match="negative"):
+            build_graph(-2, [])
+
 
 class TestClassifyPair:
     def test_cross(self):
@@ -274,6 +278,30 @@ class TestFormats:
     def test_header_edge_count_checked(self):
         with pytest.raises(ParseError):
             parse_olg("4 3\n0 2\n1 3\n")
+
+    # int() takes signs, underscores and non-ASCII digits, and str.isdigit
+    # takes superscripts; none of them is a number in either format.
+    @pytest.mark.parametrize("text, line", [
+        ("1_1 1\n0 1\n", 1),
+        ("+2 1\n0 1\n", 1),
+        ("-3 0\n", 1),
+        ("2 1\n+0 1\n", 2),
+        ("2 1\n0 \u0661\n", 2),
+        ("3 1\n\n0 \u00b2\n", 3),
+        ("2 \uff11\n0 1\n", 1),
+    ])
+    def test_olg_numbers_are_ascii_digits(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_olg(text)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text", [
+        "perm: \u0662 +1", "perm: 2 +1", "perm: 1_0", "perm: -1", "perm: \u00b9",
+    ])
+    def test_perm_numbers_are_ascii_digits(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_perm(text)
+        assert err.value.line == 1
 
 
 @settings(max_examples=60, deadline=None)

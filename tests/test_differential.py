@@ -64,7 +64,6 @@ from mixedpages.core import (
     validate_assignment,
 )
 from mixedpages.errors import (
-    BudgetExceededError,
     InsufficientInputError,
     InternalError,
     MixedPagesError,
@@ -709,20 +708,6 @@ def test_sharded_find_critical_matches_oracle(family):
         assert got.scanned == want.scanned, mode
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_node_budget_matches_oracle(jobs):
-    family = enumeration.EnumFamily("separated", 5, 3, 3)
-    for node_budget in (0, 1, 40, 200):
-        with pytest.raises(BudgetExceededError) as want:
-            critical_oracle.find_critical(family, ("k", 1), node_budget=node_budget)
-        with pytest.raises(BudgetExceededError) as got:
-            enumeration.find_critical(family, ("k", 1), node_budget=node_budget, jobs=jobs)
-        assert (str(got.value), got.value.nodes) == (str(want.value), want.value.nodes)
-    total = critical_oracle.find_critical(family, ("k", 1)).scanned
-    result = enumeration.find_critical(family, ("k", 1), node_budget=total, jobs=jobs)
-    assert result.scanned == total
-
-
 class Interrupted(Exception):
     pass
 
@@ -989,11 +974,11 @@ def transfer_cases(monkeypatch):
         h = quotient.quotient_graph(g, part).h
         cases.append((g, part, mixed_layout(rng, h), rng.randint(1, 4)))
     g = gen_thick_twist(2, 3)
-    part = quotient.IntervalPartition.singletons(g.n)
+    part = quotient.IntervalPartition(g.n, tuple(range(g.n)))
     h = quotient.quotient_graph(g, part).h
     cases.append((g, part, PageAssignment(PageSpec.from_string("S"), (0,) * h.m), 2))
     cases.append((g, part, PageAssignment(PageSpec.from_string("S"), (0,)), 2))
-    cases.append((build_graph(3, [(0, 2), (1, 2)]), quotient.IntervalPartition.singletons(3),
+    cases.append((build_graph(3, [(0, 2), (1, 2)]), quotient.IntervalPartition(3, tuple(range(3))),
                   PageAssignment(PageSpec.from_string("SS"), (0, 1)), 1))
     return cases
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mixedpages.core import build_graph, canonicalize_pattern, grid_to_graph, GridMatching
-from mixedpages.errors import BudgetExceededError, InvalidInputError, ParseError
+from mixedpages.errors import InvalidInputError, ParseError
 from mixedpages.enumeration import (
     EnumFamily,
     conjecture_report,
@@ -111,10 +111,6 @@ class TestFindCritical:
             find_critical(EnumFamily("matchings", 129), ("k", 1))
         one_row = find_critical(EnumFamily("separated", 255, 1, 255), ("k", 1))
         assert one_row.scanned == 255 and one_row.patterns == []
-
-    def test_node_budget(self):
-        with pytest.raises(BudgetExceededError):
-            find_critical(EnumFamily("separated", 5, 3, 3), ("k", 1), node_budget=5)
 
     def test_progress_goes_to_stderr(self, capsys, monkeypatch):
         # A stream of 10^5 single edges reaches the first progress line fast.

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import rand_graph, rand_matching
+from conftest import rand_matching
 from mixedpages.core import (
     GridMatching,
     PageKind,
@@ -22,7 +22,6 @@ from mixedpages.quotient import (
     EXACT_LIMIT,
     IntervalPartition,
     bounded_twist_stack_cover,
-    edge_color,
     interval_partition_by_twists,
     iterated_quotient_layout,
     iterated_quotient_layout_detailed,
@@ -84,13 +83,13 @@ class TestIntervalPartition:
 class TestQuotientGraph:
     def test_singletons_identity(self):
         g = build_graph(6, [(0, 2), (1, 3), (4, 5)])
-        res = quotient_graph(g, IntervalPartition.singletons(6))
+        res = quotient_graph(g, IntervalPartition(6, tuple(range(6))))
         assert res.h.edges == g.edges
         assert res.intra == ()
 
     def test_whole_collapses_everything(self):
         g = build_graph(6, [(0, 2), (1, 3)])
-        res = quotient_graph(g, IntervalPartition.whole(6))
+        res = quotient_graph(g, IntervalPartition(6, (0,)))
         assert res.h.n == 1 and res.h.m == 0
         assert res.intra == (0, 1)
 
@@ -207,13 +206,13 @@ class TestTransferLayout:
     def test_singleton_partition_degenerate(self):
         g = gen_thick_twist(2, 3)
         _, layout = solver.mixed_page_number(g)
-        a, report = transfer_layout(g, IntervalPartition.singletons(g.n), layout, 2)
+        a, report = transfer_layout(g, IntervalPartition(g.n, tuple(range(g.n))), layout, 2)
         assert validate_assignment(g, a) == []
         assert report.pages_used == len(a.spec)
 
     def test_whole_partition_intra_only(self):
         g = gen_thick_twist(2, 3)
-        part = IntervalPartition.whole(g.n)
+        part = IntervalPartition(g.n, (0,))
         res = quotient_graph(g, part)
         _, hlayout = solver.mixed_page_number(res.h)
         a, report = transfer_layout(g, part, hlayout, 2)
@@ -233,7 +232,7 @@ class TestTransferLayout:
 
     def test_invalid_quotient_layout_rejected(self):
         g = gen_thick_twist(2, 3)
-        part = IntervalPartition.singletons(g.n)
+        part = IntervalPartition(g.n, tuple(range(g.n)))
         res = quotient_graph(g, part)
         bad = solver.PageAssignment(PageSpec.from_string("S"), tuple([0] * res.h.m))
         with pytest.raises(InvalidInputError):
@@ -243,12 +242,12 @@ class TestTransferLayout:
         g = gen_thick_twist(2, 3)
         _, layout = solver.mixed_page_number(g)
         with pytest.raises(InvalidInputError, match="k must be positive"):
-            transfer_layout(g, IntervalPartition.singletons(g.n), layout, 0)
+            transfer_layout(g, IntervalPartition(g.n, tuple(range(g.n))), layout, 0)
 
     def test_non_matching_rejected(self):
         g = build_graph(3, [(0, 2), (1, 2)])
         with pytest.raises(InvalidInputError):
-            transfer_layout(g, IntervalPartition.singletons(3), solver.PageAssignment(PageSpec.from_string("SS"), (0, 1)), 1)
+            transfer_layout(g, IntervalPartition(3, tuple(range(3))), solver.PageAssignment(PageSpec.from_string("SS"), (0, 1)), 1)
 
 
 class TestIteratedQuotient:
@@ -286,45 +285,6 @@ class TestIteratedQuotient:
         assert all(rep.pages_used >= 1 for rep in reports)
 
 
-class TestEdgeColor:
-    def test_three_edge_path_two_colors(self):
-        assert len(edge_color(build_graph(4, [(0, 1), (1, 2), (2, 3)]))) == 2
-
-    def test_star_needs_degree_colors(self):
-        assert len(edge_color(build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))) == 4
-
-    def test_random_graphs_proper_within_delta_plus_one(self, rng):
-        for _ in range(60):
-            g = rand_graph(rng, rng.randint(4, 12), rng.randint(3, 18))
-            matchings = edge_color(g)
-            assert len(matchings) <= g.max_degree() + 1
-            assert sorted(e for mt in matchings for e in mt) == list(range(g.m))
-            for mt in matchings:
-                seen = set()
-                for e in mt:
-                    u, v = g.edges[e]
-                    assert u not in seen and v not in seen
-                    seen.update((u, v))
-
-    def test_fan_rotation_route_within_delta_plus_one(self, rng):
-        from mixedpages.quotient import _fan_rotation_color
-
-        for _ in range(60):
-            g = rand_graph(rng, rng.randint(4, 12), rng.randint(3, 18))
-            matchings = _fan_rotation_color(g, g.max_degree())
-            assert len(matchings) <= g.max_degree() + 1
-            assert sorted(e for mt in matchings for e in mt) == list(range(g.m))
-            for mt in matchings:
-                seen = set()
-                for e in mt:
-                    u, v = g.edges[e]
-                    assert u not in seen and v not in seen
-                    seen.update((u, v))
-
-    def test_empty_graph(self):
-        assert edge_color(build_graph(3, [])) == []
-
-
 class TestInternalChecks:
     """Each consistency check in quotient raises InternalError, which callers
     catch as a MixedPagesError and `python -O` keeps, rather than an
@@ -333,7 +293,7 @@ class TestInternalChecks:
     @staticmethod
     def whole_layout():
         g = gen_thick_twist(2, 3)
-        part = IntervalPartition.whole(g.n)
+        part = IntervalPartition(g.n, (0,))
         _, hlayout = solver.mixed_page_number(quotient_graph(g, part).h)
         return g, part, hlayout
 
@@ -372,34 +332,3 @@ class TestInternalChecks:
         monkeypatch.setattr(quotient, "validate_assignment", reject_lift)
         with pytest.raises(InternalError, match="invalid layout"):
             transfer_layout(g, part, hlayout, 2)
-
-    def test_palette_too_small(self):
-        from mixedpages.quotient import _fan_rotation_color
-
-        star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        with pytest.raises(InternalError, match="no free color"):
-            _fan_rotation_color(star, 1)
-
-    def test_fan_without_target(self, monkeypatch):
-        from mixedpages import quotient
-
-        monkeypatch.setattr(quotient, "_free_color", lambda used, palette: palette[0])
-        with pytest.raises(InternalError, match="fan rotation"):
-            quotient._fan_rotation_color(build_graph(3, [(0, 2), (1, 2)]), 2)
-
-    def test_color_class_not_a_matching(self, monkeypatch):
-        from mixedpages import quotient
-
-        monkeypatch.setattr(quotient, "_free_color", lambda used, palette: palette[0])
-        with pytest.raises(InternalError, match="not a matching"):
-            quotient._fan_rotation_color(build_graph(3, [(0, 1), (1, 2)]), 2)
-
-    def test_too_many_colors(self, monkeypatch):
-        from itertools import count
-
-        from mixedpages import quotient
-
-        fresh = count(1)
-        monkeypatch.setattr(quotient, "_free_color", lambda used, palette: next(fresh))
-        with pytest.raises(InternalError, match="exceed"):
-            quotient._fan_rotation_color(build_graph(6, [(0, 1), (2, 3), (4, 5)]), 1)
