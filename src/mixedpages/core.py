@@ -502,7 +502,7 @@ def parse_perm(text: str) -> GridMatching:
     if not line.startswith("perm:"):
         raise ParseError("expected 'perm:' prefix", 1)
     try:
-        values = tuple([_text_int(t) for t in line[len("perm:"):].split()])
+        values = tuple(_text_int(t) for t in line[len("perm:"):].split())
     except ValueError:
         raise ParseError(f"bad permutation values in {line!r}", 1) from None
     try:
