@@ -8,6 +8,7 @@ Exit codes: 0 ok/feasible, 1 infeasible/violation, 2 unknown/budget,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -29,7 +30,7 @@ from .core import (
     to_grid,
     validate_assignment,
 )
-from .errors import BudgetExceededError, MixedPagesError, SizeLimitError
+from .errors import BadParamsError, BudgetExceededError, MixedPagesError, SizeLimitError
 from .patterns import (
     DEFAULT_SEARCH_BUDGET,
     PatternWitness,
@@ -177,8 +178,6 @@ def cmd_solve(args) -> int:
         k, assignment = solver.queue_number(g)
         label = {"qn": k}
     else:
-        if not args.spec:
-            raise MixedPagesError("solve needs --spec, --mn, --sn, or --qn")
         try:
             spec = PageSpec.from_string(args.spec)
         except ValueError:
@@ -210,13 +209,10 @@ def cmd_detect(args) -> int:
             w = largest_twist(host, args.budget)
         elif args.kind == "rainbow":
             w = largest_rainbow(host)
-        elif args.kind == "thick":
-            if args.t:
-                w = largest_thick(host, args.t, args.budget)
-            else:
-                w = largest_square_thick(host, args.budget)
+        elif args.t is not None:
+            w = largest_thick(host, args.t, args.budget)
         else:
-            raise MixedPagesError(f"unknown kind {args.kind}")
+            w = largest_square_thick(host, args.budget)
     if args.json:
         print(w.to_json())
     else:
@@ -257,7 +253,11 @@ def cmd_gen(args) -> int:
         if getattr(args, key) is not None
     }
     family = FAMILIES[args.family]
-    obj = family(**params)
+    try:
+        bound = inspect.signature(family).bind(**params)
+    except TypeError as exc:
+        raise BadParamsError(f"gen {args.family}: {exc}") from None
+    obj = family(*bound.args, **bound.kwargs)
     if isinstance(obj, GridMatching):
         sys.stdout.write(dump_perm(obj) if not args.olg else dump_olg(grid_to_graph(obj)))
     else:
@@ -280,10 +280,20 @@ def cmd_layout(args) -> int:
     return OK
 
 
+def _add_mode(p) -> None:
+    """The options of a criticality mode: --k, or --s and --q."""
+    for name in ("--k", "--s", "--q"):
+        p.add_argument(name, type=int)
+
+
+def _mode(args) -> tuple:
+    """The mode of `_add_mode`'s options; `solver.mode_specs` checks it."""
+    return ("k", args.k) if args.k is not None else ("sq", args.s, args.q)
+
+
 def cmd_critical(args) -> int:
     g = load_graph(args.input)
-    mode = ("k", args.k) if args.k is not None else ("sq", args.s, args.q)
-    verdict = solver.criticality(g, mode, args.budget)
+    verdict = solver.criticality(g, _mode(args), args.budget)
     print(("critical" if verdict.critical else "not critical") + f": {verdict.reason}")
     return OK if verdict.critical else INFEASIBLE
 
@@ -308,10 +318,9 @@ def cmd_enumerate_critical(args) -> int:
         family = enumeration.EnumFamily(
             "separated", args.max_edges, args.max_grid, args.max_grid
         )
-    mode = ("k", args.k) if args.k is not None else ("sq", args.s, args.q)
     result = enumeration.find_critical(
         family,
-        mode,
+        _mode(args),
         budget=args.budget,
         checkpoint=args.checkpoint,
         progress=args.progress,
@@ -372,10 +381,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("solve", help="exact feasibility and page numbers")
     p.add_argument("input")
-    p.add_argument("--spec", help="page spec such as SSQ")
-    p.add_argument("--mn", action="store_true")
-    p.add_argument("--sn", action="store_true")
-    p.add_argument("--qn", action="store_true")
+    task = p.add_mutually_exclusive_group(required=True)
+    task.add_argument("--spec", help="page spec such as SSQ")
+    task.add_argument("--mn", action="store_true")
+    task.add_argument("--sn", action="store_true")
+    task.add_argument("--qn", action="store_true")
     p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
@@ -417,9 +427,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("critical", help="check criticality of an input graph")
     p.add_argument("input")
-    p.add_argument("--k", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--q", type=int)
+    _add_mode(p)
     p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_critical)
 
@@ -427,9 +435,7 @@ def main(argv=None) -> int:
     family = p.add_mutually_exclusive_group()
     family.add_argument("--separated", action="store_true")
     family.add_argument("--matchings", action="store_true")
-    p.add_argument("--k", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--q", type=int)
+    _add_mode(p)
     p.add_argument("--max-grid", type=int, default=5)
     p.add_argument("--max-edges", type=int, default=8)
     p.add_argument("--max-m", type=int, default=5)

@@ -227,13 +227,13 @@ def gen_sq_critical(s: int, q: int, n: int | None = None) -> OrderedGraph:
 
 
 FAMILIES = {
-    "diamond": lambda k, **kw: gen_diamond(k),
-    "thick-twist": lambda k, t=None, **kw: gen_thick_twist(t if t else k, k),
-    "thick-rainbow": lambda k, t=None, **kw: gen_thick_rainbow(t if t else k, k),
-    "tight2k": lambda k, **kw: gen_tight_2k(k),
-    "altsub": lambda k, **kw: gen_alternating_subdivision(k),
-    "stack": lambda s, n, **kw: gen_stack_critical(s, n),
-    "mixed2": lambda r, **kw: gen_2critical(r),
-    "kcritical": lambda k, r=2, **kw: gen_k_critical(k, r),
-    "sqcritical": lambda s, q, n=None, **kw: gen_sq_critical(s, q, n),
+    "diamond": gen_diamond,
+    "thick-twist": lambda k, t=None: gen_thick_twist(k if t is None else t, k),
+    "thick-rainbow": lambda k, t=None: gen_thick_rainbow(k if t is None else t, k),
+    "tight2k": gen_tight_2k,
+    "altsub": gen_alternating_subdivision,
+    "stack": gen_stack_critical,
+    "mixed2": gen_2critical,
+    "kcritical": gen_k_critical,
+    "sqcritical": gen_sq_critical,
 }

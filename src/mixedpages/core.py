@@ -528,19 +528,13 @@ MALFORMED_JSON = (
 )
 
 
-def _json_int(value) -> int:
-    """`value` if it is a JSON integer.  `int()` would also take 1.9, "0"
-    and true; here they raise ValueError, which the parsers report."""
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not an integer")
-    return value
-
-
-def _json_list(value) -> list:
-    """`value` if it is a JSON array; a string or an object raises
-    ValueError instead of being iterated."""
-    if type(value) is not list:
-        raise ValueError(f"{value!r} is not a list")
+def _json(value, kind: type):
+    """`value` if it is a JSON value of type `kind` (int, str or list).
+    `int()` would also take 1.9, "0" and true, and a string or an object
+    would be iterated as a list; here they raise ValueError, which the
+    parsers report."""
+    if type(value) is not kind:
+        raise ValueError(f"{value!r} is not a JSON {kind.__name__}")
     return value
 
 
@@ -549,8 +543,8 @@ def parse_assignment(text: str) -> PageAssignment:
     pages as JSON integers; anything else raises ParseError."""
     try:
         data = json.loads(text)
-        spec = PageSpec(tuple([PageKind(c) for c in _json_list(data["spec"])]))
-        pages = tuple([_json_int(p) for p in _json_list(data["pages"])])
+        spec = PageSpec(tuple([PageKind(c) for c in _json(data["spec"], list)]))
+        pages = tuple([_json(p, int) for p in _json(data["pages"], list)])
     except MALFORMED_JSON as exc:
         raise ParseError(f"bad assignment JSON: {exc}", 1) from None
     return PageAssignment(spec, pages)

@@ -16,7 +16,7 @@ from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import OrderedGraph, _conflict_masks, dump_olg, parse_olg
+from .core import MALFORMED_JSON, OrderedGraph, _conflict_masks, _json, dump_olg, parse_olg
 from .errors import BudgetExceededError, InvalidInputError, ParseError
 from . import solver
 
@@ -164,26 +164,41 @@ def contains_pattern(g: OrderedGraph, pattern: OrderedGraph) -> bool:
 
 @dataclass(frozen=True)
 class EnumFamily:
+    """Ordered matchings or separated patterns up to the bounds, which are
+    ints >= 0; any other shape or bound raises InvalidInputError."""
+
     shape: str  # "matchings" | "separated"
     max_edges: int
     max_rows: int = 0
     max_cols: int = 0
 
-    def stream(self) -> Iterator[OrderedGraph]:
+    def __post_init__(self):
+        if self.shape not in ("matchings", "separated"):
+            raise InvalidInputError(f"unknown family shape {self.shape!r}")
+        for bound in (self.max_edges, self.max_rows, self.max_cols):
+            if type(bound) is not int or bound < 0:
+                raise InvalidInputError(f"family bounds must be integers >= 0, got {bound!r}")
+
+    @property
+    def widest(self) -> int:
+        """The most vertices a graph of the family can have."""
+        m = self.max_edges
         if self.shape == "matchings":
-            return enumerate_matchings_up_to(self.max_edges)
-        if self.shape == "separated":
-            return enumerate_separated(self.max_rows, self.max_cols, self.max_edges)
-        raise ValueError(f"unknown family shape {self.shape!r}")
+            return 2 * m
+        return min(self.max_rows, m) + min(self.max_cols, m)
+
+    def stream(self) -> Iterator[OrderedGraph]:
+        """The family's graphs, level by level in edge count."""
+        for m in range(1, self.max_edges + 1):
+            for edges in self.level(m):
+                yield _graph(edges)
 
     def level(self, m: int) -> Iterator[tuple]:
         """The edge tuples of the stream's graphs with exactly m edges, in
         stream order."""
         if self.shape == "matchings":
             return _matching_level(m)
-        if self.shape == "separated":
-            return _separated_level(self.max_rows, self.max_cols, m)
-        raise ValueError(f"unknown family shape {self.shape!r}")
+        return _separated_level(self.max_rows, self.max_cols, m)
 
 
 @dataclass
@@ -297,7 +312,8 @@ def find_critical(
     level's table of infeasible canonical keys, and it is critical exactly
     when none of its one-edge deletions is in the table of the level below.
     Only two tables are alive at a time, and none outlives the call.
-    `scanned` counts the candidates.
+    `scanned` counts the candidates. The mode is checked, by
+    `solver.mode_specs`, before the checkpoint is read.
 
     A level whose level below had more than `LOOKUP_FIRST_SHARE` of its
     candidates infeasible is decided lookup-first: a candidate with a
@@ -320,15 +336,11 @@ def find_critical(
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
-    m = family.max_edges
-    if family.shape == "matchings":
-        widest = 2 * m
-    else:
-        widest = min(family.max_rows, m) + min(family.max_cols, m)
-    if widest > 256:
+    if family.widest > 256:
         raise InvalidInputError(
-            f"patterns of up to {widest} vertices: the level tables store vertices as bytes"
+            f"patterns of up to {family.widest} vertices: the level tables store vertices as bytes"
         )
+    specs = solver.mode_specs(mode)
     result = CriticalSet(parameters=mode, complete_up_to=_bounds(family))
     started = time.monotonic()
     done, below, size = 0, set(), None  # size: the candidates of level `done`
@@ -343,7 +355,7 @@ def find_critical(
     with _workers(jobs) as pool:
         for level in range(done + 1, family.max_edges + 1):
             lookup_first = bool(size) and len(below) > LOOKUP_FIRST_SHARE * size
-            tasks = [(family, mode, budget, level, jobs, shard, below, lookup_first)
+            tasks = [(family, specs, budget, level, jobs, shard, below, lookup_first)
                      for shard in range(jobs)]
             if pool is None:
                 shards = [_level_shard(tasks[0], report if progress else None)]
@@ -384,8 +396,7 @@ def _level_shard(args, report=None):
     keys and the critical ones. `lookup_first` is the level's choice for
     `_decide`. `report`, if given, sees the count and the critical ones
     after each decided candidate."""
-    family, mode, budget, level, jobs, shard, below, lookup_first = args
-    specs = solver.mode_specs(mode)
+    family, specs, budget, level, jobs, shard, below, lookup_first = args
     count, infeasible, found = 0, set(), []
     for index, edges in enumerate(family.level(level)):
         if index % jobs == shard:
@@ -453,30 +464,20 @@ def _load_checkpoint(
     except json.JSONDecodeError as exc:
         raise ParseError(f"checkpoint {path}: {exc.msg}", exc.lineno) from None
     try:
-        manifest = data["manifest"]
+        manifest, table = data["manifest"], data["level"]
         same_run = data["family"] == {
             "shape": family.shape,
             **_bounds(family),
         } and manifest["parameters"] == list(mode)
-        scanned, patterns = manifest["scanned"], data["patterns"]
-        level, keys = data["level"]["edges"], data["level"]["infeasible"]
-        size = data["level"].get("candidates")
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"checkpoint {path} is malformed: {exc!r}", 1) from None
+        scanned, level = _json(manifest["scanned"], int), _json(table["edges"], int)
+        size = _json(table["candidates"], int) if "candidates" in table else None
+        olgs = [_json(olg, str) for olg in _json(data["patterns"], list)]
+        below = {bytes.fromhex(key) for key in _json(table["infeasible"], list)}
+    except MALFORMED_JSON as exc:
+        raise ParseError(f"checkpoint {path} has a malformed manifest: {exc!r}", 1) from None
     if not same_run:
         return 0, set(), None
-    if (
-        not all(type(x) is int for x in (scanned, level))
-        or not (size is None or type(size) is int)
-        or not all(isinstance(x, list) for x in (patterns, keys))
-        or not all(isinstance(olg, str) for olg in patterns)
-    ):
-        raise ParseError(f"checkpoint {path} has a malformed manifest", 1)
-    try:
-        below = {bytes.fromhex(key) for key in keys}
-    except (TypeError, ValueError):
-        raise ParseError(f"checkpoint {path} has a malformed level table", 1) from None
-    result.patterns = [parse_olg(olg) for olg in patterns]
+    result.patterns = [parse_olg(olg) for olg in olgs]
     result.scanned = scanned
     return level, below, size
 

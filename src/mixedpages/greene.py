@@ -20,7 +20,7 @@ from .core import (
     PageKind,
     increasing_levels,
 )
-from .errors import InternalError
+from .errors import BadParamsError, InternalError
 from .patterns import PatternKind, PatternWitness
 
 
@@ -386,7 +386,7 @@ def max_family(grid: GridMatching, kind: FamilyKind, k: int) -> ChainFamily:
     (and so the family it returns) depends on.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise BadParamsError("k must be positive")
     if kind is FamilyKind.CHAINS:
         points = grid.points()
     else:

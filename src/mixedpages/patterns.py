@@ -17,15 +17,14 @@ from .core import (
     GridMatching,
     OrderedGraph,
     Relation,
-    _json_int,
-    _json_list,
+    _json,
     classify_pair,
     conflict_masks,
     grid_to_graph,
     increasing_levels,
     nesting_depths,
 )
-from .errors import InsufficientInputError, ParseError, SizeLimitError
+from .errors import BadParamsError, InsufficientInputError, ParseError, SizeLimitError
 
 DEFAULT_SEARCH_BUDGET = 10**7
 
@@ -81,9 +80,9 @@ class PatternWitness:
         try:
             data = json.loads(text)
             groups = [
-                [_json_int(e) for e in _json_list(g)] for g in _json_list(data["groups"])
+                [_json(e, int) for e in _json(g, list)] for g in _json(data["groups"], list)
             ]
-            kind, k, t = PatternKind(data["kind"]), _json_int(data["k"]), _json_int(data["t"])
+            kind, k, t = PatternKind(data["kind"]), _json(data["k"], int), _json(data["t"], int)
         except MALFORMED_JSON as exc:
             raise ParseError(f"bad witness JSON: {exc}", 1) from None
         return PatternWitness.of(kind, k, t, groups)
@@ -420,7 +419,7 @@ def largest_thick_of_kind(
 ) -> PatternWitness:
     """Largest k with a t-thick k-twist (k-rainbow); exact within budget."""
     if t < 1:
-        raise ValueError("thickness must be positive")
+        raise BadParamsError("thickness must be positive")
     g = _as_graph(g)
     cross, nest = conflict_masks(g)
     inner = nest if kind is PatternKind.THICK_TWIST else cross
@@ -574,7 +573,7 @@ def thick_from_diamond(grid: GridMatching, k: int) -> PatternWitness:
     from . import greene
 
     if k < 1:
-        raise ValueError("k must be positive")
+        raise BadParamsError("k must be positive")
     matrix = greene.diamond_matrix(grid)
     if not matrix:
         raise InsufficientInputError("empty matching")

@@ -443,37 +443,27 @@ def transfer_layout(
     if validate_assignment(h, layout_h):
         raise InvalidInputError("quotient layout is invalid")
 
-    pages: list[tuple[PageKind, list[int]]] = []
-
-    def new_page(kind: PageKind, edges: list[int]) -> int:
-        pages.append((kind, list(edges)))
-        return len(pages) - 1
-
-    # Intra-interval edges: a pool of m stacks plus m queues shared by all
-    # intervals, where m is the worst interval page count.
+    # Intra-interval edges: the i-th stack (queue) page of each interval's
+    # own layout joins the i-th shared intra stack (queue) page, so at most
+    # m stacks and m queues, m the worst interval page count.
     intra_by_block: dict[int, list[int]] = {}
     for e in qres.intra:
         intra_by_block.setdefault(partition.block_of(g.edges[e][0]), []).append(e)
-    block_layouts = []
+    intra: dict[PageKind, list[list[int]]] = {PageKind.STACK: [], PageKind.QUEUE: []}
     m_intra = 0
     for block, ids in sorted(intra_by_block.items()):
         sub, idmap = subgraph(g, ids)
         _, assignment = solver.mixed_page_number(sub, budget)
-        block_layouts.append((idmap, assignment))
         m_intra = max(m_intra, len(assignment.spec))
-    stack_pool = [new_page(PageKind.STACK, []) for _ in range(m_intra)]
-    queue_pool = [new_page(PageKind.QUEUE, []) for _ in range(m_intra)]
-    for idmap, assignment in block_layouts:
-        next_stack = 0
-        next_queue = 0
-        for p, members in enumerate(assignment.pages()):
-            if not members:
-                continue
-            if assignment.spec.kinds[p] is PageKind.STACK:
-                slot, next_stack = stack_pool[next_stack], next_stack + 1
-            else:
-                slot, next_queue = queue_pool[next_queue], next_queue + 1
-            pages[slot][1].extend(idmap[e] for e in members)
+        used = {PageKind.STACK: 0, PageKind.QUEUE: 0}
+        for kind, members in zip(assignment.spec.kinds, assignment.pages()):
+            if members:
+                shared = intra[kind]
+                if used[kind] == len(shared):
+                    shared.append([])
+                shared[used[kind]].extend(idmap[e] for e in members)
+                used[kind] += 1
+    pages = [(kind, edges) for kind, shared in intra.items() for edges in shared]
 
     report = TransferReport(
         pages_used=0, ell=len(layout_h.spec), m_intra=m_intra, k=k
@@ -502,7 +492,7 @@ def transfer_layout(
                     bucket[-1].append([col_to_global[e] for e in page])
 
             for i in range(max((len(s) for s in own), default=0)):
-                new_page(kind, [e for s in own for e in (s[i] if i < len(s) else [])])
+                pages.append((kind, [e for s in own for e in (s[i] if i < len(s) else [])]))
             for j in range(max((len(s) for s in rest), default=0)):
                 report.branches.add("stack-page-L" if stack_page else "queue-page-B")
                 head, tail = [], []
@@ -519,8 +509,7 @@ def transfer_layout(
                         cover, _ = bounded_twist_stack_cover(g, ids, budget)
                     else:
                         cover = queue_cover(g, ids)
-                    for page in cover:
-                        new_page(cover_kind, page)
+                    pages.extend((cover_kind, page) for page in cover)
 
     assignment = PageAssignment.from_pages(pages, g.m)
     bad = validate_assignment(g, assignment)

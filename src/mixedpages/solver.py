@@ -24,7 +24,7 @@ from .core import (
     nesting_depths,
     validate_assignment,
 )
-from .errors import BudgetExceededError, InternalError, SizeLimitError
+from .errors import BudgetExceededError, InternalError, InvalidInputError, SizeLimitError
 from .patterns import _max_clique, rainbow_chain
 
 DEFAULT_BUDGET = 10**8
@@ -260,8 +260,6 @@ def _feasible_masks(
 ) -> SolveResult:
     """`feasible` over conflict masks the caller has already built."""
     m = g.m
-    if m == 0:
-        return SolveResult(True, PageAssignment(spec, ()), 0, False)
     page_of, nodes, hit = _solve_masks(cross, nest, list(range(m)), spec, budget)
     if page_of is not None:
         assignment = PageAssignment(spec, tuple([page_of[e] for e in range(m)]))
@@ -390,13 +388,16 @@ class CriticalityVerdict:
 
 def mode_specs(mode: tuple) -> list[PageSpec]:
     """The page specs of a criticality mode: ('sq', s, q) is the one split
-    of s stacks and q queues, ('k', k) every split of k pages."""
-    if mode[0] == "sq":
-        _, s, q = mode
-        return [PageSpec.split(s, q)]
-    if mode[0] == "k":
-        return splits(mode[1])
-    raise ValueError(f"bad criticality mode {mode!r}")
+    of s stacks and q queues, ('k', k) every split of k pages.  Counts are
+    ints >= 0 (not bools); any other mode raises InvalidInputError."""
+    match mode:
+        case ("sq", s, q) if type(s) is type(q) is int and min(s, q) >= 0:
+            return [PageSpec.split(s, q)]
+        case ("k", k) if type(k) is int and k >= 0:
+            return splits(k)
+    raise InvalidInputError(
+        f"bad criticality mode {mode!r}: want ('k', k) or ('sq', s, q) with counts >= 0"
+    )
 
 
 def criticality(
@@ -411,9 +412,9 @@ def criticality(
     s + q <= 2 or k <= 2) are decided without search, and only searches of
     three or more pages count nodes and can exhaust the budget.
     """
+    specs = mode_specs(mode)
     total = 0
     cross, nest = conflict_masks(g)
-    specs = mode_specs(mode)
 
     def decide(active: list[int], spec: PageSpec) -> bool:
         nonlocal total

@@ -211,6 +211,29 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and "usage:" in captured.err
 
+    @pytest.mark.parametrize("args", [
+        ["critical", "{g}"],
+        ["critical", "{g}", "--s", "3"],
+        ["critical", "{g}", "--k", "-1"],
+        ["critical", "{g}", "--s", "-1", "--q", "0"],
+        ["enumerate-critical", "--separated"],
+        ["enumerate-critical", "--separated", "--max-grid", "2", "--max-edges", "2", "--k", "-2"],
+        ["enumerate-critical", "--matchings", "--k", "1", "--max-m", "-1"],
+        ["detect", "{g}", "--kind", "thick", "--t", "-1"],
+        ["detect", "{g}", "--kind", "thick", "--t", "0"],
+        ["gen", "diamond"],
+        ["gen", "stack", "--s", "3"],
+        ["gen", "thick-twist", "--k", "2", "--t", "0"],
+        ["gen", "diamond", "--k", "3", "--s", "9"],
+        ["solve", "{g}", "--mn", "--sn"],
+    ])
+    def test_bad_parameters_exit_3(self, capsys, twist_file, args):
+        assert main([a.format(g=twist_file) for a in args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
     def test_help_exits_0(self, capsys, args):
         assert main(args) == 0

@@ -9,6 +9,7 @@ from mixedpages.enumeration import (
     conjecture_report,
     contains_pattern,
     enumerate_matchings,
+    enumerate_matchings_up_to,
     enumerate_separated,
     find_critical,
 )
@@ -64,6 +65,38 @@ class TestContainment:
     def test_containment_allows_extra_edges(self):
         host = build_graph(6, [(0, 3), (1, 4), (2, 5)])
         assert contains_pattern(host, build_graph(4, [(0, 2), (1, 3)]))
+
+
+class TestEnumFamily:
+    @pytest.mark.parametrize("bounds", [(0, 3, 3), (4, 2, 2), (5, 3, 4), (6, 4, 3), (4, 0, 4)])
+    def test_separated_stream_is_the_generator_stream(self, bounds):
+        m, rows, cols = bounds
+        assert list(EnumFamily("separated", m, rows, cols).stream()) == list(
+            enumerate_separated(rows, cols, m)
+        )
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 4])
+    def test_matching_stream_is_the_generator_stream(self, m):
+        assert list(EnumFamily("matchings", m).stream()) == list(enumerate_matchings_up_to(m))
+
+    def test_widest(self):
+        assert EnumFamily("matchings", 5).widest == 10
+        assert EnumFamily("separated", 6, 2, 9).widest == 8
+        assert EnumFamily("separated", 3, 5, 5).widest == 6
+
+    @pytest.mark.parametrize("args", [
+        ("grids", 4), ("matchings", -1), ("separated", 4, -1, 3), ("separated", 4, 3, -2),
+        ("matchings", None), ("matchings", True), ("separated", 4.0, 3, 3), ("separated", 4, "3", 3),
+    ])
+    def test_bad_families_are_invalid_input(self, args):
+        with pytest.raises(InvalidInputError):
+            EnumFamily(*args)
+
+    def test_bad_mode_is_refused_before_the_checkpoint_is_read(self, tmp_path):
+        path = tmp_path / "check.json"
+        path.write_text("not json")
+        with pytest.raises(InvalidInputError, match="bad criticality mode"):
+            find_critical(EnumFamily("matchings", 3), ("k", -1), checkpoint=str(path))
 
 
 class TestFindCritical:

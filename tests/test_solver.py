@@ -9,7 +9,7 @@ from mixedpages.core import (
     grid_to_graph,
     validate_assignment,
 )
-from mixedpages.errors import BudgetExceededError, InternalError
+from mixedpages.errors import BudgetExceededError, InternalError, InvalidInputError
 from mixedpages.patterns import largest_rainbow, largest_twist
 from mixedpages.constructions import (
     gen_2critical,
@@ -19,9 +19,11 @@ from mixedpages.constructions import (
     gen_thick_twist,
 )
 from mixedpages.solver import (
+    SolveResult,
     criticality,
     feasible,
     mixed_page_number,
+    mode_specs,
     queue_number,
     splits,
     stack_number,
@@ -86,6 +88,14 @@ class TestFeasible:
     def test_empty_graph_fits_empty_spec(self):
         res = feasible(build_graph(3, []), PageSpec(()))
         assert res.feasible
+
+    @pytest.mark.parametrize("spec", ["", "S", "Q", "SQ", "QQ", "SSQ", "QSQ"])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_edgeless_graph_fits_every_spec_without_search(self, spec, n):
+        spec = PageSpec.from_string(spec)
+        assert feasible(build_graph(n, []), spec) == SolveResult(
+            True, PageAssignment(spec, ()), 0, False
+        )
 
 
 class TestPageNumbers:
@@ -153,6 +163,25 @@ class TestCriticality:
     def test_two_page_modes_run_no_search(self):
         verdict = criticality(gen_2critical(40), ("k", 2), budget=1)
         assert verdict.critical and verdict.nodes == 0
+
+
+class TestModeSpecs:
+    def test_modes(self):
+        assert mode_specs(("sq", 2, 1)) == [PageSpec.from_string("SSQ")]
+        assert mode_specs(("sq", 0, 0)) == [PageSpec(())]
+        assert mode_specs(("k", 2)) == splits(2)
+        assert mode_specs(("k", 0)) == [PageSpec(())]
+
+    @pytest.mark.parametrize("mode", [
+        ("k", -1), ("sq", -1, 0), ("sq", 1, -2), ("k", None), ("sq", 3, None),
+        ("sq", None, None), ("k", True), ("sq", False, 1), ("k", 1.0), ("k", "1"),
+        ("k",), ("k", 1, 1), ("sq", 1), ("kk", 1), (), None, "k1",
+    ])
+    def test_bad_modes_are_invalid_input(self, mode):
+        with pytest.raises(InvalidInputError, match="bad criticality mode"):
+            mode_specs(mode)
+        with pytest.raises(InvalidInputError):
+            criticality(twist(2), mode)
 
 
 class TestLargeInputs:
