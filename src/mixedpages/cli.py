@@ -30,7 +30,13 @@ from .core import (
     to_grid,
     validate_assignment,
 )
-from .errors import BadParamsError, BudgetExceededError, MixedPagesError, SizeLimitError
+from .errors import (
+    BadParamsError,
+    BudgetExceededError,
+    InvalidInputError,
+    MixedPagesError,
+    SizeLimitError,
+)
 from .patterns import (
     DEFAULT_SEARCH_BUDGET,
     PatternWitness,
@@ -166,13 +172,32 @@ def render_arcs(g: OrderedGraph, assignment: PageAssignment | None = None) -> st
 # Subcommands
 
 
+def _refuse(args, names, why: str) -> None:
+    """Raise InvalidInputError if any of the options `names` is given: the
+    path `why` names never reads them."""
+    given = [
+        "--" + name.replace("_", "-")
+        for name in names
+        if getattr(args, name) is not None and getattr(args, name) is not False
+    ]
+    if given:
+        raise InvalidInputError(f"{' and '.join(given)} not read {why}")
+
+
+def _or_default(value, default):
+    return default if value is None else value
+
+
 def cmd_solve(args) -> int:
+    if args.qn:
+        _refuse(args, ("budget",), "by --qn, which runs no search")
+    budget = _or_default(args.budget, solver.DEFAULT_BUDGET)
     g = load_graph(args.input)
     if args.mn:
-        k, assignment = solver.mixed_page_number(g, args.budget)
+        k, assignment = solver.mixed_page_number(g, budget)
         label = {"mn": k}
     elif args.sn:
-        k, assignment = solver.stack_number(g, args.budget)
+        k, assignment = solver.stack_number(g, budget)
         label = {"sn": k}
     elif args.qn:
         k, assignment = solver.queue_number(g)
@@ -182,7 +207,7 @@ def cmd_solve(args) -> int:
             spec = PageSpec.from_string(args.spec)
         except ValueError:
             raise MixedPagesError(f"bad page spec {args.spec!r}") from None
-        res = solver.feasible(g, spec, args.budget)
+        res = solver.feasible(g, spec, budget)
         if res.status == "unknown":
             print("unknown (budget exceeded)")
             return UNKNOWN
@@ -200,19 +225,26 @@ def cmd_solve(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    if args.kind in ("diamond",):
+    if args.kind != "thick":
+        _refuse(args, ("t",), f"by --kind {args.kind}")
+    if args.kind != "diamond":
+        _refuse(args, ("exact",), f"by --kind {args.kind}")
+    if args.kind == "rainbow" or (args.kind == "diamond" and not args.exact):
+        _refuse(args, ("budget",), f"by --kind {args.kind}, which runs no search")
+    budget = _or_default(args.budget, DEFAULT_SEARCH_BUDGET)
+    if args.kind == "diamond":
         host = load_grid(args.input)
-        w = largest_diamond(host, exact=args.exact, budget=args.budget)
+        w = largest_diamond(host, exact=args.exact, budget=budget)
     else:
         host = load_graph(args.input)
         if args.kind == "twist":
-            w = largest_twist(host, args.budget)
+            w = largest_twist(host, budget)
         elif args.kind == "rainbow":
             w = largest_rainbow(host)
         elif args.t is not None:
-            w = largest_thick(host, args.t, args.budget)
+            w = largest_thick(host, args.t, budget)
         else:
-            w = largest_square_thick(host, args.budget)
+            w = largest_square_thick(host, budget)
     if args.json:
         print(w.to_json())
     else:
@@ -288,19 +320,33 @@ def _add_mode(p) -> None:
 
 def _mode(args) -> tuple:
     """The mode of `_add_mode`'s options; `solver.mode_specs` checks it."""
-    return ("k", args.k) if args.k is not None else ("sq", args.s, args.q)
+    if args.k is None:
+        return ("sq", args.s, args.q)
+    _refuse(args, ("s", "q"), "with --k")
+    return ("k", args.k)
 
 
 def cmd_critical(args) -> int:
+    mode = _mode(args)
     g = load_graph(args.input)
-    verdict = solver.criticality(g, _mode(args), args.budget)
+    verdict = solver.criticality(g, mode, args.budget)
     print(("critical" if verdict.critical else "not critical") + f": {verdict.reason}")
     return OK if verdict.critical else INFEASIBLE
 
 
 def cmd_enumerate_critical(args) -> int:
+    if args.matchings or args.conjecture:
+        _refuse(args, ("max_edges", "max_grid"), "by the matchings family")
+    else:
+        _refuse(args, ("max_m",), "by the separated family")
+    max_m = _or_default(args.max_m, 5)
     if args.conjecture:
-        report = enumeration.conjecture_report(args.max_m, args.budget)
+        _refuse(
+            args,
+            ("k", "s", "q", "separated", "checkpoint", "out", "jobs", "progress"),
+            "by --conjecture",
+        )
+        report = enumeration.conjecture_report(max_m, args.budget)
         summary = {
             key: {
                 "count": report[key]["count"],
@@ -312,19 +358,21 @@ def cmd_enumerate_critical(args) -> int:
         }
         print(json.dumps({"max_m": report["max_m"], **summary}))
         return OK
+    mode = _mode(args)
     if args.matchings:
-        family = enumeration.EnumFamily("matchings", args.max_m)
+        family = enumeration.EnumFamily("matchings", max_m)
     else:
+        grid = _or_default(args.max_grid, 5)
         family = enumeration.EnumFamily(
-            "separated", args.max_edges, args.max_grid, args.max_grid
+            "separated", _or_default(args.max_edges, 8), grid, grid
         )
     result = enumeration.find_critical(
         family,
-        _mode(args),
+        mode,
         budget=args.budget,
         checkpoint=args.checkpoint,
         progress=args.progress,
-        jobs=args.jobs,
+        jobs=_or_default(args.jobs, 1),
     )
     print(json.dumps(result.to_manifest()))
     if args.out:
@@ -386,16 +434,16 @@ def main(argv=None) -> int:
     task.add_argument("--mn", action="store_true")
     task.add_argument("--sn", action="store_true")
     task.add_argument("--qn", action="store_true")
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, help=f"search nodes (default {solver.DEFAULT_BUDGET})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("detect", help="largest twist/rainbow/diamond/thick pattern")
     p.add_argument("input")
     p.add_argument("--kind", choices=["twist", "rainbow", "diamond", "thick"], required=True)
-    p.add_argument("--t", type=int)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--t", type=int, help="thickness (--kind thick)")
+    p.add_argument("--exact", action="store_true", help="exact search (--kind diamond)")
+    p.add_argument("--budget", type=int, help=f"search nodes (default {DEFAULT_SEARCH_BUDGET})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_detect)
 
@@ -436,16 +484,16 @@ def main(argv=None) -> int:
     family.add_argument("--separated", action="store_true")
     family.add_argument("--matchings", action="store_true")
     _add_mode(p)
-    p.add_argument("--max-grid", type=int, default=5)
-    p.add_argument("--max-edges", type=int, default=8)
-    p.add_argument("--max-m", type=int, default=5)
+    p.add_argument("--max-grid", type=int, help="separated family (default 5)")
+    p.add_argument("--max-edges", type=int, help="separated family (default 8)")
+    p.add_argument("--max-m", type=int, help="matchings family (default 5)")
     p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
     p.add_argument("--checkpoint")
     p.add_argument("--out")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--conjecture", action="store_true",
                    help="report matching critical counts against 8 and 12")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (enumeration)")
+    p.add_argument("--jobs", type=int, help="worker processes (default 1)")
     p.set_defaults(func=cmd_enumerate_critical)
 
     p = sub.add_parser("render", help="render a grid or arc diagram")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from math import ceil, sqrt
+from operator import le
 
 from .core import (
     GridMatching,
@@ -117,6 +118,61 @@ def lis_length(pi) -> int:
 
 def lds_length(pi) -> int:
     return max(increasing_levels([(i, -y) for i, y in enumerate(pi)]), default=0)
+
+
+def split_fits(pi, s: int, q: int, budget: int) -> tuple[bool | None, int]:
+    """Can `pi`, distinct positive ints, be split into s decreasing and q
+    increasing subsequences?  On a separated matching these are s stacks
+    and q queues.  Returns (fits, nodes), where fits is None when the
+    states to expand exceed `budget`; a node is one state expanded.
+
+    A left-to-right DP (the problem is polynomial for fixed s and q: Kézdy,
+    Snevily & Wang, JCTA 1996).  A state is one tuple: the sorted last
+    values of the q increasing subsequences, then those of the s decreasing
+    ones, each decreasing value y stored as top - y.  So both parts ascend,
+    an unused subsequence of either kind reads 0, and a smaller value is
+    never worse.  A value x has two moves: onto the increasing subsequence
+    whose last value is the largest below x, and onto the decreasing one
+    whose last value is the smallest above x, that is the largest stored
+    value below top - x.  Any other move of x leaves a state that the move
+    of its kind dominates, pointwise <=, so these two are enough.  After
+    each step the dominated states are dropped: a lexicographic sort puts
+    every state after the states that dominate it, and one sweep keeps the
+    states that no kept state dominates.  The sweep tries the last kept
+    state first: it is the nearest in that order, so a repeated state is
+    dropped at once.
+    """
+    k = q + s
+    top = max(pi, default=0) + 1
+    states = [(0,) * k]
+    nodes = 0
+    for x in pi:
+        nodes += len(states)
+        if nodes > budget:
+            return None, nodes
+        flipped = top - x
+        children = []
+        for state in states:
+            i = bisect.bisect_left(state, x, 0, q)
+            if i:
+                children.append(state[: i - 1] + (x,) + state[i:])
+            j = bisect.bisect_left(state, flipped, q)
+            if j > q:
+                children.append(state[: j - 1] + (flipped,) + state[j:])
+        if len(children) > 1:
+            children.sort()
+            states = []
+            for state in children:
+                for other in reversed(states):
+                    if all(map(le, other, state)):
+                        break
+                else:
+                    states.append(state)
+        elif children:
+            states = children
+        else:
+            return False, nodes
+    return True, nodes
 
 
 def _hasse_covers(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -348,41 +348,57 @@ def _lds_indices(points: list[tuple[int, int]]) -> list[int]:
 
 
 def _exact_diamond_matrix(grid: GridMatching, k: int, budget: int):
-    """Some k x k diamond matrix in the grid, or None; backtracking search."""
-    pts = grid.points()
-    ids = sorted(range(grid.m), key=lambda e: pts[e][0])
-    matrix = [[-1] * k for _ in range(k)]
-    used = [False] * grid.m
-    nodes = 0
+    """Some k x k diamond matrix in the grid, or None; backtracking search.
 
-    def fill(cell: int) -> bool:
-        nonlocal nodes
+    Cells are filled in row-major order, each with the columns to the right
+    of its left neighbour's and the rows between its left neighbour's and
+    its upper neighbour's, tried left to right.  A node is one cell entered
+    (the k*k+1-st is the full matrix), and more than `budget` nodes raise
+    SizeLimitError.  The search runs on an explicit stack: `nxt[c]` is the
+    column where cell c resumes, so the depth k*k + 1 needs no frames.
+    """
+    pi = grid.pi
+    m = grid.m
+    cells = k * k
+    flat = [-1] * cells  # the matrix, row-major
+    used = [False] * m
+    nxt = [0] * cells
+    rows = [(0, 0)] * cells  # the open row interval of each cell
+    nodes = 0
+    cell = 0
+    while True:
+        # Enter `cell`.
         nodes += 1
         if nodes > budget:
             raise SizeLimitError(f"diamond search exceeded {budget} nodes")
-        if cell == k * k:
-            return True
-        i, j = divmod(cell, k)
-        xmin, ylo, yhi = 0, 0, grid.m + 1
-        if j > 0:
-            x, y = pts[matrix[i][j - 1]]
-            xmin, ylo = max(xmin, x), max(ylo, y)
-        if i > 0:
-            x, y = pts[matrix[i - 1][j]]
-            xmin, yhi = max(xmin, x), min(yhi, y)
-        for e in ids:
-            x, y = pts[e]
-            if x <= xmin or used[e] or not ylo < y < yhi:
+        if cell == cells:
+            return [flat[i * k : i * k + k] for i in range(k)]
+        start, ylo, yhi = 0, 0, m + 1
+        if cell % k:
+            left = flat[cell - 1]
+            start, ylo = left + 1, pi[left]
+        if cell >= k:
+            up = flat[cell - k]
+            start, yhi = max(start, up + 1), pi[up]
+        rows[cell] = (ylo, yhi)
+        nxt[cell] = start
+        # Place the next candidate of `cell`, backing up while it has none.
+        while True:
+            ylo, yhi = rows[cell]
+            for e in range(nxt[cell], m):
+                if not used[e] and ylo < pi[e] < yhi:
+                    flat[cell] = e
+                    used[e] = True
+                    nxt[cell] = e + 1
+                    break
+            else:
+                cell -= 1
+                if cell < 0:
+                    return None
+                used[flat[cell]] = False
                 continue
-            matrix[i][j] = e
-            used[e] = True
-            if fill(cell + 1):
-                return True
-            used[e] = False
-        matrix[i][j] = -1
-        return False
-
-    return [row[:] for row in matrix] if fill(0) else None
+            break
+        cell += 1
 
 
 def largest_diamond(

@@ -9,11 +9,19 @@ three or more pages the decision is NP-hard in general, so every search
 carries a node budget and reports "unknown" (budget_hit) rather than a wrong
 verdict when it runs out.  Callers that need a layout, not only a verdict
 (`feasible`, `mixed_page_number`, `stack_number`), always search.
+
+The exception is a separated matching, where every two edges cross or nest
+and a split of s stacks and q queues is a partition of its permutation
+into s decreasing and q increasing subsequences, polynomial for fixed s
+and q.  `mixed_page_number` decides every split of such an input without
+search (`greene.split_fits`) and searches only the first split that fits,
+for its layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     OrderedGraph,
@@ -298,17 +306,53 @@ def splits(k: int) -> list[PageSpec]:
     return [PageSpec.split(k - q, q) for q in range(k + 1)]
 
 
+def _separated_rights(g: OrderedGraph) -> list[int] | None:
+    """The right endpoints in left-endpoint order if g is a separated
+    matching with at least one edge, else None.  Linear on edges sorted by
+    left endpoint, as `build_graph` leaves them."""
+    edges = g.edges
+    if g.multi or not edges or max(edges)[0] >= min(map(itemgetter(1), edges)):
+        return None
+    m = len(edges)
+    if len(set(map(itemgetter(0), edges))) < m or len(set(map(itemgetter(1), edges))) < m:
+        return None
+    return [v for _, v in sorted(edges)]
+
+
 def mixed_page_number(
     g: OrderedGraph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, PageAssignment]:
     """Smallest k such that some split s+q=k is feasible, with a witness.
 
-    Pure-stack splits with fewer stacks than the largest twist, and
-    pure-queue splits with fewer queues than the largest rainbow, are
-    skipped unsearched; they are infeasible.
+    The splits of each k are tried in the order of `splits`, and the first
+    one found feasible gives the layout.  Pure-stack splits with fewer
+    stacks than the largest twist, and pure-queue splits with fewer queues
+    than the largest rainbow, are skipped unsearched; they are infeasible.
+
+    On a separated matching (a simple matching with every left endpoint
+    before every right one, and at least one edge) no infeasible split is
+    searched.  There a stack is a decreasing and a queue an increasing
+    subsequence of the right endpoints read in left-endpoint order.  So
+    the largest twist is their longest increasing subsequence, the two
+    skips decide every pure split, and a mixed split is decided by
+    `greene.split_fits`, a DP whose states grow with s + q and whose
+    expanded states count against `budget`.  Only the first split these
+    verdicts call feasible is searched, for its layout: the split and the
+    layout are the ones the searches alone would give.  A DP or a search
+    that runs out marks its split unknown, and a k with an unknown split
+    and none feasible raises BudgetExceededError.
     """
     cross, nest = conflict_masks(g)
-    omega = _twist_bound(cross, budget)
+    rights = _separated_rights(g)
+    if rights is None:
+        omega = _twist_bound(cross, budget)
+    else:
+        # Imported here, not with the module: solver's other callers, such
+        # as enumeration, never need greene, and it would add about a
+        # quarter to their import time.
+        from .greene import lis_length, split_fits
+
+        omega = lis_length(rights)
     rainbow = max(nesting_depths(g.edges), default=0)
     total_nodes = 0
     for k in range(g.m + 1):
@@ -316,10 +360,18 @@ def mixed_page_number(
         for spec in splits(k):
             if (spec.q == 0 and k < omega) or (spec.s == 0 and k < rainbow):
                 continue
+            if rights is not None and spec.s and spec.q:
+                fits, nodes = split_fits(rights, spec.s, spec.q, budget)
+                total_nodes += nodes
+                if not fits:
+                    unknown = unknown or fits is None
+                    continue
             res = _feasible_masks(g, cross, nest, spec, budget)
             total_nodes += res.nodes
             if res.feasible:
                 return k, res.assignment
+            if rights is not None and not res.budget_hit:
+                raise InternalError(f"search refutes {spec}, which the verdicts fit")
             unknown = unknown or res.budget_hit
         if unknown:
             raise BudgetExceededError(

@@ -8,7 +8,7 @@ flags included.
 
 from __future__ import annotations
 
-from mixedpages.core import OrderedGraph, PageKind, PageSpec
+from mixedpages.core import GridMatching, OrderedGraph, PageKind, PageSpec
 from mixedpages.errors import SizeLimitError
 
 
@@ -174,3 +174,41 @@ def contains_pattern(g: OrderedGraph, pattern: OrderedGraph) -> bool:
         return False
 
     return extend(0, [])
+
+
+def _exact_diamond_matrix(grid: GridMatching, k: int, budget: int):
+    """Some k x k diamond matrix in the grid, or None; backtracking search."""
+    pts = grid.points()
+    ids = sorted(range(grid.m), key=lambda e: pts[e][0])
+    matrix = [[-1] * k for _ in range(k)]
+    used = [False] * grid.m
+    nodes = 0
+
+    def fill(cell: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SizeLimitError(f"diamond search exceeded {budget} nodes")
+        if cell == k * k:
+            return True
+        i, j = divmod(cell, k)
+        xmin, ylo, yhi = 0, 0, grid.m + 1
+        if j > 0:
+            x, y = pts[matrix[i][j - 1]]
+            xmin, ylo = max(xmin, x), max(ylo, y)
+        if i > 0:
+            x, y = pts[matrix[i - 1][j]]
+            xmin, yhi = max(xmin, x), min(yhi, y)
+        for e in ids:
+            x, y = pts[e]
+            if x <= xmin or used[e] or not ylo < y < yhi:
+                continue
+            matrix[i][j] = e
+            used[e] = True
+            if fill(cell + 1):
+                return True
+            used[e] = False
+        matrix[i][j] = -1
+        return False
+
+    return [row[:] for row in matrix] if fill(0) else None

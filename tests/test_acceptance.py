@@ -152,6 +152,12 @@ def test_criterion_06_tightness():
         refuted = [solver.feasible(g, spec) for spec in solver.splits(3)]
         assert len(refuted) == 4 and all(r.status == "infeasible" for r in refuted)
         assert solver.mixed_page_number(g)[0] == 4
+    with criterion(6, "gen_tight_2k(3): 51 edges, square 3, exact mn 6 at SSSQQQ"):
+        grid = gen_tight_2k(3)
+        assert grid.m == 51
+        assert ferrers(grid).square == 3
+        k, assignment = solver.mixed_page_number(grid_to_graph(grid))
+        assert (k, str(assignment.spec)) == (6, "SSSQQQ")
 
 
 def test_criterion_07_separation_family():

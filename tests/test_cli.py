@@ -136,6 +136,17 @@ class TestCommands:
         assert main(["solve", str(path), "--mn", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["mn"] == 2
 
+    def test_gen_tight2k_3_piped_into_solve(self, capsys, monkeypatch):
+        """`mixedpages gen tight2k --k 3 | mixedpages solve - --mn --json`"""
+        import io
+
+        assert main(["gen", "tight2k", "--k", "3"]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["solve", "-", "--mn", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert '"mn": 6' in out
+        assert json.loads(out)["assignment"]["spec"] == list("SSSQQQ")
+
     def test_gen_critical_family(self, capsys):
         assert main(["gen", "stack", "--s", "2", "--n", "5"]) == 0
         out = capsys.readouterr().out
@@ -233,6 +244,48 @@ class TestCommands:
         assert captured.out == ""
         assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("args, unread", [
+        (["critical", "{g}", "--k", "1", "--s", "2", "--q", "0"], "--s and --q not read with --k"),
+        (["critical", "{g}", "--k", "1", "--q", "0"], "--q not read with --k"),
+        (["enumerate-critical", "--separated", "--k", "1", "--s", "1"], "--s not read"),
+        (["enumerate-critical", "--matchings", "--k", "1", "--max-edges", "2", "--max-m", "3"],
+         "--max-edges not read"),
+        (["enumerate-critical", "--matchings", "--k", "1", "--max-grid", "3"], "--max-grid"),
+        (["enumerate-critical", "--separated", "--k", "1", "--max-m", "3"], "--max-m"),
+        (["enumerate-critical", "--k", "1", "--max-m", "3"], "--max-m"),
+        (["enumerate-critical", "--conjecture", "--k", "1"], "--k not read by --conjecture"),
+        (["enumerate-critical", "--conjecture", "--s", "1", "--q", "1"], "--s and --q"),
+        (["enumerate-critical", "--conjecture", "--separated"], "--separated"),
+        (["enumerate-critical", "--conjecture", "--max-edges", "4"], "--max-edges"),
+        (["enumerate-critical", "--conjecture", "--checkpoint", "ck.json"], "--checkpoint"),
+        (["enumerate-critical", "--conjecture", "--out", "out.olg"], "--out"),
+        (["enumerate-critical", "--conjecture", "--jobs", "2"], "--jobs"),
+        (["detect", "{g}", "--kind", "twist", "--t", "3"], "--t not read by --kind twist"),
+        (["detect", "{g}", "--kind", "rainbow", "--t", "2"], "--t"),
+        (["detect", "{p}", "--kind", "diamond", "--t", "2"], "--t"),
+        (["detect", "{g}", "--kind", "twist", "--exact"], "--exact"),
+        (["detect", "{g}", "--kind", "thick", "--exact"], "--exact"),
+        (["detect", "{g}", "--kind", "rainbow", "--budget", "5"], "--budget"),
+        (["detect", "{p}", "--kind", "diamond", "--budget", "5"], "--budget"),
+        (["solve", "{g}", "--qn", "--budget", "5"], "--budget not read by --qn"),
+    ])
+    def test_unread_options_exit_3(self, capsys, twist_file, diamond_file, args, unread):
+        argv = [a.format(g=twist_file, p=diamond_file) for a in args]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and unread in errors[0]
+        assert "Traceback" not in captured.err
+
+    def test_unset_options_take_their_documented_values(self, capsys, twist_file):
+        assert main(["enumerate-critical", "--matchings", "--k", "1"]) == 0
+        manifest = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert manifest["count"] == 8 and manifest["complete_up_to"] == {"max_edges": 5}
+        assert main(["solve", twist_file, "--qn"]) == 0
+        assert capsys.readouterr().out.startswith("qn = 1")
+        assert main(["detect", twist_file, "--kind", "rainbow"]) == 0
 
     @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
     def test_help_exits_0(self, capsys, args):

@@ -23,12 +23,17 @@ enumeration on an explicit stack against the recursive one (kept in
 kernel_oracle.py), and the one transfer lift for both page kinds against
 the mirrored stack-page and queue-page lifts it replaced (kept in
 quotient_oracle.py), and the capped 3-coloring of the stars of a page
-against the uncapped recursive search (kept in quotient_oracle.py)."""
+against the uncapped recursive search (kept in quotient_oracle.py), and
+the split verdicts of separated matchings (`greene.split_fits`) and the
+page number they give against the search, and the exact diamond search
+on an explicit stack against its recursive original (kept in
+recursive_oracle.py)."""
 
 import json
 import random
 import signal
 from contextlib import contextmanager
+from itertools import permutations
 
 import pytest
 
@@ -43,6 +48,7 @@ from conftest import brute_force_fits, rand_graph, rand_matching
 from mixedpages import core, enumeration, greene, patterns, quotient, solver
 from mixedpages.constructions import (
     gen_2critical,
+    gen_alternating_subdivision,
     gen_diamond,
     gen_thick_rainbow,
     gen_thick_twist,
@@ -60,10 +66,12 @@ from mixedpages.core import (
     canonicalize_pattern,
     classify_pair,
     conflict_masks,
+    grid_to_graph,
     nesting_depths,
     validate_assignment,
 )
 from mixedpages.errors import (
+    BudgetExceededError,
     InsufficientInputError,
     InternalError,
     MixedPagesError,
@@ -73,6 +81,7 @@ from mixedpages.greene import FamilyKind, ferrers, max_family
 from mixedpages.patterns import (
     PatternKind,
     _clique_of_size,
+    _exact_diamond_matrix,
     _max_clique,
     largest_rainbow,
     witness_violations,
@@ -170,6 +179,100 @@ def test_mixed_page_number_matches_unskipped_split_loop():
         assert solver.mixed_page_number(g) == want
         skipped += want[0] > 1 and max(nesting_depths(g.edges)) > 1
     assert skipped > 20
+
+
+MIXED_SPLITS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]
+
+
+def search_verdicts(pi):
+    """The search's verdict on each of MIXED_SPLITS for the separated
+    matching of `pi`."""
+    g = grid_to_graph(GridMatching(tuple(pi)))
+    cross, nest = conflict_masks(g)
+    verdicts = []
+    for s, q in MIXED_SPLITS:
+        page_of, _, hit = _solve_masks(cross, nest, list(range(g.m)), PageSpec.split(s, q), 10**9)
+        assert not hit
+        verdicts.append(page_of is not None)
+    return verdicts
+
+
+def test_split_fits_matches_search_on_every_small_permutation():
+    """Every permutation with m <= 7, at every mixed split of at most four
+    pages: the DP's verdict is the search's."""
+    verdicts = set()
+    for m in range(8):
+        for pi in permutations(range(1, m + 1)):
+            for (s, q), want in zip(MIXED_SPLITS, search_verdicts(pi)):
+                assert greene.split_fits(pi, s, q, 10**9)[0] == want, (pi, s, q)
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_split_fits_matches_search_on_random_permutations():
+    """600 random permutations with m from 8 to 18.  The DP's verdict is the
+    search's, and a budget one below the DP's node count is unknown."""
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(600):
+        pi = list(range(1, rng.randint(8, 18) + 1))
+        rng.shuffle(pi)
+        for (s, q), want in zip(MIXED_SPLITS, search_verdicts(pi)):
+            fits, nodes = greene.split_fits(pi, s, q, 10**9)
+            assert fits == want, (pi, s, q)
+            assert greene.split_fits(pi, s, q, nodes) == (fits, nodes)
+            assert greene.split_fits(pi, s, q, nodes - 1) == (None, nodes)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def search_only_page_number(g):
+    """The mixed page number by searching every split in order."""
+    return next(
+        (k, res.assignment)
+        for k in range(g.m + 1)
+        for spec in solver.splits(k)
+        if (res := solver.feasible(g, spec)).feasible
+    )
+
+
+def test_mixed_page_number_on_separated_matchings_matches_the_search():
+    """Separated matchings take the verdicts and search one split; the page
+    number, the split and every page are those of the search alone."""
+    rng = random.Random(42)
+    grids = [gen_tight_2k(1), gen_tight_2k(2), gen_diamond(3), gen_diamond(4),
+             gen_alternating_subdivision(2)]
+    for _ in range(150):
+        pi = list(range(1, rng.randint(1, 14) + 1))
+        rng.shuffle(pi)
+        grids.append(GridMatching(tuple(pi)))
+    mixed = 0
+    for grid in grids:
+        g = grid_to_graph(grid)
+        assert solver._separated_rights(g) is not None
+        k, assignment = solver.mixed_page_number(g)
+        assert (k, assignment) == search_only_page_number(g)
+        mixed += 0 < assignment.spec.q < k
+    assert mixed > 50
+
+
+def test_tiny_budgets_on_a_separated_matching_are_unknown_or_right():
+    """Each budget below what the verdicts and the one search need raises
+    BudgetExceededError; none returns a wrong answer."""
+    g = grid_to_graph(gen_tight_2k(2))
+    want = search_only_page_number(g)
+    assert want[0] == 4
+    outcomes = []
+    for budget in range(120):
+        try:
+            outcomes.append(solver.mixed_page_number(g, budget) == want)
+        except BudgetExceededError as exc:
+            assert exc.nodes > budget
+            outcomes.append(None)
+    assert outcomes[0] is None and outcomes[-1] is True
+    assert False not in outcomes
+    # The SSQQ DP alone needs 83 states, so a smaller budget cannot answer.
+    assert set(outcomes[:83]) == {None}
 
 
 SHORT_SPECS = [PageSpec.from_string(s) for s in ("", "S", "Q", "SS", "SQ", "QS", "QQ")]
@@ -443,6 +546,32 @@ def test_diamond_matrix_matches_the_four_pass_code():
         assert greene.diamond_matrix(grid) == pair_scan_oracle.diamond_matrix(grid)
         nonextremal += greene.lis_length(grid.pi) * greene.lds_length(grid.pi) != grid.m
     assert nonextremal > 60
+
+
+def test_exact_diamond_search_on_a_stack_matches_the_recursive_search():
+    """The same matrix or None, and SizeLimitError at the same budgets, on
+    random grids for sides 0 to 4."""
+    rng = random.Random(26)
+    seen = set()
+    for _ in range(300):
+        grid = rand_grid(rng, rng.randint(0, 14))
+        for k in range(5):
+            for budget in (0, 1, 4, 20, 100, 10**6):
+                got = outcome(_exact_diamond_matrix, grid, k, budget)
+                want = outcome(recursive_oracle._exact_diamond_matrix, grid, k, budget)
+                assert got == want, (grid, k, budget)
+                seen.add("size limit" if got == "size limit" else got is None)
+    assert seen == {"size limit", True, False}
+
+
+def test_exact_diamond_search_needs_no_recursion():
+    """A side of 32 is 1,025 cells deep, past the recursion limit of the
+    recursive search."""
+    grid = gen_diamond(32)
+    matrix = _exact_diamond_matrix(grid, 32, patterns.DEFAULT_SEARCH_BUDGET)
+    assert len(matrix) == 32
+    witness = patterns.PatternWitness.of(PatternKind.DIAMOND, 32, 32, matrix)
+    assert witness_violations(grid, witness) == []
 
 
 def test_quadrant_split_matches_the_closure_code():

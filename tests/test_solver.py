@@ -3,6 +3,7 @@ import pytest
 from conftest import brute_force_mixed_page_number, rand_graph, rand_matching
 from mixedpages.core import (
     GridMatching,
+    OrderedGraph,
     PageAssignment,
     PageSpec,
     build_graph,
@@ -17,6 +18,7 @@ from mixedpages.constructions import (
     gen_k_critical,
     gen_stack_critical,
     gen_thick_twist,
+    gen_tight_2k,
 )
 from mixedpages.solver import (
     SolveResult,
@@ -236,6 +238,48 @@ class TestTwistRefutation:
         assert searched == ["SQ"]
 
 
+class TestSeparatedMatchings:
+    """Separated matchings: every split decided without search, and only the
+    first split that fits is searched, for its layout."""
+
+    def test_only_the_split_that_fits_is_searched(self, monkeypatch):
+        searched = searched_specs(monkeypatch)
+        k, a = mixed_page_number(grid_to_graph(gen_tight_2k(2)))
+        assert k == 4 and searched == ["SSQQ"] == [str(a.spec)]
+
+    def test_tight_2k_3_needs_six_pages(self, monkeypatch):
+        searched = searched_specs(monkeypatch)
+        g = grid_to_graph(gen_tight_2k(3))
+        k, a = mixed_page_number(g)
+        assert (g.m, k, str(a.spec)) == (51, 6, "SSSQQQ")
+        assert searched == ["SSSQQQ"] and validate_assignment(g, a) == []
+
+    def test_other_graphs_keep_the_search(self, monkeypatch):
+        searched = searched_specs(monkeypatch)
+        assert mixed_page_number(gen_2critical(2))[0] == 3
+        assert len(searched) > 1
+
+    @pytest.mark.parametrize("g", [
+        build_graph(4, []),
+        build_graph(4, [(0, 2), (1, 3), (0, 2)], multi=True),
+        build_graph(4, [(0, 2), (1, 2)]),
+        build_graph(4, [(0, 2), (0, 3)]),
+        build_graph(4, [(0, 1), (2, 3)]),
+        build_graph(6, [(0, 3), (1, 4), (2, 5), (3, 5)]),
+    ])
+    def test_what_is_not_a_separated_matching(self, g):
+        from mixedpages import solver
+
+        assert solver._separated_rights(g) is None
+
+    def test_rights_in_left_endpoint_order(self):
+        from mixedpages import solver
+
+        assert solver._separated_rights(build_graph(6, [(2, 4), (0, 3), (1, 5)])) == [3, 5, 4]
+        unsorted = OrderedGraph(6, ((2, 4), (0, 3), (1, 5)))
+        assert solver._separated_rights(unsorted) == [3, 5, 4]
+
+
 class TestInternalChecks:
     """The result checks are raises, so they also run under python -O."""
 
@@ -251,6 +295,15 @@ class TestInternalChecks:
         with pytest.raises(InternalError):
             mixed_page_number(build_graph(8, [(0, 2), (1, 3), (4, 7), (5, 6)]))
         assert feasible(twist(2), PageSpec.from_string("Q")).feasible
+
+    def test_search_that_refutes_a_fitting_split_is_an_internal_error(self, monkeypatch):
+        from mixedpages import solver
+
+        monkeypatch.setattr(
+            solver, "_solve_masks", lambda cross, nest, active, spec, budget: (None, 1, False)
+        )
+        with pytest.raises(InternalError, match="search refutes SS, which the verdicts fit"):
+            mixed_page_number(grid_to_graph(gen_diamond(2)))
 
     def test_queue_number_checks_its_layout(self, monkeypatch):
         from mixedpages import solver
