@@ -189,39 +189,45 @@ def _or_default(value, default):
 
 
 def cmd_solve(args) -> int:
+    """One outcome per run, with exit code 0, 1 or 2: a layout (feasible),
+    none (infeasible, --spec only) or a budget hit (unknown). With --json it
+    is one JSON object: the task's value (the spec, or the page number or
+    null), "status" and the layout or null."""
     if args.qn:
         _refuse(args, ("budget",), "by --qn, which runs no search")
     budget = _or_default(args.budget, solver.DEFAULT_BUDGET)
     g = load_graph(args.input)
-    if args.mn:
-        k, assignment = solver.mixed_page_number(g, budget)
-        label = {"mn": k}
-    elif args.sn:
-        k, assignment = solver.stack_number(g, budget)
-        label = {"sn": k}
-    elif args.qn:
-        k, assignment = solver.queue_number(g)
-        label = {"qn": k}
-    else:
+    if args.spec is not None:
         try:
             spec = PageSpec.from_string(args.spec)
         except ValueError:
             raise MixedPagesError(f"bad page spec {args.spec!r}") from None
         res = solver.feasible(g, spec, budget)
-        if res.status == "unknown":
-            print("unknown (budget exceeded)")
-            return UNKNOWN
-        if not res.feasible:
-            print("infeasible")
-            return INFEASIBLE
-        print(dump_assignment(res.assignment))
-        return OK
-    if args.json:
-        print(json.dumps({**label, "assignment": json.loads(dump_assignment(assignment))}))
+        task, value, assignment, status = "spec", args.spec, res.assignment, res.status
     else:
-        print(", ".join(f"{k} = {v}" for k, v in label.items()))
+        task = "mn" if args.mn else "sn" if args.sn else "qn"
+        try:
+            if args.mn:
+                value, assignment = solver.mixed_page_number(g, budget)
+            elif args.sn:
+                value, assignment = solver.stack_number(g, budget)
+            else:
+                value, assignment = solver.queue_number(g)
+            status = "feasible"
+        except BudgetExceededError:
+            value, assignment, status = None, None, "unknown"
+    if args.json:
+        layout = None if assignment is None else json.loads(dump_assignment(assignment))
+        print(json.dumps({task: value, "status": status, "assignment": layout}))
+    elif status == "infeasible":
+        print("infeasible")
+    elif status == "unknown":
+        print("unknown (budget exceeded)")
+    else:
+        if task != "spec":
+            print(f"{task} = {value}")
         print(dump_assignment(assignment))
-    return OK
+    return {"feasible": OK, "infeasible": INFEASIBLE, "unknown": UNKNOWN}[status]
 
 
 def cmd_detect(args) -> int:
@@ -386,14 +392,14 @@ def cmd_enumerate_critical(args) -> int:
 
 
 def cmd_render(args) -> int:
-    witness = None
-    if args.witness:
-        witness = PatternWitness.from_json(read_input(args.witness))
     if args.arcs:
+        _refuse(args, ("witness",), "by --arcs")
         g = load_graph(args.input)
         assignment = parse_assignment(read_input(args.assignment)) if args.assignment else None
         sys.stdout.write(render_arcs(g, assignment))
     else:
+        _refuse(args, ("assignment",), "by the grid rendering")
+        witness = PatternWitness.from_json(read_input(args.witness)) if args.witness else None
         grid = load_grid(args.input)
         if args.svg:
             sys.stdout.write(render_grid_svg(grid, witness))
@@ -403,6 +409,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (args.assignment or args.witness):
+        raise InvalidInputError("nothing to verify: give --assignment or --witness")
     g = load_graph(args.input)
     failures = []
     if args.assignment:
@@ -435,7 +443,8 @@ def main(argv=None) -> int:
     task.add_argument("--sn", action="store_true")
     task.add_argument("--qn", action="store_true")
     p.add_argument("--budget", type=int, help=f"search nodes (default {solver.DEFAULT_BUDGET})")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true",
+                   help='one JSON object with "status" feasible, infeasible or unknown')
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("detect", help="largest twist/rainbow/diamond/thick pattern")

@@ -129,7 +129,8 @@ def _conflict_masks(edges) -> tuple[list[int], list[int]]:
     starts at or after v: it and every edge after it share v or lie to the
     right.  The work is O(m + overlapping pairs), not all pairs.  Inlined
     comparisons instead of classify_pair; this sits on the hot path of the
-    solver and of enumeration, which calls it on edge tuples directly.
+    solver.  Enumeration reads its candidates' masks off per-level tables
+    instead (`enumeration.EnumFamily.conflict_table`).
     """
     m = len(edges)
     cross = [0] * m

@@ -187,6 +187,30 @@ class EnumFamily:
             return 2 * m
         return min(self.max_rows, m) + min(self.max_cols, m)
 
+    def conflict_table(self, m: int) -> tuple[list[int], list[int], list[int], bool]:
+        """The crossing and nesting masks of every edge that the stream's
+        graphs with m edges can have, over fixed ids: (cross, nest, start,
+        by_rows). Edge (u, v) of such a graph has the id start[u] + v, less
+        the graph's row count when `by_rows`. Sorted edges get ascending
+        ids, and two edges conflict in the graph exactly when their ids do
+        in the table.
+
+        A separated edge is a cell of the level's widest matrix
+        (`_cell_table`, linear in the cells where a pair scan over them
+        would be quadratic, as on a 1 x 255 family). A matching edge is one of the pairs of its 2m
+        points, numbered in sorted order; whether two pairs cross or nest
+        depends on their four endpoints alone, so the pairs' table is the
+        conflict masks of the graph of all of them, by `_conflict_masks`.
+        """
+        if self.shape == "matchings":
+            pairs = [(a, b) for a in range(2 * m) for b in range(a + 1, 2 * m)]
+            # The a(4m - a - 1)/2 pairs (x, y) with x < a come first, then
+            # (a, b) at offset b - a - 1.
+            start = [a * (4 * m - a - 3) // 2 - 1 for a in range(2 * m)]
+            return *_conflict_masks(pairs), start, False
+        rows, cols = min(self.max_rows, m), min(self.max_cols, m)
+        return *_cell_table(rows, cols), [r * cols for r in range(rows)], True
+
     def stream(self) -> Iterator[OrderedGraph]:
         """The family's graphs, level by level in edge count."""
         for m in range(1, self.max_edges + 1):
@@ -250,8 +274,34 @@ def _has_infeasible_deletion(edges: tuple, key: bytes, below: set) -> bool:
     return False
 
 
+def _cell_table(rows: int, cols: int) -> tuple[list[int], list[int]]:
+    """The crossing and nesting masks of the cells of a rows x cols matrix
+    as edges of a separated pattern, cell (r, c) under the id r * cols + c.
+
+    Row r is left vertex r and column c a right vertex, so cell (r, c)
+    crosses the cells strictly up-left and down-right of it, nests with
+    those strictly up-right and down-left, and shares a vertex with the
+    rest of its row and column. Each side is a block of rows ANDed with a
+    block of columns: O(rows * cols) big-int operations. The shapes of a
+    level with at most rows rows and cols columns are the top-left blocks
+    of the matrix, and their cells keep their relations there.
+    """
+    full = (1 << rows * cols) - 1
+    column = sum(1 << r * cols for r in range(rows))  # the cells of column 0
+    cross, nest = [], []
+    for r in range(rows):
+        up = (1 << r * cols) - 1
+        down = full >> (r + 1) * cols << (r + 1) * cols
+        for c in range(cols):
+            left = ((1 << c) - 1) * column
+            right = full ^ ((2 << c) - 1) * column
+            cross.append(up & left | down & right)
+            nest.append(up & right | down & left)
+    return cross, nest
+
+
 def _decide(
-    edges: tuple, specs, budget: int, below: set, infeasible: set, lookup_first: bool
+    edges: tuple, table, specs, budget: int, below: set, infeasible: set, lookup_first: bool
 ) -> bool:
     """Decide the candidate with these sorted edges, and add its key to
     `infeasible` when no spec lays it out. True when it is critical: it is
@@ -269,19 +319,32 @@ def _decide(
     give the same verdicts and keys, except that lookup-first skips the
     search, and so any budget error, of such a candidate.
 
-    Only the verdict is needed, so every spec goes through `solver._fits`:
-    specs of at most two pages are decided without search, and the budget
-    bounds only the searches of three or more pages.
+    The conflict masks are not built per candidate: `table` is the level's
+    `EnumFamily.conflict_table`, each edge is mapped to its id there from
+    its own endpoints, and no two edges are compared. Only the verdict is
+    needed, so every spec goes through `solver._fits` with these ids as
+    the active edges. Specs of at most two pages AND the masks with the
+    live ids and are decided without search. A search of three or more
+    pages orders the edges by conflict degree, so it gets the masks
+    restricted to the live ids (all specs of a mode have one page count);
+    as the ids ascend with the edges, its order, nodes and budget are
+    those of the candidate's own masks. The budget bounds only these
+    searches.
     """
     if lookup_first:
         key = bytes(sum(edges, ()))
         if _has_infeasible_deletion(edges, key, below):
             infeasible.add(key)
             return False
-    cross, nest = _conflict_masks(edges)
-    everything = range(len(edges))
+    cross, nest, start, by_rows = table
+    shift = edges[-1][0] + 1 if by_rows else 0
+    ids = [start[u] + v - shift for u, v in edges]
+    if len(specs[0].kinds) > 2:
+        live = sum(1 << e for e in ids)
+        cross = [mask & live for mask in cross]
+        nest = [mask & live for mask in nest]
     for spec in specs:
-        fits, _ = solver._fits(cross, nest, everything, spec, budget)
+        fits, _ = solver._fits(cross, nest, ids, spec, budget)
         if fits is None:
             raise BudgetExceededError("criticality check undecided")
         if fits:
@@ -306,12 +369,15 @@ def find_critical(
     level in edge count.
 
     Each candidate is decided once, by `_decide`, from its edge tuple; a
-    graph is built only for a critical one. At modes of at most two pages
+    graph is built only for a critical one. Its conflict masks are read off
+    the level's conflict table (`EnumFamily.conflict_table`, built once per
+    level and shard, sized by the level and not by the family's bounds), so
+    no candidate pays for a pair scan. At modes of at most two pages
     (k <= 2, s + q <= 2) no candidate is searched, and `budget` bounds only
     the searches of three or more pages. An infeasible candidate enters its
     level's table of infeasible canonical keys, and it is critical exactly
     when none of its one-edge deletions is in the table of the level below.
-    Only two tables are alive at a time, and none outlives the call.
+    Only two key tables are alive at a time, and none outlives the call.
     `scanned` counts the candidates. The mode is checked, by
     `solver.mode_specs`, before the checkpoint is read.
 
@@ -393,15 +459,17 @@ def _workers(jobs: int):
 def _level_shard(args, report=None):
     """One worker's share of a level: the candidates whose index in the level
     is `shard` modulo `jobs`. Returns the number decided, their infeasible
-    keys and the critical ones. `lookup_first` is the level's choice for
-    `_decide`. `report`, if given, sees the count and the critical ones
-    after each decided candidate."""
+    keys and the critical ones. The level's conflict table is built here,
+    once, for `_decide`; it lives as long as the call. `lookup_first` is
+    the level's choice for `_decide`. `report`, if given, sees the count
+    and the critical ones after each decided candidate."""
     family, specs, budget, level, jobs, shard, below, lookup_first = args
+    table = family.conflict_table(level)
     count, infeasible, found = 0, set(), []
     for index, edges in enumerate(family.level(level)):
         if index % jobs == shard:
             count += 1
-            if _decide(edges, specs, budget, below, infeasible, lookup_first):
+            if _decide(edges, table, specs, budget, below, infeasible, lookup_first):
                 found.append(_graph(edges))
             if report:
                 report(count, found)

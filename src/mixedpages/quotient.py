@@ -249,12 +249,21 @@ def _color_stars(stars: list[tuple[int, set[int]]]) -> list[int]:
     # depth-first along `order` without recursion, placing at most
     # COLOR_LIMIT colors.  A position tries the colors after the one it
     # holds; with none left it is cleared and the search backs up.
+    # held[3 * i + c] counts the neighbours of star i that hold color c,
+    # kept up to date on every place and clear, so a color is tested in
+    # O(1) rather than by a scan of the neighbours.
     exact = [-1] * n
+    held = [0] * (3 * n)
+    near = [[3 * j for j in conflicts[i]] for i in range(n)]
     pos = placed = 0
     while 0 <= pos < n:
         i = order[pos]
-        c = exact[i] + 1
-        while c < 3 and any(exact[j] == c for j in conflicts[i]):
+        old = exact[i]
+        if old >= 0:
+            for j in near[i]:
+                held[j + old] -= 1
+        c = old + 1
+        while c < 3 and held[3 * i + c]:
             c += 1
         if c == 3:
             exact[i] = -1
@@ -264,6 +273,8 @@ def _color_stars(stars: list[tuple[int, set[int]]]) -> list[int]:
         if placed > COLOR_LIMIT:
             return colors
         exact[i] = c
+        for j in near[i]:
+            held[j + c] += 1
         pos += 1
     return exact if pos == n else colors
 

@@ -205,7 +205,12 @@ def _fits(
         for e in active:
             live |= 1 << e
         if len(kinds) == 1:
-            return not any(bar0[e] & live for e in active), 0
+            # A loop: any() over a generator costs more on the few edges
+            # of an enumeration candidate, which comes here once per spec.
+            for e in active:
+                if bar0[e] & live:
+                    return False, 0
+            return True, 0
     return _two_pages(bar0, cross if kinds[1] is stack else nest, live), 0
 
 

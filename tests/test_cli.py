@@ -80,6 +80,32 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["mn"] == 2
 
+    @pytest.mark.parametrize("args, code, value, status", [
+        (["{g}", "--spec", "Q"], 0, "Q", "feasible"),
+        (["{g}", "--spec", "S"], 1, "S", "infeasible"),
+        (["{c}", "--spec", "SS", "--budget", "3"], 2, "SS", "unknown"),
+        (["{g}", "--mn"], 0, 1, "feasible"),
+        (["{c}", "--mn", "--budget", "3"], 2, None, "unknown"),
+        (["{g}", "--sn"], 0, 2, "feasible"),
+        (["{c}", "--sn", "--budget", "3"], 2, None, "unknown"),
+        (["{g}", "--qn"], 0, 1, "feasible"),
+    ])
+    def test_solve_json_on_every_outcome(self, capsys, tmp_path, twist_file, args, code, value, status):
+        from mixedpages.constructions import gen_2critical
+
+        critical = tmp_path / "c.olg"
+        critical.write_text(dump_olg(gen_2critical(4)))
+        argv = ["solve", *(a.format(g=twist_file, c=critical) for a in args)]
+        assert main([*argv, "--json"]) == code
+        data = json.loads(capsys.readouterr().out)
+        task = "spec" if "--spec" in args else args[1][2:]
+        assert data == {task: value, "status": status, "assignment": data["assignment"]}
+        assert (data["assignment"] is None) == (status != "feasible")
+        assert main(argv) == code  # without --json: the text output of each outcome
+        text = capsys.readouterr().out
+        if status != "feasible":
+            assert text == ("infeasible\n" if status == "infeasible" else "unknown (budget exceeded)\n")
+
     def test_solve_budget_unknown_exit_code(self, capsys, tmp_path):
         from mixedpages.constructions import gen_2critical
 
@@ -237,6 +263,7 @@ class TestCommands:
         ["gen", "thick-twist", "--k", "2", "--t", "0"],
         ["gen", "diamond", "--k", "3", "--s", "9"],
         ["solve", "{g}", "--mn", "--sn"],
+        ["verify", "{g}"],
     ])
     def test_bad_parameters_exit_3(self, capsys, twist_file, args):
         assert main([a.format(g=twist_file) for a in args]) == 3
@@ -269,6 +296,9 @@ class TestCommands:
         (["detect", "{g}", "--kind", "rainbow", "--budget", "5"], "--budget"),
         (["detect", "{p}", "--kind", "diamond", "--budget", "5"], "--budget"),
         (["solve", "{g}", "--qn", "--budget", "5"], "--budget not read by --qn"),
+        (["render", "{p}", "--grid", "--assignment", "a.json"], "--assignment not read by the grid"),
+        (["render", "{p}", "--assignment", "a.json"], "--assignment not read by the grid"),
+        (["render", "{g}", "--arcs", "--witness", "w.json"], "--witness not read by --arcs"),
     ])
     def test_unread_options_exit_3(self, capsys, twist_file, diamond_file, args, unread):
         argv = [a.format(g=twist_file, p=diamond_file) for a in args]

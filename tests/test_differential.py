@@ -828,6 +828,70 @@ def test_find_critical_matches_per_candidate_oracle(family):
         assert got.scanned == want.scanned, mode
 
 
+@pytest.mark.parametrize("mode", [("k", 1), ("sq", 3, 0)], ids=str)
+def test_level_tables_give_each_candidate_its_own_masks(monkeypatch, mode):
+    """Every candidate of every level, all solved (no level lookup-first),
+    reaches `solver._fits` with ascending ids into its level's conflict
+    table; the table's masks at those ids, restricted to them and indexed
+    by edge position, are the pair scan's `core._conflict_masks`. Searched
+    specs (three pages) get masks that name no other id."""
+    monkeypatch.setattr(enumeration, "LOOKUP_FIRST_SHARE", 2.0)
+    real_decide, real_fits = enumeration._decide, solver._fits
+    calls = []
+
+    def decide(edges, *args):
+        calls.append([edges])
+        return real_decide(edges, *args)
+
+    def fits(cross, nest, active, spec, budget):
+        if len(calls[-1]) == 1:
+            calls[-1] += [cross, nest, list(active)]
+        return real_fits(cross, nest, active, spec, budget)
+
+    monkeypatch.setattr(enumeration, "_decide", decide)
+    monkeypatch.setattr(solver, "_fits", fits)
+    families = [enumeration.EnumFamily("separated", 5, 5, 5),
+                enumeration.EnumFamily("separated", 6, 3, 3),
+                enumeration.EnumFamily("matchings", 6)]
+    scanned = sum(enumeration.find_critical(family, mode).scanned for family in families)
+    assert len(calls) == scanned > 13000
+    for edges, cross, nest, ids in calls:
+        assert all(a < b for a, b in zip(ids, ids[1:])), edges
+        live = sum(1 << e for e in ids)
+
+        def by_position(mask):
+            return sum(1 << i for i, e in enumerate(ids) if mask >> e & 1)
+
+        got = [by_position(cross[e]) for e in ids], [by_position(nest[e]) for e in ids]
+        assert got == core._conflict_masks(edges), edges
+        if mode[0] == "sq":
+            assert not any((cross[e] | nest[e]) & ~live for e in ids), edges
+
+
+def test_conflict_tables_match_the_pair_scan_on_every_two_edges():
+    """Each two entries of a level's table relate as the pair scan relates
+    their two edges, also where they share an endpoint, which no matching
+    and no separated pattern has twice."""
+    def check(family, m, edges, rows=0):
+        cross, nest, start, by_rows = family.conflict_table(m)
+        ids = [start[u] + v - (rows if by_rows else 0) for u, v in edges]
+        assert sorted(ids) == ids == list(dict.fromkeys(ids))
+        for i, (p, e) in enumerate(zip(edges, ids)):
+            for q, f in zip(edges[i + 1:], ids[i + 1:]):
+                (cross_pq, _), (nest_pq, _) = core._conflict_masks((p, q))
+                want = (cross_pq >> 1, nest_pq >> 1)
+                assert (cross[e] >> f & 1, nest[e] >> f & 1) == want, (p, q)
+                assert (cross[f] >> e & 1, nest[f] >> e & 1) == want, (p, q)
+
+    for m in range(1, 5):
+        points = range(2 * m)
+        check(enumeration.EnumFamily("matchings", m), m, [(a, b) for a in points for b in points if a < b])
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            family = enumeration.EnumFamily("separated", 4, 4, 4)
+            check(family, 4, [(r, rows + c) for r in range(rows) for c in range(cols)], rows)
+
+
 @pytest.mark.parametrize("family", [FAMILIES[1], FAMILIES[3]], ids=str)
 def test_sharded_find_critical_matches_oracle(family):
     for mode in MODES:
