@@ -27,7 +27,8 @@ against the uncapped recursive search (kept in quotient_oracle.py), and
 the split verdicts of separated matchings (`greene.split_fits`) and the
 page number they give against the search, and the exact diamond search
 on an explicit stack against its recursive original (kept in
-recursive_oracle.py)."""
+recursive_oracle.py), and the per-level conflict tables of enumeration
+against the pair scan of each candidate's own edges."""
 
 import json
 import random
@@ -886,9 +887,9 @@ def test_conflict_tables_match_the_pair_scan_on_every_two_edges():
     for m in range(1, 5):
         points = range(2 * m)
         check(enumeration.EnumFamily("matchings", m), m, [(a, b) for a in points for b in points if a < b])
+    family = enumeration.EnumFamily("separated", 4, 4, 4)
     for rows in range(1, 5):
         for cols in range(1, 5):
-            family = enumeration.EnumFamily("separated", 4, 4, 4)
             check(family, 4, [(r, rows + c) for r in range(rows) for c in range(cols)], rows)
 
 
