@@ -393,7 +393,7 @@ def cmd_enumerate_critical(args) -> int:
 
 def cmd_render(args) -> int:
     if args.arcs:
-        _refuse(args, ("witness",), "by --arcs")
+        _refuse(args, ("witness", "svg"), "by --arcs")
         g = load_graph(args.input)
         assignment = parse_assignment(read_input(args.assignment)) if args.assignment else None
         sys.stdout.write(render_arcs(g, assignment))

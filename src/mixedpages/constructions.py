@@ -86,22 +86,21 @@ def gen_tight_2k(k: int) -> GridMatching:
 def gen_alternating_subdivision(k: int) -> GridMatching:
     """Separation family: diamond side k^2 but largest thick pattern only k.
 
-    Recursive quadrant construction picking the diagonal pair at odd levels
-    and the anti-diagonal pair at even levels; k = 2**(h/4) with h the
-    recursion depth, divisible by 4.
+    Quadrant construction picking the diagonal pair at odd levels and the
+    anti-diagonal pair at even levels; k = 2**(h/4) with h the number of
+    levels, divisible by 4. The permutation doubles from the innermost
+    level, h, out to level 1: its two halves are the last one and a copy
+    shifted above it, the shifted copy second at odd levels and first at
+    even ones.
     """
     if k < 1 or k & (k - 1):
         raise BadParamsError("k must be a power of two")
     h = 4 * (k.bit_length() - 1)
-
-    def build(level: int, size: int) -> list[int]:
-        if size == 1:
-            return [1]
-        half = build(level + 1, size // 2)
-        shifted = [v + size // 2 for v in half]
-        return half + shifted if level % 2 == 1 else shifted + half
-
-    return GridMatching(tuple(build(1, 2**h)))
+    pi = [1]
+    for level in range(h, 0, -1):
+        shifted = [v + len(pi) for v in pi]
+        pi = pi + shifted if level % 2 == 1 else shifted + pi
+    return GridMatching(tuple(pi))
 
 
 # Critical families

@@ -34,24 +34,50 @@ def _graph(edges: tuple) -> OrderedGraph:
 
 def enumerate_matchings(m: int) -> Iterator[OrderedGraph]:
     """All ordered perfect matchings on 2m points; (2m-1)!! of them."""
-    for edges in _matching_level(m):
+    for edges, _ in _matching_level(m):
         yield _graph(edges)
 
 
-def _matching_level(m: int) -> Iterator[tuple]:
-    """The edge tuples of `enumerate_matchings(m)`. Each step pairs the
-    smallest point left, so the edges come out sorted."""
-    def pair_up(points: tuple[int, ...], edges: list[tuple[int, int]]):
-        if not points:
-            yield tuple(edges)
-            return
-        first, rest = points[0], points[1:]
-        for i, second in enumerate(rest):
-            edges.append((first, second))
-            yield from pair_up(rest[:i] + rest[i + 1:], edges)
-            edges.pop()
+def _matching_level(m: int) -> Iterator[tuple[tuple, tuple]]:
+    """The edge tuples of `enumerate_matchings(m)`, each with its ids in
+    the level's conflict table: pair (a, b) of the 2m points has the id
+    start[a] + b, its place among the pairs in sorted order.
 
-    yield from pair_up(tuple(range(2 * m)), [])
+    A depth-first walk on an explicit stack. Each step pairs the smallest
+    point left, `free[d]` holds the points left at depth d and `todo[d]`
+    the partners still to try there, so the edges come out sorted. The
+    last pair is forced: the step before it yields the candidate.
+    """
+    if m < 2:
+        yield (((0, 1),), (0,)) if m else ((), ())
+        return
+    n = 2 * m
+    # The a(4m - a - 1)/2 pairs (x, y) with x < a come first, then (a, b)
+    # at offset b - a - 1.
+    start = [a * (4 * m - a - 3) // 2 - 1 for a in range(n)]
+    pair = [[(a, b) for b in range(n)] for a in range(n)]
+    out, ids = [None] * m, [0] * m
+    free, todo = [0] * m, [0] * m
+    free[0], todo[0] = (1 << n) - 1, (1 << n) - 2
+    d, last = 0, m - 2
+    while d >= 0:
+        rest = todo[d]
+        if not rest:
+            d -= 1
+            continue
+        low = rest & -rest
+        todo[d] = rest ^ low
+        points = free[d]
+        a, b = (points & -points).bit_length() - 1, low.bit_length() - 1
+        out[d], ids[d] = pair[a][b], start[a] + b
+        points ^= 1 << a | low
+        if d < last:
+            d += 1
+            free[d], todo[d] = points, points & points - 1
+            continue
+        a, b = (points & -points).bit_length() - 1, points.bit_length() - 1
+        out[-1], ids[-1] = pair[a][b], start[a] + b
+        yield tuple(out), tuple(ids)
 
 
 def enumerate_matchings_up_to(max_m: int) -> Iterator[OrderedGraph]:
@@ -73,21 +99,25 @@ def enumerate_separated(
     needed.
     """
     for m in range(1, max_edges + 1):
-        for edges in _separated_level(max_rows, max_cols, m):
+        for edges, _ in _separated_level(max_rows, max_cols, m):
             yield _graph(edges)
 
 
-def _separated_level(max_rows: int, max_cols: int, m: int) -> Iterator[tuple]:
-    """The edge tuples of the graphs of `enumerate_separated` with m edges."""
+def _separated_level(max_rows: int, max_cols: int, m: int) -> Iterator[tuple[tuple, tuple]]:
+    """The edge tuples of the graphs of `enumerate_separated` with m edges,
+    each with its ids in the level's conflict table, whose matrix has
+    min(max_cols, m) columns."""
+    width = min(max_cols, m)
     for rows in range(1, min(m, max_rows) + 1):
-        for cols in range(1, min(m, max_cols) + 1):
+        for cols in range(1, width + 1):
             if m <= rows * cols:
-                yield from _full_matrices(rows, cols, m)
+                yield from _full_matrices(rows, cols, m, width)
 
 
-def _full_matrices(rows: int, cols: int, m: int) -> Iterator[tuple]:
+def _full_matrices(rows: int, cols: int, m: int, width: int) -> Iterator[tuple[tuple, tuple]]:
     """The rows x cols matrices with m ones and no empty row or column, as
-    sorted edge tuples.
+    sorted edge tuples, each with its ids r * width + c in the conflict
+    table of a matrix `width` columns wide.
 
     A depth-first walk over ascending cells that enters no branch without a
     full completion. Cells ascend, so the next cell lies at most one row
@@ -95,37 +125,52 @@ def _full_matrices(rows: int, cols: int, m: int) -> Iterator[tuple]:
     cell must cover every row below it and every empty column; in the last
     row the empty columns must also lie right of the cell. The cells are
     sorted and distinct, and so are their edges.
+
+    Each cell's column bit, rows below, reach (the last cell the pick after
+    it may take), edge and id are read off flat tables, and the edges and
+    ids of the cells picked so far are kept along the walk. The last pick
+    lies in the last row and fills the last empty column, if one is left:
+    the step before it yields the candidates.
     """
     size, full = rows * cols, (1 << cols) - 1
-    edge = [(c // cols, rows + c % cols) for c in range(size)]
-    cells = [0] * m
-    covered = [0] * m  # covered[d]: the columns of cells[:d]
+    if m < 2:  # one edge: the 1 x 1 matrix
+        if m and size == 1:
+            yield ((0, 1),), (0,)
+        return
+    grid = [divmod(x, cols) for x in range(size)]
+    bit = [1 << c for _, c in grid]
+    below = [rows - 1 - r for r, _ in grid]
+    reach = [(r + 2) * cols - 1 for r, _ in grid]
+    edge = [(r, rows + c) for r, c in grid]
+    ident = [r * width + c for r, c in grid]
+    base = size - cols  # the first cell of the last row
+    out, ids = [None] * m, [0] * m
+    covered = [0] * m  # covered[d]: the columns of the cells picked before depth d
     start = [0] * m  # start[d]: the first cell still to try at depth d
-    d = 0
+    stop = [0] * m  # stop[d]: the last cell depth d may take
+    stop[0] = min(size - m, cols - 1)
+    d, last = 0, m - 2
     while d >= 0:
-        left = m - 1 - d
-        row = cells[d - 1] // cols if d else -1
-        hi = min(size - 1 - left, (row + 2) * cols - 1)
-        c = start[d]
+        left, seen, c, hi = m - 1 - d, covered[d], start[d], stop[d]
         while c <= hi:
-            r, col = divmod(c, cols)
-            empty = full & ~(covered[d] | 1 << col)
+            empty = full & ~(seen | bit[c])
             if left >= empty.bit_count() and (
-                left >= rows - 1 - r if r < rows - 1 else not empty & ((1 << col) - 1)
+                left >= below[c] if below[c] else not empty & bit[c] - 1
             ):
                 break
             c += 1
         else:
             d -= 1
             continue
-        cells[d] = c
         start[d] = c + 1
-        if left:
+        out[d], ids[d] = edge[c], ident[c]
+        if d < last:
             d += 1
-            covered[d] = full & ~empty
-            start[d] = c + 1
-        else:
-            yield tuple([edge[x] for x in cells])
+            covered[d], start[d], stop[d] = full & ~empty, c + 1, min(size - left, reach[c])
+            continue
+        for x in (base + empty.bit_length() - 1,) if empty else range(max(c + 1, base), size):
+            out[-1], ids[-1] = edge[x], ident[x]
+            yield tuple(out), tuple(ids)
 
 
 def contains_pattern(g: OrderedGraph, pattern: OrderedGraph) -> bool:
@@ -187,39 +232,35 @@ class EnumFamily:
             return 2 * m
         return min(self.max_rows, m) + min(self.max_cols, m)
 
-    def conflict_table(self, m: int) -> tuple[list[int], list[int], list[int], bool]:
+    def conflict_table(self, m: int) -> tuple[list[int], list[int]]:
         """The crossing and nesting masks of every edge that the stream's
-        graphs with m edges can have, over fixed ids: (cross, nest, start,
-        by_rows). Edge (u, v) of such a graph has the id start[u] + v, less
-        the graph's row count when `by_rows`. Sorted edges get ascending
-        ids, and two edges conflict in the graph exactly when their ids do
-        in the table.
+        graphs with m edges can have, over fixed ids: (cross, nest). The
+        stream hands out each candidate's ids with its edges (`level`).
+        Sorted edges get ascending ids, and two edges conflict in the graph
+        exactly when their ids do in the table.
 
-        A separated edge is a cell of the level's widest matrix
-        (`_cell_table`, linear in the cells where a pair scan over them
-        would be quadratic, as on a 1 x 255 family). A matching edge is one of the pairs of its 2m
+        A separated edge is a cell of the level's widest matrix, cell
+        (r, c) under the id r * min(max_cols, m) + c (`_cell_table`, linear
+        in the cells where a pair scan over them would be quadratic, as on
+        a 1 x 255 family). A matching edge is one of the pairs of its 2m
         points, numbered in sorted order; whether two pairs cross or nest
         depends on their four endpoints alone, so the pairs' table is the
         conflict masks of the graph of all of them, by `_conflict_masks`.
         """
         if self.shape == "matchings":
-            pairs = [(a, b) for a in range(2 * m) for b in range(a + 1, 2 * m)]
-            # The a(4m - a - 1)/2 pairs (x, y) with x < a come first, then
-            # (a, b) at offset b - a - 1.
-            start = [a * (4 * m - a - 3) // 2 - 1 for a in range(2 * m)]
-            return *_conflict_masks(pairs), start, False
-        rows, cols = min(self.max_rows, m), min(self.max_cols, m)
-        return *_cell_table(rows, cols), [r * cols for r in range(rows)], True
+            return _conflict_masks([(a, b) for a in range(2 * m) for b in range(a + 1, 2 * m)])
+        return _cell_table(min(self.max_rows, m), min(self.max_cols, m))
 
     def stream(self) -> Iterator[OrderedGraph]:
         """The family's graphs, level by level in edge count."""
         for m in range(1, self.max_edges + 1):
-            for edges in self.level(m):
+            for edges, _ in self.level(m):
                 yield _graph(edges)
 
-    def level(self, m: int) -> Iterator[tuple]:
+    def level(self, m: int) -> Iterator[tuple[tuple, tuple]]:
         """The edge tuples of the stream's graphs with exactly m edges, in
-        stream order."""
+        stream order, each with the ascending ids of its edges in
+        `conflict_table(m)`: (edges, ids)."""
         if self.shape == "matchings":
             return _matching_level(m)
         return _separated_level(self.max_rows, self.max_cols, m)
@@ -301,7 +342,8 @@ def _cell_table(rows: int, cols: int) -> tuple[list[int], list[int]]:
 
 
 def _decide(
-    edges: tuple, table, specs, budget: int, below: set, infeasible: set, lookup_first: bool
+    edges: tuple, ids: tuple, table, specs, budget: int, below: set, infeasible: set,
+    lookup_first: bool,
 ) -> bool:
     """Decide the candidate with these sorted edges, and add its key to
     `infeasible` when no spec lays it out. True when it is critical: it is
@@ -320,8 +362,8 @@ def _decide(
     search, and so any budget error, of such a candidate.
 
     The conflict masks are not built per candidate: `table` is the level's
-    `EnumFamily.conflict_table`, each edge is mapped to its id there from
-    its own endpoints, and no two edges are compared. Only the verdict is
+    `EnumFamily.conflict_table`, `ids` are the edges' ids there as the
+    stream handed them out, and no two edges are compared. Only the verdict is
     needed, so every spec goes through `solver._fits` with these ids as
     the active edges. Specs of at most two pages AND the masks with the
     live ids and are decided without search. A search of three or more
@@ -336,9 +378,7 @@ def _decide(
         if _has_infeasible_deletion(edges, key, below):
             infeasible.add(key)
             return False
-    cross, nest, start, by_rows = table
-    shift = edges[-1][0] + 1 if by_rows else 0
-    ids = [start[u] + v - shift for u, v in edges]
+    cross, nest = table
     if len(specs[0].kinds) > 2:
         live = sum(1 << e for e in ids)
         cross = [mask & live for mask in cross]
@@ -371,8 +411,9 @@ def find_critical(
     Each candidate is decided once, by `_decide`, from its edge tuple; a
     graph is built only for a critical one. Its conflict masks are read off
     the level's conflict table (`EnumFamily.conflict_table`, built once per
-    level and shard, sized by the level and not by the family's bounds), so
-    no candidate pays for a pair scan. At modes of at most two pages
+    level and shard, sized by the level and not by the family's bounds) at
+    the ids the stream hands out with its edges (`EnumFamily.level`), so
+    no candidate pays for a pair scan or an id lookup. At modes of at most two pages
     (k <= 2, s + q <= 2) no candidate is searched, and `budget` bounds only
     the searches of three or more pages. An infeasible candidate enters its
     level's table of infeasible canonical keys, and it is critical exactly
@@ -466,10 +507,10 @@ def _level_shard(args, report=None):
     family, specs, budget, level, jobs, shard, below, lookup_first = args
     table = family.conflict_table(level)
     count, infeasible, found = 0, set(), []
-    for index, edges in enumerate(family.level(level)):
+    for index, (edges, ids) in enumerate(family.level(level)):
         if index % jobs == shard:
             count += 1
-            if _decide(edges, table, specs, budget, below, infeasible, lookup_first):
+            if _decide(edges, ids, table, specs, budget, below, infeasible, lookup_first):
                 found.append(_graph(edges))
             if report:
                 report(count, found)

@@ -1,6 +1,8 @@
-"""Recursive solver and clique searches, and the recursive ordered-subgraph
-containment of enumeration, as they were before the explicit-stack
-rewrites, kept verbatim as oracles for the differential tests.
+"""Recursive solver and clique searches, the recursive ordered-subgraph
+containment of enumeration, and the recursive quadrant construction of
+`gen_alternating_subdivision`, as they were before the explicit-stack and
+doubling-loop rewrites, kept verbatim as oracles for the differential
+tests.
 
 The package must return exactly what these return, node counts and budget
 flags included.
@@ -212,3 +214,22 @@ def _exact_diamond_matrix(grid: GridMatching, k: int, budget: int):
         return False
 
     return [row[:] for row in matrix] if fill(0) else None
+
+
+def alternating_subdivision(k: int) -> GridMatching:
+    """Separation family: diamond side k^2 but largest thick pattern only k.
+
+    Recursive quadrant construction picking the diagonal pair at odd levels
+    and the anti-diagonal pair at even levels; k = 2**(h/4) with h the
+    recursion depth, divisible by 4.
+    """
+    h = 4 * (k.bit_length() - 1)
+
+    def build(level: int, size: int) -> list[int]:
+        if size == 1:
+            return [1]
+        half = build(level + 1, size // 2)
+        shifted = [v + size // 2 for v in half]
+        return half + shifted if level % 2 == 1 else shifted + half
+
+    return GridMatching(tuple(build(1, 2**h)))

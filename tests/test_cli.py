@@ -299,6 +299,7 @@ class TestCommands:
         (["render", "{p}", "--grid", "--assignment", "a.json"], "--assignment not read by the grid"),
         (["render", "{p}", "--assignment", "a.json"], "--assignment not read by the grid"),
         (["render", "{g}", "--arcs", "--witness", "w.json"], "--witness not read by --arcs"),
+        (["render", "{g}", "--arcs", "--svg"], "--svg not read by --arcs"),
     ])
     def test_unread_options_exit_3(self, capsys, twist_file, diamond_file, args, unread):
         argv = [a.format(g=twist_file, p=diamond_file) for a in args]

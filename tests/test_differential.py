@@ -28,9 +28,14 @@ the split verdicts of separated matchings (`greene.split_fits`) and the
 page number they give against the search, and the exact diamond search
 on an explicit stack against its recursive original (kept in
 recursive_oracle.py), and the per-level conflict tables of enumeration
-against the pair scan of each candidate's own edges."""
+against the pair scan of each candidate's own edges, and the candidate
+stream that hands out the table ids, on flat per-cell walks and an explicit
+stack, against the walks it replaced and the ids `_decide` mapped (kept in
+stream_oracle.py), and the doubling loop of `gen_alternating_subdivision`
+against its recursive build (kept in recursive_oracle.py)."""
 
 import json
+import math
 import random
 import signal
 from contextlib import contextmanager
@@ -45,6 +50,7 @@ import quadrant_oracle
 import quotient_oracle
 import recursive_oracle
 import simplex_oracle
+import stream_oracle
 from conftest import brute_force_fits, rand_graph, rand_matching
 from mixedpages import core, enumeration, greene, patterns, quotient, solver
 from mixedpages.constructions import (
@@ -575,6 +581,12 @@ def test_exact_diamond_search_needs_no_recursion():
     assert witness_violations(grid, witness) == []
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_alternating_subdivision_matches_the_recursive_build(k):
+    assert gen_alternating_subdivision(k) == recursive_oracle.alternating_subdivision(k)
+    assert gen_alternating_subdivision(k).m == k**4
+
+
 def test_quadrant_split_matches_the_closure_code():
     """Four rounds of the subdivision of thick_from_diamond, on diamonds and
     on the diamond matrices of random grids: the same leaves, and the same
@@ -873,9 +885,9 @@ def test_conflict_tables_match_the_pair_scan_on_every_two_edges():
     """Each two entries of a level's table relate as the pair scan relates
     their two edges, also where they share an endpoint, which no matching
     and no separated pattern has twice."""
-    def check(family, m, edges, rows=0):
-        cross, nest, start, by_rows = family.conflict_table(m)
-        ids = [start[u] + v - (rows if by_rows else 0) for u, v in edges]
+    def check(family, m, edges):
+        cross, nest = family.conflict_table(m)
+        ids = stream_oracle.table_ids(family, m, edges)
         assert sorted(ids) == ids == list(dict.fromkeys(ids))
         for i, (p, e) in enumerate(zip(edges, ids)):
             for q, f in zip(edges[i + 1:], ids[i + 1:]):
@@ -890,7 +902,70 @@ def test_conflict_tables_match_the_pair_scan_on_every_two_edges():
     family = enumeration.EnumFamily("separated", 4, 4, 4)
     for rows in range(1, 5):
         for cols in range(1, 5):
-            check(family, 4, [(r, rows + c) for r in range(rows) for c in range(cols)], rows)
+            check(family, 4, [(r, rows + c) for r in range(rows) for c in range(cols)])
+
+
+def assert_same_stream(family, m, got, want) -> int:
+    """`got` yields the edge tuples of `want` in the same order, each with
+    the ids of its edges in `family.conflict_table(m)` that the old mapping
+    of `_decide` gives (looked up per row count, which sets its shift).
+    Returns the number of candidates."""
+    ids_of = {}
+    count = 0
+    for (edges, ids), old in zip(got, want, strict=True):
+        assert edges == old
+        rows = edges[-1][0] + 1 if family.shape == "separated" else 0
+        if rows not in ids_of:
+            # Every edge a level-m candidate with this many rows can have.
+            if family.shape == "separated":
+                every = [(r, rows + c) for r in range(rows) for c in range(min(family.max_cols, m))]
+            else:
+                every = [(a, b) for a in range(2 * m) for b in range(a + 1, 2 * m)]
+            ids_of[rows] = dict(zip(every, stream_oracle.table_ids(family, m, every)))
+        assert ids == tuple(map(ids_of[rows].__getitem__, edges)), edges
+        count += 1
+    return count
+
+
+def test_stream_matches_the_old_walks_on_every_small_shape():
+    """The levels of every shape up to 5 x 5 with at most 9 edges and of
+    every matching with at most 6 edges are the old stream's, with the ids
+    the old mapping gives; also where the family's bounds make the table
+    narrower or wider than the level's shapes."""
+    for bounds in ((9, 5, 5), (7, 5, 3), (7, 3, 5)):
+        family = enumeration.EnumFamily("separated", *bounds)
+        count = sum(
+            assert_same_stream(family, m, family.level(m), stream_oracle.level(family, m))
+            for m in range(1, family.max_edges + 1)
+        )
+        assert count > 5000
+    family = enumeration.EnumFamily("matchings", 6)
+    for m in range(1, 7):
+        assert assert_same_stream(family, m, family.level(m), stream_oracle.level(family, m)) == (
+            math.prod(range(1, 2 * m, 2))
+        )
+    assert list(enumeration._matching_level(0)) == [((), ())]
+
+
+def test_full_matrices_match_the_old_walk_on_wide_shapes():
+    """Single shapes with one or two rows or columns, in tables as wide as
+    they are or wider: every level of a 30-cell line, and the first and
+    last levels of a 2 x 12 and a 12 x 2 matrix (the middle ones are
+    large). Levels that admit no full matrix yield nothing."""
+    for rows, cols, levels in (
+        (1, 30, range(1, 32)),
+        (30, 1, range(1, 32)),
+        (2, 12, [*range(1, 14), 23, 24, 25]),
+        (12, 2, [*range(1, 14), 23, 24, 25]),
+    ):
+        for width in (cols, cols + 3):
+            family = enumeration.EnumFamily("separated", 40, rows, width)
+            for m in levels:
+                got = enumeration._full_matrices(rows, cols, m, width)
+                want = stream_oracle._full_matrices(rows, cols, m)
+                # At a level of at least `width` edges the table is that wide.
+                found = assert_same_stream(family, max(m, width), got, want)
+                assert (found > 0) == (max(rows, cols) <= m <= rows * cols)
 
 
 @pytest.mark.parametrize("family", [FAMILIES[1], FAMILIES[3]], ids=str)

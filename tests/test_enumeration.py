@@ -147,7 +147,7 @@ class TestFindCritical:
 
     def test_progress_goes_to_stderr(self, capsys, monkeypatch):
         # A stream of 10^5 single edges reaches the first progress line fast.
-        edge = ((0, 1),)
+        edge = (((0, 1),), (0,))
         monkeypatch.setattr(EnumFamily, "level", lambda self, m: [edge] * 100000)
         find_critical(EnumFamily("matchings", 1), ("k", 1), progress=True)
         captured = capsys.readouterr()
@@ -157,7 +157,7 @@ class TestFindCritical:
     def test_progress_counts_across_levels(self, capsys, monkeypatch):
         # Two levels of 50000 single edges: the line per 100000 candidates
         # comes at the end of the second level, counted from the first.
-        edge = ((0, 1),)
+        edge = (((0, 1),), (0,))
         monkeypatch.setattr(EnumFamily, "level", lambda self, m: [edge] * 50000)
         find_critical(EnumFamily("matchings", 2), ("k", 1), progress=True)
         assert capsys.readouterr().err.splitlines() == [
