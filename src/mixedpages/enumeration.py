@@ -343,12 +343,14 @@ def _cell_table(rows: int, cols: int) -> tuple[list[int], list[int]]:
 
 def _decide(
     edges: tuple, ids: tuple, table, specs, budget: int, below: set, infeasible: set,
-    lookup_first: bool,
+    lookup_first: bool, separated: bool,
 ) -> bool:
     """Decide the candidate with these sorted edges, and add its key to
     `infeasible` when no spec lays it out. True when it is critical: it is
-    infeasible, has at least two edges, and none of its one-edge deletions
-    is in `below`, the infeasible keys of the level one edge down.
+    infeasible and none of its one-edge deletions is in `below`, the
+    infeasible keys of the level one edge down. The deletion of a single
+    edge is the empty graph, which every spec lays out, so a single edge is
+    critical exactly at the modes of zero pages.
 
     Feasibility is monotone under edge deletion and every deletion is in the
     level below, so a deletion missing from `below` is feasible, and one in
@@ -365,13 +367,17 @@ def _decide(
     `EnumFamily.conflict_table`, `ids` are the edges' ids there as the
     stream handed them out, and no two edges are compared. Only the verdict is
     needed, so every spec goes through `solver._fits` with these ids as
-    the active edges. Specs of at most two pages AND the masks with the
-    live ids and are decided without search. A search of three or more
-    pages orders the edges by conflict degree, so it gets the masks
-    restricted to the live ids (all specs of a mode have one page count);
-    as the ids ascend with the edges, its order, nodes and budget are
-    those of the candidate's own masks. The budget bounds only these
-    searches.
+    the active edges. `separated` says that the table is a separated
+    family's, whose ids r * W + c ascend with the sorted edges, so
+    `_fits` decides a pure spec (all stacks or all queues) by its longest
+    chain, without search. Specs of at most two pages AND the masks with
+    the live ids and are decided without search too. The other specs of
+    three or more pages (the mixed ones, and on matchings every one) are
+    searched. A search orders the edges by conflict degree, so every spec
+    of three or more pages gets the masks restricted to the live ids (all
+    specs of a mode have one page count); as the ids ascend with the
+    edges, a search's order, nodes and budget are those of the
+    candidate's own masks. The budget bounds only these searches.
     """
     if lookup_first:
         key = bytes(sum(edges, ()))
@@ -384,7 +390,7 @@ def _decide(
         cross = [mask & live for mask in cross]
         nest = [mask & live for mask in nest]
     for spec in specs:
-        fits, _ = solver._fits(cross, nest, ids, spec, budget)
+        fits, _ = solver._fits(cross, nest, ids, spec, budget, separated)
         if fits is None:
             raise BudgetExceededError("criticality check undecided")
         if fits:
@@ -392,9 +398,7 @@ def _decide(
     if not lookup_first:
         key = bytes(sum(edges, ()))
     infeasible.add(key)
-    return len(edges) >= 2 and (
-        lookup_first or not _has_infeasible_deletion(edges, key, below)
-    )
+    return lookup_first or not _has_infeasible_deletion(edges, key, below)
 
 
 def find_critical(
@@ -414,11 +418,15 @@ def find_critical(
     level and shard, sized by the level and not by the family's bounds) at
     the ids the stream hands out with its edges (`EnumFamily.level`), so
     no candidate pays for a pair scan or an id lookup. At modes of at most two pages
-    (k <= 2, s + q <= 2) no candidate is searched, and `budget` bounds only
-    the searches of three or more pages. An infeasible candidate enters its
+    (k <= 2, s + q <= 2) no candidate is searched, nor at pure splits (all
+    stacks or all queues) of a separated family, which are decided by their
+    longest twist or rainbow (`solver._fits`). `budget` bounds only the
+    searches left: the mixed splits of three or more pages, and on
+    matchings also the pure ones. An infeasible candidate enters its
     level's table of infeasible canonical keys, and it is critical exactly
     when none of its one-edge deletions is in the table of the level below.
-    Only two key tables are alive at a time, and none outlives the call.
+    So at the modes of zero pages the single edge is critical: its deletion
+    is the empty graph, which no table holds. Only two key tables are alive at a time, and none outlives the call.
     `scanned` counts the candidates. The mode is checked, by
     `solver.mode_specs`, before the checkpoint is read.
 
@@ -506,11 +514,13 @@ def _level_shard(args, report=None):
     and the critical ones after each decided candidate."""
     family, specs, budget, level, jobs, shard, below, lookup_first = args
     table = family.conflict_table(level)
+    separated = family.shape == "separated"
     count, infeasible, found = 0, set(), []
     for index, (edges, ids) in enumerate(family.level(level)):
         if index % jobs == shard:
             count += 1
-            if _decide(edges, ids, table, specs, budget, below, infeasible, lookup_first):
+            if _decide(edges, ids, table, specs, budget, below, infeasible, lookup_first,
+                       separated):
                 found.append(_graph(edges))
             if report:
                 report(count, found)

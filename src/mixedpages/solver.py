@@ -10,12 +10,17 @@ carries a node budget and reports "unknown" (budget_hit) rather than a wrong
 verdict when it runs out.  Callers that need a layout, not only a verdict
 (`feasible`, `mixed_page_number`, `stack_number`), always search.
 
-The exception is a separated matching, where every two edges cross or nest
-and a split of s stacks and q queues is a partition of its permutation
-into s decreasing and q increasing subsequences, polynomial for fixed s
-and q.  `mixed_page_number` decides every split of such an input without
-search (`greene.split_fits`) and searches only the first split that fits,
-for its layout.
+The exceptions are separated graphs, where every left endpoint precedes
+every right one.  On their sorted edges crossing and nesting are strict
+partial orders, so a pure split (all stacks or all queues) of any size
+fits exactly when no chain is longer than its page count: `_fits` decides
+such a spec of a separated pattern without search when its caller says
+the masks are separated.  On a separated matching every two edges cross
+or nest, and a split of s stacks and q queues is a partition of its
+permutation into s decreasing and q increasing subsequences, polynomial
+for fixed s and q.  `mixed_page_number` decides every split of such an
+input without search (`greene.split_fits`) and searches only the first
+split that fits, for its layout.
 """
 
 from __future__ import annotations
@@ -177,34 +182,60 @@ def _fits(
     active: list[int],
     spec: PageSpec,
     budget: int,
+    separated: bool = False,
 ) -> tuple[bool | None, int]:
     """Verdict only: do the `active` edges fit on the spec's pages?
 
     Returns (fits, nodes), where fits is None when the search ran out of
-    budget.  `active` lists distinct edge ids.  Specs with at most two
-    pages are decided without search; they count 0 nodes and never consult
-    the budget.  One page fits when no active edge has an active conflict
-    of its kind (`cross` on a stack, `nest` on a queue); two pages go to
-    `_two_pages`.  Specs with three or more pages go to `_solve_masks`.
+    budget.  `active` lists distinct edge ids, in ascending order when
+    `separated` is set.  Specs with at most two pages are decided without
+    search; they count 0 nodes and never consult the budget.  One page fits
+    when no active edge has an active conflict of its kind (`cross` on a
+    stack, `nest` on a queue); two pages go to `_two_pages`.  Specs with
+    three or more pages go to `_solve_masks`, and `budget` bounds only that
+    search.
+
+    `separated` says that the masks are those of a separated graph, every
+    left endpoint before every right one, whose ids ascend with its edges
+    in sorted order.  Then a pure spec (all stacks or all queues) of two or
+    more pages fits exactly when the active edges hold no chain of
+    len(spec) + 1 along ascending ids, each edge in the `cross` (stacks) or
+    `nest` (queues) mask of the next (`_chain_free`).  This is decided
+    without search, in 0 nodes, and never reads the budget.
+
+    Proof.  Take ids f < e with edges (u, v) and (x, y), so u <= x, and
+    both left endpoints lie before both right ones.  If they share an
+    endpoint, they neither cross nor nest.  Otherwise u < x, and they
+    cross when v < y and nest when v > y.  So along
+    ascending ids crossing means both endpoints ascend and nesting means
+    the left ones ascend and the right ones descend, and both are
+    transitive: each is a strict partial order on the edges.  A stack is an
+    antichain of the crossing order and a queue one of the nesting order,
+    and by Mirsky's theorem ("A dual of Dilworth's decomposition theorem",
+    Amer. Math. Monthly 1971) the fewest antichains that cover a partial
+    order is the size of its longest chain.
     """
     kinds = spec.kinds
-    if len(kinds) > 2:
+    pages = len(kinds)
+    stack = PageKind.STACK
+    if separated and pages > 1 and kinds.count(kinds[0]) == pages:
+        return _chain_free(cross if kinds[0] is stack else nest, active, pages), 0
+    if pages > 2:
         page_of, nodes, hit = _solve_masks(cross, nest, active, spec, budget)
         return (None if hit else page_of is not None), nodes
     if not kinds:
         return not active, 0
-    stack = PageKind.STACK
     bar0 = cross if kinds[0] is stack else nest
     m = len(cross)
     if len(active) == m:  # distinct ids, so every edge: no mask to apply
-        if len(kinds) == 1:
+        if pages == 1:
             return not any(bar0), 0
         live = (1 << m) - 1
     else:
         live = 0
         for e in active:
             live |= 1 << e
-        if len(kinds) == 1:
+        if pages == 1:
             # A loop: any() over a generator costs more on the few edges
             # of an enumeration candidate, which comes here once per spec.
             for e in active:
@@ -214,6 +245,43 @@ def _fits(
     return _two_pages(bar0, cross if kinds[1] is stack else nest, live), 0
 
 
+def _chain_free(bar: list[int], active: list[int], pages: int) -> bool:
+    """Do the edges of `active`, listed in ascending order, hold no chain
+    of pages + 1 edges along ascending ids, each in the `bar` mask of the
+    next?  At two pages that is: no active edge bars both an active edge
+    below it and one above it.
+
+    One pass in id order: `ends[j]` holds the edges passed so far whose
+    longest chain, ending at them, has j + 1 edges.  An edge's longest
+    chain has one edge more than the longest among those of the edges it
+    bars.  The sets hold only active edges below the current one, so the
+    masks may name edges outside `active`.  Two pages, the common case in
+    enumeration, run the same pass unrolled.
+    """
+    if pages == 2:
+        one = two = 0
+        for e in active:
+            mask = bar[e]
+            if mask & two:
+                return False
+            if mask & one:
+                two |= 1 << e
+            else:
+                one |= 1 << e
+        return True
+    ends = [0] * pages
+    top = pages - 1
+    for e in active:
+        mask = bar[e]
+        if mask & ends[top]:
+            return False
+        j = top - 1
+        while j >= 0 and not mask & ends[j]:
+            j -= 1
+        ends[j + 1] |= 1 << e
+    return True
+
+
 def _two_pages(bar0: list[int], bar1: list[int], free: int) -> bool:
     """Do the edges in the bitmask `free` split over two pages, where edge e
     bars the edges in bar0[e] from page 0 and those in bar1[e] from page 1?
@@ -221,20 +289,25 @@ def _two_pages(bar0: list[int], bar1: list[int], free: int) -> bool:
 
     2-SAT by propagation (Even, Itai & Shamir, SIAM J. Comput. 1976): put the
     lowest free edge on page 0 and propagate what that forces; on a clash,
-    put it on page 1 instead; if both clash, there is no split.  A
+    put it on page 1 instead; if both clash, there is no split.  When both
+    pages bar alike (two stacks or two queues), the second try is the first
+    with the pages swapped and clashes too, so it is not made.  A
     propagation without a clash assigns a closed set: each assigned edge has
     forced onto the other page every edge it bars from its own page, so an
     edge left free is barred by an assigned edge at most from the page the
     assigned edge is not on, which constrains nothing.  So the assignment
     is kept, and the rest is decided on its own.
     """
+    alike = bar0 is bar1
     while free:
         start = free & -free
-        placed = _force(bar0, bar1, free, start, 0) or _force(
-            bar0, bar1, free, 0, start
-        )
+        placed = _force(bar0, bar1, free, start, 0)
         if not placed:
-            return False
+            if alike:
+                return False
+            placed = _force(bar0, bar1, free, 0, start)
+            if not placed:
+                return False
         free &= ~placed
     return True
 
@@ -467,7 +540,9 @@ def criticality(
     conflict masks of the full graph.  Only verdicts are needed, so each
     check goes through `_fits`: specs of at most two pages (every mode with
     s + q <= 2 or k <= 2) are decided without search, and only searches of
-    three or more pages count nodes and can exhaust the budget.
+    three or more pages count nodes and can exhaust the budget.  Even on a
+    separated graph the pure specs take this generic path, not the chain
+    test, so this check stays independent of enumeration's verdicts.
     """
     specs = mode_specs(mode)
     total = 0

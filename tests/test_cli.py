@@ -198,6 +198,10 @@ class TestCommands:
         manifest = json.loads(out.splitlines()[0])
         assert manifest["count"] == 9
 
+    def test_enumerate_critical_at_zero_pages(self, capsys):
+        assert main(["enumerate-critical", "--matchings", "--max-m", "3", "--k", "0"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["count"] == 1
+
     def test_render_grid_cli(self, capsys, diamond_file):
         assert main(["render", diamond_file, "--grid"]) == 0
         assert parse_grid_ascii(capsys.readouterr().out).pi == (3, 4, 1, 2)

@@ -1,8 +1,9 @@
 """Differential tests of the fast paths against the slow code they replace:
 the explicit-stack, forward-checked search and the clique search against
 their recursive originals (kept in recursive_oracle.py), the verdicts of
-`solver._fits` on specs of at most two pages against the search and the
-brute-force oracle, the page sweep of
+`solver._fits` on specs of at most two pages, and on pure specs of
+separated patterns, against the search and the brute-force oracle, the
+page sweep of
 validate_assignment against the plain pairwise scan, the in-package
 network simplex of max_family against the networkx flow it replaced (kept in
 flow_oracle.py) and against its own earlier bookkeeping (kept in
@@ -343,9 +344,78 @@ def test_fits_passes_longer_specs_to_the_search():
             assert solver._fits(cross, nest, active, spec, budget) == (want, nodes)
 
 
-def searched(cross, nest, active, spec, budget):
+PURE_SPECS = [PageSpec.split(s, q) for pages in (2, 3, 4) for s, q in ((pages, 0), (0, pages))]
+
+
+def rand_separated(rng, max_side, max_m):
+    """A separated multigraph: every left endpoint before every right one,
+    edges drawn with replacement, so with parallel edges and shared
+    endpoints. One in three also holds the longest twist its sides allow,
+    and one in three the longest rainbow."""
+    left, right = rng.randint(1, max_side), rng.randint(1, max_side)
+    pairs = [(u, left + v) for u in range(left) for v in range(right)]
+    edges = [rng.choice(pairs) for _ in range(rng.randint(0, max_m))]
+    planted = rng.randrange(3)
+    if planted:
+        side = min(left, right)
+        edges += [(i, left + (i if planted == 1 else right - 1 - i)) for i in range(side)]
+    return build_graph(left + right, edges, multi=True)
+
+
+def test_chain_verdicts_match_the_search_on_pure_specs():
+    """Pure specs of two to four pages on separated masks, decided by the
+    longest chain along ascending ids in 0 nodes and at a budget of 0:
+    the search's verdict. The masks are the cell tables of every shape up
+    to 4 x 4 with random active cells (the masks name inactive cells, as a
+    level table's do), and those of random separated multigraphs by
+    `conflict_masks`, with random active subsets."""
+    rng = random.Random(35)
+    inputs = []
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            cross, nest = enumeration._cell_table(rows, cols)
+            for _ in range(12):
+                keep = rng.choice([0.3, 0.6, 0.9])
+                inputs.append((cross, nest, [e for e in range(rows * cols) if rng.random() < keep]))
+    for _ in range(400):
+        cross, nest = conflict_masks(rand_separated(rng, 8, 12))
+        keep = rng.choice([0.5, 0.8, 1.0])
+        inputs.append((cross, nest, [e for e in range(len(cross)) if rng.random() < keep]))
+    verdicts = set()
+    for cross, nest, active in inputs:
+        for spec in PURE_SPECS:
+            fits, nodes = solver._fits(cross, nest, active, spec, 0, separated=True)
+            page_of, _, hit = _solve_masks(cross, nest, active, spec, 10**7)
+            assert nodes == 0 and not hit
+            assert fits == (page_of is not None), (cross, nest, active, spec)
+            verdicts.add((str(spec), fits))
+    assert len(verdicts) == 2 * len(PURE_SPECS), sorted(verdicts)
+
+
+@pytest.mark.parametrize("pages", [1, 2, 3])
+def test_pure_critical_separated_patterns_are_the_twist_and_the_rainbow(monkeypatch, pages):
+    """On separated patterns the fewest stacks is the longest twist and the
+    fewest queues the longest rainbow, so the only critical pattern of s
+    stacks is the (s + 1)-twist and that of q queues the (q + 1)-rainbow,
+    all found without a search."""
+
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(solver, "_solve_masks", no_search)
+    family = enumeration.EnumFamily("separated", 8, 4, 4)
+    n = 2 * (pages + 1)
+    twist = tuple((i, pages + 1 + i) for i in range(pages + 1))
+    rainbow = tuple((i, n - 1 - i) for i in range(pages + 1))
+    for mode, want in ((("sq", pages, 0), twist), (("sq", 0, pages), rainbow)):
+        result = enumeration.find_critical(family, mode)
+        assert [p.edges for p in result.patterns] == [want], mode
+
+
+def searched(cross, nest, active, spec, budget, separated=False):
     """A `solver._fits` that searches every spec: the reference for the
-    verdicts decided without search."""
+    verdicts decided without search. It ignores `separated`, so the chain
+    verdicts are compared with the search too."""
     page_of, nodes, hit = _solve_masks(cross, nest, active, spec, budget)
     return (None if hit else page_of is not None), nodes
 
@@ -856,10 +926,10 @@ def test_level_tables_give_each_candidate_its_own_masks(monkeypatch, mode):
         calls.append([edges])
         return real_decide(edges, *args)
 
-    def fits(cross, nest, active, spec, budget):
+    def fits(cross, nest, active, spec, budget, separated=False):
         if len(calls[-1]) == 1:
             calls[-1] += [cross, nest, list(active)]
-        return real_fits(cross, nest, active, spec, budget)
+        return real_fits(cross, nest, active, spec, budget, separated)
 
     monkeypatch.setattr(enumeration, "_decide", decide)
     monkeypatch.setattr(solver, "_fits", fits)

@@ -107,6 +107,22 @@ class TestFindCritical:
         twist_only = find_critical(fam, ("sq", 1, 0))
         assert [p.edges for p in twist_only.patterns] == [((0, 2), (1, 3))]
 
+    @pytest.mark.parametrize("family", [EnumFamily("matchings", 3), EnumFamily("separated", 3, 3, 3)],
+                             ids=str)
+    @pytest.mark.parametrize("mode", [("k", 0), ("sq", 0, 0)], ids=str)
+    def test_single_edge_is_critical_at_zero_pages(self, family, mode):
+        # Its one deletion, the empty graph, fits on no pages; every larger
+        # candidate holds an edge, so none is critical.
+        result = find_critical(family, mode)
+        assert [p.edges for p in result.patterns] == [((0, 1),)]
+        assert solver.criticality(result.patterns[0], mode).critical
+
+    def test_two_critical_separated_count(self):
+        # Pinned count; on separated patterns the SS and QQ splits of each
+        # candidate are decided by its longest twist and rainbow.
+        result = find_critical(EnumFamily("separated", 7, 5, 5), ("k", 2))
+        assert (len(result.patterns), result.scanned) == (780, 108597)
+
     def test_nine_one_critical_already_in_small_grids(self):
         result = find_critical(EnumFamily("separated", 5, 3, 3), ("k", 1))
         assert len(result.patterns) == 9
