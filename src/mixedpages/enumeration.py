@@ -370,12 +370,13 @@ def _decide(
     the active edges. `separated` says that the table is a separated
     family's, whose ids r * W + c ascend with the sorted edges, so
     `_fits` decides a pure spec (all stacks or all queues) by its longest
-    chain, without search. Specs of at most two pages AND the masks with
-    the live ids and are decided without search too. The other specs of
-    three or more pages (the mixed ones, and on matchings every one) are
-    searched. A search orders the edges by conflict degree, so every spec
-    of three or more pages gets the masks restricted to the live ids (all
-    specs of a mode have one page count); as the ids ascend with the
+    chain, without search: a mode all of whose specs are pure needs no
+    restricted masks. Specs of at most two pages AND the masks with the
+    live ids and are decided without search too. The other specs of three
+    or more pages (the mixed ones, and on matchings every one) are
+    searched. A search orders the edges by conflict degree, so when a mode
+    (all specs of a mode have one page count) has a spec to search, the
+    masks are first restricted to the live ids; as the ids ascend with the
     edges, a search's order, nodes and budget are those of the
     candidate's own masks. The budget bounds only these searches.
     """
@@ -385,7 +386,9 @@ def _decide(
             infeasible.add(key)
             return False
     cross, nest = table
-    if len(specs[0].kinds) > 2:
+    if len(specs[0].kinds) > 2 and not (
+        separated and all(s.kinds.count(s.kinds[0]) == len(s.kinds) for s in specs)
+    ):
         live = sum(1 << e for e in ids)
         cross = [mask & live for mask in cross]
         nest = [mask & live for mask in nest]
@@ -426,7 +429,8 @@ def find_critical(
     level's table of infeasible canonical keys, and it is critical exactly
     when none of its one-edge deletions is in the table of the level below.
     So at the modes of zero pages the single edge is critical: its deletion
-    is the empty graph, which no table holds. Only two key tables are alive at a time, and none outlives the call.
+    is the empty graph, which no table holds. Only two key tables are alive
+    at a time, and none outlives the call.
     `scanned` counts the candidates. The mode is checked, by
     `solver.mode_specs`, before the checkpoint is read.
 

@@ -255,20 +255,8 @@ def _chain_free(bar: list[int], active: list[int], pages: int) -> bool:
     longest chain, ending at them, has j + 1 edges.  An edge's longest
     chain has one edge more than the longest among those of the edges it
     bars.  The sets hold only active edges below the current one, so the
-    masks may name edges outside `active`.  Two pages, the common case in
-    enumeration, run the same pass unrolled.
+    masks may name edges outside `active`.
     """
-    if pages == 2:
-        one = two = 0
-        for e in active:
-            mask = bar[e]
-            if mask & two:
-                return False
-            if mask & one:
-                two |= 1 << e
-            else:
-                one |= 1 << e
-        return True
     ends = [0] * pages
     top = pages - 1
     for e in active:
@@ -289,25 +277,20 @@ def _two_pages(bar0: list[int], bar1: list[int], free: int) -> bool:
 
     2-SAT by propagation (Even, Itai & Shamir, SIAM J. Comput. 1976): put the
     lowest free edge on page 0 and propagate what that forces; on a clash,
-    put it on page 1 instead; if both clash, there is no split.  When both
-    pages bar alike (two stacks or two queues), the second try is the first
-    with the pages swapped and clashes too, so it is not made.  A
+    put it on page 1 instead; if both clash, there is no split.  A
     propagation without a clash assigns a closed set: each assigned edge has
     forced onto the other page every edge it bars from its own page, so an
     edge left free is barred by an assigned edge at most from the page the
     assigned edge is not on, which constrains nothing.  So the assignment
     is kept, and the rest is decided on its own.
     """
-    alike = bar0 is bar1
     while free:
         start = free & -free
-        placed = _force(bar0, bar1, free, start, 0)
+        placed = _force(bar0, bar1, free, start, 0) or _force(
+            bar0, bar1, free, 0, start
+        )
         if not placed:
-            if alike:
-                return False
-            placed = _force(bar0, bar1, free, 0, start)
-            if not placed:
-                return False
+            return False
         free &= ~placed
     return True
 

@@ -917,7 +917,9 @@ def test_level_tables_give_each_candidate_its_own_masks(monkeypatch, mode):
     reaches `solver._fits` with ascending ids into its level's conflict
     table; the table's masks at those ids, restricted to them and indexed
     by edge position, are the pair scan's `core._conflict_masks`. Searched
-    specs (three pages) get masks that name no other id."""
+    specs (three pages, not separated) get masks that name no other id;
+    the pure specs of separated families are decided by the chain test,
+    which needs no restriction."""
     monkeypatch.setattr(enumeration, "LOOKUP_FIRST_SHARE", 2.0)
     real_decide, real_fits = enumeration._decide, solver._fits
     calls = []
@@ -928,7 +930,7 @@ def test_level_tables_give_each_candidate_its_own_masks(monkeypatch, mode):
 
     def fits(cross, nest, active, spec, budget, separated=False):
         if len(calls[-1]) == 1:
-            calls[-1] += [cross, nest, list(active)]
+            calls[-1] += [cross, nest, list(active), separated]
         return real_fits(cross, nest, active, spec, budget, separated)
 
     monkeypatch.setattr(enumeration, "_decide", decide)
@@ -938,7 +940,8 @@ def test_level_tables_give_each_candidate_its_own_masks(monkeypatch, mode):
                 enumeration.EnumFamily("matchings", 6)]
     scanned = sum(enumeration.find_critical(family, mode).scanned for family in families)
     assert len(calls) == scanned > 13000
-    for edges, cross, nest, ids in calls:
+    assert {call[4] for call in calls} == {False, True}
+    for edges, cross, nest, ids, separated in calls:
         assert all(a < b for a, b in zip(ids, ids[1:])), edges
         live = sum(1 << e for e in ids)
 
@@ -947,7 +950,7 @@ def test_level_tables_give_each_candidate_its_own_masks(monkeypatch, mode):
 
         got = [by_position(cross[e]) for e in ids], [by_position(nest[e]) for e in ids]
         assert got == core._conflict_masks(edges), edges
-        if mode[0] == "sq":
+        if mode[0] == "sq" and not separated:
             assert not any((cross[e] | nest[e]) & ~live for e in ids), edges
 
 
