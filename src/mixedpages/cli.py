@@ -96,18 +96,6 @@ def render_grid(grid: GridMatching, witness: PatternWitness | None = None) -> st
     return "\n".join(lines) + "\n"
 
 
-def parse_grid_ascii(text: str) -> GridMatching:
-    rows = [line for line in text.splitlines() if line.strip()]
-    m = len(rows)
-    pi = [0] * m
-    for i, line in enumerate(rows):
-        y = m - i
-        for x, ch in enumerate(line):
-            if ch in "#*":
-                pi[x] = y
-    return GridMatching(tuple(pi))
-
-
 def render_grid_svg(grid: GridMatching, witness: PatternWitness | None = None) -> str:
     m = grid.m
     cell = 24
@@ -485,7 +473,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("critical", help="check criticality of an input graph")
     p.add_argument("input")
     _add_mode(p)
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET,
+                   help="search nodes of one verdict (the whole graph, or one deletion), "
+                   "summed over every split and round of the mode "
+                   f"(default {solver.DEFAULT_BUDGET})")
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("enumerate-critical", help="mine critical patterns")
@@ -496,7 +487,9 @@ def main(argv=None) -> int:
     p.add_argument("--max-grid", type=int, help="separated family (default 5)")
     p.add_argument("--max-edges", type=int, help="separated family (default 8)")
     p.add_argument("--max-m", type=int, help="matchings family (default 5)")
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET,
+                   help="search nodes of one candidate's verdict, summed over every split "
+                   f"and round of the mode (default {solver.DEFAULT_BUDGET})")
     p.add_argument("--checkpoint")
     p.add_argument("--out")
     p.add_argument("--progress", action="store_true")

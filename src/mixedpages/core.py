@@ -75,12 +75,6 @@ class OrderedGraph:
             seen.add(v)
         return True
 
-    def delete_edge(self, e: int) -> "OrderedGraph":
-        """Graph with edge e removed; vertices are kept as they are."""
-        if not 0 <= e < self.m:
-            raise BadEdgeIdError(f"no edge {e}")
-        return OrderedGraph(self.n, self.edges[:e] + self.edges[e + 1:], self.multi)
-
 
 def build_graph(n: int, edges, multi: bool = False) -> OrderedGraph:
     """Normalize edges to u < v and sorted order; reject bad input."""

@@ -14,6 +14,7 @@ import sys
 import time
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 from .core import MALFORMED_JSON, OrderedGraph, _conflict_masks, _json, dump_olg, parse_olg
@@ -342,8 +343,8 @@ def _cell_table(rows: int, cols: int) -> tuple[list[int], list[int]]:
 
 
 def _decide(
-    edges: tuple, ids: tuple, table, specs, budget: int, below: set, infeasible: set,
-    lookup_first: bool, separated: bool,
+    edges: tuple, ids: tuple, cross: list[int], nest: list[int], fits, budget: int,
+    below: set, infeasible: set, lookup_first: bool,
 ) -> bool:
     """Decide the candidate with these sorted edges, and add its key to
     `infeasible` when no spec lays it out. True when it is critical: it is
@@ -357,47 +358,31 @@ def _decide(
     `below` makes the candidate infeasible. A key is the flattened edge list
     of the canonical form, as bytes; stream graphs are canonical.
 
-    Solve-first tries the specs in order and looks the deletions up only
-    for an infeasible candidate. `lookup_first` looks them up before the
-    solve, and a candidate with an infeasible deletion is not solved. Both
-    give the same verdicts and keys, except that lookup-first skips the
-    search, and so any budget error, of such a candidate.
+    Solve-first asks `fits` and looks the deletions up only for an
+    infeasible candidate. `lookup_first` looks them up before the solve,
+    and a candidate with an infeasible deletion is not solved. Both give
+    the same verdicts and keys, except that lookup-first skips the search,
+    and so any budget error, of such a candidate.
 
-    The conflict masks are not built per candidate: `table` is the level's
-    `EnumFamily.conflict_table`, `ids` are the edges' ids there as the
-    stream handed them out, and no two edges are compared. Only the verdict is
-    needed, so every spec goes through `solver._fits` with these ids as
-    the active edges. `separated` says that the table is a separated
-    family's, whose ids r * W + c ascend with the sorted edges, so
-    `_fits` decides a pure spec (all stacks or all queues) by its longest
-    chain, without search: a mode all of whose specs are pure needs no
-    restricted masks. Specs of at most two pages AND the masks with the
-    live ids and are decided without search too. The other specs of three
-    or more pages (the mixed ones, and on matchings every one) are
-    searched. A search orders the edges by conflict degree, so when a mode
-    (all specs of a mode have one page count) has a spec to search, the
-    masks are first restricted to the live ids; as the ids ascend with the
-    edges, a search's order, nodes and budget are those of the
-    candidate's own masks. The budget bounds only these searches.
+    The conflict masks are not built per candidate: `cross` and `nest` are
+    the level's `EnumFamily.conflict_table`, `ids` are the edges' ids there
+    as the stream handed them out, and no two edges are compared. Only the
+    verdict is needed: `fits` is the mode's `solver.mode_verdict` kernel,
+    built once per level, and the ids are its active edges. `budget` bounds
+    the total nodes of one verdict, summed over every spec and round of the
+    mode; only specs of three or more pages that no chain test decides are
+    searched.
     """
     if lookup_first:
         key = bytes(sum(edges, ()))
         if _has_infeasible_deletion(edges, key, below):
             infeasible.add(key)
             return False
-    cross, nest = table
-    if len(specs[0].kinds) > 2 and not (
-        separated and all(s.kinds.count(s.kinds[0]) == len(s.kinds) for s in specs)
-    ):
-        live = sum(1 << e for e in ids)
-        cross = [mask & live for mask in cross]
-        nest = [mask & live for mask in nest]
-    for spec in specs:
-        fits, _ = solver._fits(cross, nest, ids, spec, budget, separated)
-        if fits is None:
-            raise BudgetExceededError("criticality check undecided")
-        if fits:
-            return False
+    verdict, _ = fits(cross, nest, ids, budget)
+    if verdict:
+        return False
+    if verdict is None:
+        raise BudgetExceededError("criticality check undecided")
     if not lookup_first:
         key = bytes(sum(edges, ()))
     infeasible.add(key)
@@ -420,14 +405,18 @@ def find_critical(
     the level's conflict table (`EnumFamily.conflict_table`, built once per
     level and shard, sized by the level and not by the family's bounds) at
     the ids the stream hands out with its edges (`EnumFamily.level`), so
-    no candidate pays for a pair scan or an id lookup. At modes of at most two pages
-    (k <= 2, s + q <= 2) no candidate is searched, nor at pure splits (all
-    stacks or all queues) of a separated family, which are decided by their
-    longest twist or rainbow (`solver._fits`). `budget` bounds only the
-    searches left: the mixed splits of three or more pages, and on
-    matchings also the pure ones. An infeasible candidate enters its
-    level's table of infeasible canonical keys, and it is critical exactly
-    when none of its one-edge deletions is in the table of the level below.
+    no candidate pays for a pair scan or an id lookup. Each is decided by
+    the mode's verdict kernel (`solver.mode_verdict`), built once per level
+    and shard. At modes of at most two pages (k <= 2, s + q <= 2) no
+    candidate is searched, nor at pure splits (all stacks or all queues) of
+    a separated family, which are decided by their longest twist or
+    rainbow. Only the mixed splits of three or more pages, and on matchings
+    also the pure ones, are searched, as a portfolio when a mode has
+    several: `budget` bounds the total nodes of one candidate's verdict,
+    summed over every spec and round of the mode. An infeasible candidate
+    enters its level's table of infeasible canonical keys, and it is
+    critical exactly when none of its one-edge deletions is in the table of
+    the level below.
     So at the modes of zero pages the single edge is critical: its deletion
     is the empty graph, which no table holds. Only two key tables are alive
     at a time, and none outlives the call.
@@ -512,22 +501,25 @@ def _workers(jobs: int):
 def _level_shard(args, report=None):
     """One worker's share of a level: the candidates whose index in the level
     is `shard` modulo `jobs`. Returns the number decided, their infeasible
-    keys and the critical ones. The level's conflict table is built here,
-    once, for `_decide`; it lives as long as the call. `lookup_first` is
-    the level's choice for `_decide`. `report`, if given, sees the count
-    and the critical ones after each decided candidate."""
+    keys and the critical ones. The level's conflict table and the mode's
+    verdict kernel (`solver.mode_verdict`, told whether the table is a
+    separated family's, whose ids r * W + c ascend with the sorted edges)
+    are built here, once, for `_decide`; they live as long as the call.
+    `lookup_first` is the level's choice for `_decide`. `report`, if given,
+    sees the count and the critical ones after each decided candidate."""
     family, specs, budget, level, jobs, shard, below, lookup_first = args
-    table = family.conflict_table(level)
-    separated = family.shape == "separated"
+    cross, nest = family.conflict_table(level)
+    fits = solver.mode_verdict(specs, family.shape == "separated")
+    candidates = family.level(level)
+    if jobs > 1:
+        candidates = islice(candidates, shard, None, jobs)
     count, infeasible, found = 0, set(), []
-    for index, (edges, ids) in enumerate(family.level(level)):
-        if index % jobs == shard:
-            count += 1
-            if _decide(edges, ids, table, specs, budget, below, infeasible, lookup_first,
-                       separated):
-                found.append(_graph(edges))
-            if report:
-                report(count, found)
+    for edges, ids in candidates:
+        count += 1
+        if _decide(edges, ids, cross, nest, fits, budget, below, infeasible, lookup_first):
+            found.append(_graph(edges))
+        if report:
+            report(count, found)
     return count, infeasible, found
 
 

@@ -4,18 +4,20 @@ verdicts without search where the vertex order makes them polynomial.
 For a fixed vertex order, specs of at most two pages are decided in
 polynomial time: one page holds no conflicting pair, and two pages are a
 2-SAT instance (two stacks: the crossing graph is bipartite; two queues: the
-nesting graph is).  `_fits` decides them without search, in 0 nodes.  With
-three or more pages the decision is NP-hard in general, so every search
-carries a node budget and reports "unknown" (budget_hit) rather than a wrong
-verdict when it runs out.  Callers that need a layout, not only a verdict
-(`feasible`, `mixed_page_number`, `stack_number`), always search.
+nesting graph is).  `mode_verdict` decides them without search, in 0
+nodes.  With three or more pages the decision is NP-hard in general, so
+every search carries a node budget and reports "unknown" (budget_hit) rather
+than a wrong verdict when it runs out; where any of several splits will do,
+`mode_verdict` searches them as a portfolio.  Callers that need a layout,
+not only a verdict (`feasible`, `mixed_page_number`, `stack_number`),
+always search, one split at a time.
 
 The exceptions are separated graphs, where every left endpoint precedes
 every right one.  On their sorted edges crossing and nesting are strict
 partial orders, so a pure split (all stacks or all queues) of any size
-fits exactly when no chain is longer than its page count: `_fits` decides
-such a spec of a separated pattern without search when its caller says
-the masks are separated.  On a separated matching every two edges cross
+fits exactly when no chain is longer than its page count: `mode_verdict`
+decides such a spec of a separated pattern without search when its caller
+says the masks are separated.  On a separated matching every two edges cross
 or nest, and a split of s stacks and q queues is a partition of its
 permutation into s decreasing and q increasing subsequences, polynomial
 for fixed s and q.  `mixed_page_number` decides every split of such an
@@ -176,24 +178,31 @@ def _solve_masks(
             p += 1
 
 
-def _fits(
-    cross: list[int],
-    nest: list[int],
-    active: list[int],
-    spec: PageSpec,
-    budget: int,
-    separated: bool = False,
-) -> tuple[bool | None, int]:
-    """Verdict only: do the `active` edges fit on the spec's pages?
+# The portfolio's first per-spec node budget, and its growth per round.
+PORTFOLIO_START = 64
+PORTFOLIO_GROWTH = 4
 
-    Returns (fits, nodes), where fits is None when the search ran out of
-    budget.  `active` lists distinct edge ids, in ascending order when
-    `separated` is set.  Specs with at most two pages are decided without
-    search; they count 0 nodes and never consult the budget.  One page fits
-    when no active edge has an active conflict of its kind (`cross` on a
-    stack, `nest` on a queue); two pages go to `_two_pages`.  Specs with
-    three or more pages go to `_solve_masks`, and `budget` bounds only that
-    search.
+
+def mode_verdict(specs: list[PageSpec], separated: bool = False):
+    """The verdict kernel of a mode whose specs all have one page count: a
+    callable fits(cross, nest, active, budget) -> (fits, nodes) that says
+    whether the `active` edges fit on some spec of `specs`.
+
+    fits is None when the searches ran out of budget.  `active` lists
+    distinct edge ids, in ascending order when `separated` is set.  The
+    kernel is picked here, once per mode, and never per call:
+    - zero pages: fits exactly when `active` is empty;
+    - one page: no two active edges conflict on it (`cross` on a stack,
+      `nest` on a queue), and with a stack and a queue to choose from (k=1)
+      one pass that stops once it has seen both a crossing and a nesting;
+    - two pages: 2-SAT (`_two_pages`) over the live edges, only for the
+      specs that no chain test decides (see below);
+    - three or more pages: a budget portfolio of searches (`_portfolio`)
+      over the masks restricted to the live ids, so that a search orders
+      the edges by their conflicts among the active ones.
+    Specs of at most two pages count 0 nodes and never read the budget.
+    With three or more pages, `budget` bounds the total nodes of one call,
+    summed over every spec and round.
 
     `separated` says that the masks are those of a separated graph, every
     left endpoint before every right one, whose ids ascend with its edges
@@ -201,7 +210,7 @@ def _fits(
     more pages fits exactly when the active edges hold no chain of
     len(spec) + 1 along ascending ids, each edge in the `cross` (stacks) or
     `nest` (queues) mask of the next (`_chain_free`).  This is decided
-    without search, in 0 nodes, and never reads the budget.
+    first, without search, in 0 nodes.
 
     Proof.  Take ids f < e with edges (u, v) and (x, y), so u <= x, and
     both left endpoints lie before both right ones.  If they share an
@@ -215,34 +224,123 @@ def _fits(
     Amer. Math. Monthly 1971) the fewest antichains that cover a partial
     order is the size of its longest chain.
     """
-    kinds = spec.kinds
-    pages = len(kinds)
+    pages = len(specs[0].kinds)
     stack = PageKind.STACK
-    if separated and pages > 1 and kinds.count(kinds[0]) == pages:
-        return _chain_free(cross if kinds[0] is stack else nest, active, pages), 0
+    if not pages:
+        return _no_pages
+    if pages == 1:
+        if len({spec.kinds for spec in specs}) == 2:
+            return _stack_or_queue
+        bar_cross = specs[0].kinds[0] is stack
+
+        def one_page(cross, nest, active, budget):
+            return _chain_free(cross if bar_cross else nest, active, 1), 0
+
+        return one_page
+    chains, rest = [], []
+    for spec in specs:
+        kinds = spec.kinds
+        if separated and kinds.count(kinds[0]) == pages:
+            chains.append(kinds[0] is stack)
+        else:
+            rest.append(spec)
+    if not rest:
+
+        def chained(cross, nest, active, budget):
+            for bar_cross in chains:
+                if _chain_free(cross if bar_cross else nest, active, pages):
+                    return True, 0
+            return False, 0
+
+        return chained
     if pages > 2:
-        page_of, nodes, hit = _solve_masks(cross, nest, active, spec, budget)
-        return (None if hit else page_of is not None), nodes
-    if not kinds:
-        return not active, 0
-    bar0 = cross if kinds[0] is stack else nest
-    m = len(cross)
-    if len(active) == m:  # distinct ids, so every edge: no mask to apply
-        if pages == 1:
-            return not any(bar0), 0
-        live = (1 << m) - 1
-    else:
+
+        def searched(cross, nest, active, budget):
+            for bar_cross in chains:
+                if _chain_free(cross if bar_cross else nest, active, pages):
+                    return True, 0
+            live = 0
+            for e in active:
+                live |= 1 << e
+            cross = [mask & live for mask in cross]
+            nest = [mask & live for mask in nest]
+            return _portfolio(cross, nest, active, rest, budget)
+
+        return searched
+    pairs = [(spec.kinds[0] is stack, spec.kinds[1] is stack) for spec in rest]
+
+    def any_two_pages(cross, nest, active, budget):
+        for bar_cross in chains:
+            if _chain_free(cross if bar_cross else nest, active, 2):
+                return True, 0
         live = 0
         for e in active:
             live |= 1 << e
-        if pages == 1:
-            # A loop: any() over a generator costs more on the few edges
-            # of an enumeration candidate, which comes here once per spec.
-            for e in active:
-                if bar0[e] & live:
-                    return False, 0
-            return True, 0
-    return _two_pages(bar0, cross if kinds[1] is stack else nest, live), 0
+        for first, second in pairs:
+            if _two_pages(cross if first else nest, cross if second else nest, live):
+                return True, 0
+        return False, 0
+
+    return any_two_pages
+
+
+def _no_pages(cross, nest, active, budget):
+    return not active, 0
+
+
+def _stack_or_queue(cross, nest, active, budget):
+    """k=1: the active edges fit on a stack or on a queue unless they hold
+    both a crossing and a nesting pair."""
+    seen = 0
+    crossed = nested = False
+    for e in active:
+        if cross[e] & seen:
+            if nested:
+                return False, 0
+            crossed = True
+        if nest[e] & seen:
+            if crossed:
+                return False, 0
+            nested = True
+        seen |= 1 << e
+    return True, 0
+
+
+def _portfolio(
+    cross: list[int], nest: list[int], active: list[int], specs: list[PageSpec], budget: int
+) -> tuple[bool | None, int]:
+    """Does some spec lay the `active` edges out?  Returns (fits, nodes).
+
+    A round robin of searches over the specs still open (Luby, Sinclair &
+    Zuckerman, "Optimal speedup of Las Vegas algorithms", IPL 1993, as an
+    algorithm portfolio in the sense of Gomes & Selman, Artif. Intell.
+    2001): each spec is searched afresh on a budget of PORTFOLIO_START
+    nodes, which grows by PORTFOLIO_GROWTH every round.  A spec refuted
+    within its budget is dropped, and the first layout found settles
+    "fits".  A spec left on its own gets the rest of the budget, since a
+    restart would only repeat its nodes.  Past `budget` nodes in total the
+    answer is None.  So a deletion that fits one split is not held up by
+    the refutation of the splits before it, which is where an ordered loop
+    spends its nodes.
+    """
+    todo = list(specs)
+    total = 0
+    cap = PORTFOLIO_START
+    while todo:
+        for spec in todo[:]:
+            room = budget - total
+            page_of, nodes, hit = _solve_masks(
+                cross, nest, active, spec, room if len(todo) == 1 else min(cap, room)
+            )
+            total += nodes
+            if page_of is not None:
+                return True, total
+            if not hit:
+                todo.remove(spec)
+            elif total > budget:
+                return None, total
+        cap *= PORTFOLIO_GROWTH
+    return False, total
 
 
 def _chain_free(bar: list[int], active: list[int], pages: int) -> bool:
@@ -255,7 +353,9 @@ def _chain_free(bar: list[int], active: list[int], pages: int) -> bool:
     longest chain, ending at them, has j + 1 edges.  An edge's longest
     chain has one edge more than the longest among those of the edges it
     bars.  The sets hold only active edges below the current one, so the
-    masks may name edges outside `active`.
+    masks may name edges outside `active`.  At one page the order of
+    `active` does not matter: the masks are symmetric, so the later of two
+    conflicting edges finds the earlier one.
     """
     ends = [0] * pages
     top = pages - 1
@@ -520,34 +620,41 @@ def criticality(
 
     Critical means: infeasible as stated, while every single-edge deletion is
     feasible (at the same (s,q), or at some split of k).  Deletions reuse the
-    conflict masks of the full graph.  Only verdicts are needed, so each
-    check goes through `_fits`: specs of at most two pages (every mode with
-    s + q <= 2 or k <= 2) are decided without search, and only searches of
-    three or more pages count nodes and can exhaust the budget.  Even on a
-    separated graph the pure specs take this generic path, not the chain
-    test, so this check stays independent of enumeration's verdicts.
+    conflict masks of the full graph.  Only verdicts are needed, so every
+    check goes through a `mode_verdict` kernel: specs of at most two pages
+    (every mode with s + q <= 2 or k <= 2) are decided without search, and
+    only searches of three or more pages count nodes and can exhaust the
+    budget.  The full graph is checked one spec at a time in `splits`
+    order, so "feasible at" names the first split that fits.  Each
+    deletion, in edge order, is one call of the mode's kernel, which at
+    three or more pages searches the splits as a portfolio, so "deleting
+    edge" names the first deletion that fits no split.  `budget` bounds the
+    total nodes of one verdict, summed over every spec and round of the
+    mode: of the full graph's checks together, and of each deletion.  Even
+    on a separated graph the pure specs are searched, not decided by the
+    chain test, so this check stays independent of enumeration's verdicts.
     """
     specs = mode_specs(mode)
     total = 0
     cross, nest = conflict_masks(g)
 
-    def decide(active: list[int], spec: PageSpec) -> bool:
+    def decide(fits, active: list[int], room: int) -> bool:
         nonlocal total
-        fits, nodes = _fits(cross, nest, active, spec, budget)
+        verdict, nodes = fits(cross, nest, active, room)
         total += nodes
-        if fits is None:
+        if verdict is None:
             raise BudgetExceededError("criticality check undecided", nodes=total)
-        return fits
+        return verdict
 
     everything = list(range(g.m))
     for spec in specs:
-        if decide(everything, spec):
+        if decide(mode_verdict([spec]), everything, budget - total):
             return CriticalityVerdict(False, f"feasible at {spec}", total)
     if g.m == 0:
         return CriticalityVerdict(False, "edgeless", total)
+    fits = mode_verdict(specs)
     for e in range(g.m):
-        active = [f for f in everything if f != e]
-        if not any(decide(active, spec) for spec in specs):
+        if not decide(fits, everything[:e] + everything[e + 1:], budget):
             return CriticalityVerdict(
                 False, f"deleting edge {e} stays infeasible", total
             )

@@ -24,6 +24,25 @@ def rand_graph(rng: random.Random, n: int, m: int) -> OrderedGraph:
     return build_graph(n, rng.sample(pairs, min(m, len(pairs))))
 
 
+def delete_edge(g: OrderedGraph, e: int) -> OrderedGraph:
+    """g with edge e removed; the vertices are kept as they are."""
+    return OrderedGraph(g.n, g.edges[:e] + g.edges[e + 1:], g.multi)
+
+
+def parse_grid_ascii(text: str) -> GridMatching:
+    """The grid matching that `cli.render_grid` draws: one line per row,
+    the top line for the largest value, '#' or '*' at each point."""
+    rows = [line for line in text.splitlines() if line.strip()]
+    m = len(rows)
+    pi = [0] * m
+    for i, line in enumerate(rows):
+        y = m - i
+        for x, ch in enumerate(line):
+            if ch in "#*":
+                pi[x] = y
+    return GridMatching(tuple(pi))
+
+
 def all_grids(m: int):
     for pi in permutations(range(1, m + 1)):
         yield GridMatching(pi)

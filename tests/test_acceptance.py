@@ -184,7 +184,9 @@ def test_criterion_09_critical_constructions():
             assert solver.criticality(gen_stack_critical(s, n), ("sq", s, 0)).critical
         for r in range(2, 41, 2):
             assert solver.criticality(gen_2critical(r), ("k", 2)).critical
-        assert solver.criticality(gen_k_critical(3), ("k", 3)).critical
+        for r in range(2, 21, 2):
+            assert solver.criticality(gen_k_critical(3, r), ("k", 3)).critical
+        assert solver.criticality(gen_k_critical(4), ("k", 4)).critical
         assert solver.criticality(gen_sq_critical(2, 1), ("sq", 2, 1)).critical
 
 

@@ -3,7 +3,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from mixedpages.cli import main, parse_grid_ascii, render_arcs, render_grid, render_grid_svg
+from conftest import delete_edge, parse_grid_ascii
+from mixedpages.cli import main, render_arcs, render_grid, render_grid_svg
 from mixedpages.core import (
     GridMatching,
     PageAssignment,
@@ -335,7 +336,7 @@ class TestCommands:
         path.write_text(dump_olg(g))
         assert main(["critical", str(path), "--k", "2"]) == 0
         assert "critical" in capsys.readouterr().out
-        path.write_text(dump_olg(g.delete_edge(0)))
+        path.write_text(dump_olg(delete_edge(g, 0)))
         assert main(["critical", str(path), "--k", "2"]) == 1
 
     def test_enumerate_critical_jobs(self, capsys):

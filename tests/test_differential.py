@@ -1,9 +1,11 @@
 """Differential tests of the fast paths against the slow code they replace:
 the explicit-stack, forward-checked search and the clique search against
-their recursive originals (kept in recursive_oracle.py), the verdicts of
-`solver._fits` on specs of at most two pages, and on pure specs of
-separated patterns, against the search and the brute-force oracle, the
-page sweep of
+their recursive originals (kept in recursive_oracle.py), the verdict
+kernels of `solver.mode_verdict` on specs of at most two pages, and on pure
+specs of separated patterns, against the search and the brute-force
+oracle, and every kernel and `criticality` with its portfolio of splits
+against the ordered loop over the splits they replaced (kept in
+criticality_oracle.py), the page sweep of
 validate_assignment against the plain pairwise scan, the in-package
 network simplex of max_family against the networkx flow it replaced (kept in
 flow_oracle.py) and against its own earlier bookkeeping (kept in
@@ -45,6 +47,7 @@ from itertools import permutations
 import pytest
 
 import critical_oracle
+import criticality_oracle
 import kernel_oracle
 import pair_scan_oracle
 import quadrant_oracle
@@ -58,6 +61,9 @@ from mixedpages.constructions import (
     gen_2critical,
     gen_alternating_subdivision,
     gen_diamond,
+    gen_k_critical,
+    gen_sq_critical,
+    gen_stack_critical,
     gen_thick_rainbow,
     gen_thick_twist,
     gen_tight_2k,
@@ -303,7 +309,7 @@ def test_fits_matches_search_and_brute_force():
         active = [e for e in range(g.m) if rng.random() < 0.8]
         sub = OrderedGraph(g.n, tuple([g.edges[e] for e in active]), g.multi)
         for spec in SHORT_SPECS:
-            fits, nodes = solver._fits(cross, nest, active, spec, 0)
+            fits, nodes = solver.mode_verdict([spec])(cross, nest, active, 0)
             page_of, _, hit = _solve_masks(cross, nest, active, spec, 10**6)
             assert nodes == 0 and not hit
             assert fits == (page_of is not None) == brute_force_fits(sub, spec), (g, active, spec)
@@ -323,7 +329,7 @@ def test_fits_matches_search_on_larger_graphs():
         keep = rng.choice([0.5, 0.8, 1.0])
         active = [e for e in range(g.m) if rng.random() < keep]
         for spec in SHORT_SPECS[3:]:
-            fits, nodes = solver._fits(cross, nest, active, spec, 0)
+            fits, nodes = solver.mode_verdict([spec])(cross, nest, active, 0)
             page_of, _, hit = _solve_masks(cross, nest, active, spec, 10**8)
             assert nodes == 0 and not hit
             assert fits == (page_of is not None), (g, active, spec)
@@ -332,16 +338,20 @@ def test_fits_matches_search_on_larger_graphs():
 
 
 def test_fits_passes_longer_specs_to_the_search():
+    """A mode of one spec of three or more pages is one search of the masks
+    restricted to the active edges, on the whole budget."""
     rng = random.Random(33)
     for _ in range(200):
         g = rand_multigraph(rng, 10, 10)
         cross, nest = conflict_masks(g)
         active = [e for e in range(g.m) if rng.random() < 0.8]
+        live = sum(1 << e for e in active)
+        mine = [mask & live for mask in cross], [mask & live for mask in nest]
         spec = PageSpec(tuple(rng.choice(KINDS) for _ in range(rng.randint(3, 4))))
         for budget in (0, 5, 10**6):
-            page_of, nodes, hit = _solve_masks(cross, nest, active, spec, budget)
+            page_of, nodes, hit = _solve_masks(*mine, active, spec, budget)
             want = None if hit else page_of is not None
-            assert solver._fits(cross, nest, active, spec, budget) == (want, nodes)
+            assert solver.mode_verdict([spec])(cross, nest, active, budget) == (want, nodes)
 
 
 PURE_SPECS = [PageSpec.split(s, q) for pages in (2, 3, 4) for s, q in ((pages, 0), (0, pages))]
@@ -384,7 +394,7 @@ def test_chain_verdicts_match_the_search_on_pure_specs():
     verdicts = set()
     for cross, nest, active in inputs:
         for spec in PURE_SPECS:
-            fits, nodes = solver._fits(cross, nest, active, spec, 0, separated=True)
+            fits, nodes = solver.mode_verdict([spec], separated=True)(cross, nest, active, 0)
             page_of, _, hit = _solve_masks(cross, nest, active, spec, 10**7)
             assert nodes == 0 and not hit
             assert fits == (page_of is not None), (cross, nest, active, spec)
@@ -412,12 +422,23 @@ def test_pure_critical_separated_patterns_are_the_twist_and_the_rainbow(monkeypa
         assert [p.edges for p in result.patterns] == [want], mode
 
 
-def searched(cross, nest, active, spec, budget, separated=False):
-    """A `solver._fits` that searches every spec: the reference for the
-    verdicts decided without search. It ignores `separated`, so the chain
-    verdicts are compared with the search too."""
-    page_of, nodes, hit = _solve_masks(cross, nest, active, spec, budget)
-    return (None if hit else page_of is not None), nodes
+def searched(specs, separated=False):
+    """A `solver.mode_verdict` whose kernel searches every spec in order:
+    the reference for the verdicts decided without search. It ignores
+    `separated`, so the chain verdicts are compared with the search too."""
+
+    def fits(cross, nest, active, budget):
+        total = 0
+        for spec in specs:
+            page_of, nodes, hit = _solve_masks(cross, nest, active, spec, budget)
+            total += nodes
+            if hit:
+                return None, total
+            if page_of is not None:
+                return True, total
+        return False, total
+
+    return fits
 
 
 SWEEP = [enumeration.EnumFamily("separated", *bounds) for bounds in (
@@ -435,7 +456,7 @@ def test_find_critical_matches_the_search_on_the_sweep(monkeypatch):
         (family, mode): enumeration.find_critical(family, mode)
         for family in SWEEP for mode in modes
     }
-    monkeypatch.setattr(solver, "_fits", searched)
+    monkeypatch.setattr(solver, "mode_verdict", searched)
     found = 0
     for (family, mode), result in got.items():
         want = enumeration.find_critical(family, mode)
@@ -451,11 +472,97 @@ def test_criticality_matches_the_search(monkeypatch):
     graphs += [gen_2critical(r) for r in (2, 4, 6, 8)]
     modes = [("k", 1), ("k", 2), ("sq", 1, 1), ("sq", 2, 0), ("sq", 0, 2)]
     got = [solver.criticality(g, mode) for g in graphs for mode in modes]
-    monkeypatch.setattr(solver, "_fits", searched)
+    monkeypatch.setattr(solver, "mode_verdict", searched)
     want = [solver.criticality(g, mode) for g in graphs for mode in modes]
     assert [(v.critical, v.reason) for v in got] == [(v.critical, v.reason) for v in want]
     assert all(v.nodes == 0 for v in got)
     assert sum(v.critical for v in want) > 10
+
+
+def criterion_09_cases():
+    """The constructions of acceptance criterion 09, each at its mode."""
+    return (
+        [(gen_stack_critical(s, n), ("sq", s, 0)) for s, n in ((2, 5), (2, 7), (3, 7))]
+        + [(gen_2critical(r), ("k", 2)) for r in range(2, 41, 2)]
+        + [(gen_k_critical(3, r), ("k", 3)) for r in range(2, 21, 2)]
+        + [(gen_k_critical(4), ("k", 4)), (gen_sq_critical(2, 1), ("sq", 2, 1))]
+    )
+
+
+def test_criticality_matches_the_ordered_loop():
+    """`criticality` on the mode kernels, with a portfolio of splits for
+    each deletion, against the ordered loop over `splits` it replaced
+    (kept in criticality_oracle.py): the same `critical`, and the same
+    `reason` where the verdict is not critical, so a graph that fits names
+    the same split and one with an infeasible deletion the same edge. The
+    inputs are the constructions of criterion 09, also at the next and the
+    previous page count, and random graphs of up to 14 edges at k = 3 and
+    4: multigraphs, matchings, a 3-critical graph with edges added and a
+    4-critical graph with edges taken out."""
+    rng = random.Random(36)
+    cases = criterion_09_cases()
+    cases += [(g, (mode[0], mode[1] + step, *mode[2:])) for g, mode in cases[-12:]
+              for step in (-1, 1)]
+    k3, k4 = gen_k_critical(3), gen_k_critical(4)
+    pairs = [(u, v) for u in range(k3.n) for v in range(u + 1, k3.n)]
+    for i in range(120):
+        if i % 4 == 0:
+            g = rand_multigraph(rng, 9, 14)
+        elif i % 4 == 1:
+            g = rand_matching(rng, rng.randint(6, 14))
+        elif i % 4 == 2:
+            g = build_graph(k3.n, list(k3.edges) + rng.sample(pairs, rng.randint(1, 3)), True)
+        else:
+            g = build_graph(k4.n, rng.sample(k4.edges, 14))
+        cases += [(g, ("k", 3)), (g, ("k", 4))]
+    reasons = set()
+    for g, mode in cases:
+        got, want = solver.criticality(g, mode), criticality_oracle.criticality(g, mode)
+        assert (got.critical, got.reason) == (want.critical, want.reason), (g, mode)
+        reasons.add(want.reason.split()[0])
+    assert reasons == {"critical", "feasible", "deleting"}
+
+
+def test_mode_kernels_match_the_ordered_loop():
+    """Each kernel of `solver.mode_verdict`, at every mode of up to four
+    pages, against any() of the old one-spec `_fits` over the mode's specs,
+    on random masks and active subsets, separated ones included. A verdict
+    within the budget is the loop's; past it the answer is None, after at
+    most budget + 1 nodes; specs of at most two pages count 0 nodes."""
+    rng = random.Random(37)
+    modes = [("k", k) for k in range(5)] + [("sq", s, q) for s in range(5) for q in range(5 - s)]
+    inputs = []
+    for i in range(160):
+        if i % 2:
+            g = rand_separated(rng, 6, 12 if i % 4 == 1 else 30)
+        else:
+            g = rand_multigraph(rng, 9, 12) if i % 4 else rand_matching(rng, rng.randint(2, 9))
+        cross, nest = conflict_masks(g)
+        active = [e for e in range(g.m) if rng.random() < 0.8]
+        inputs.append((cross, nest, active, i % 2 == 1))
+    for g in (gen_k_critical(3), gen_k_critical(4), gen_thick_twist(3, 3), gen_thick_rainbow(3, 3)):
+        cross, nest = conflict_masks(g)
+        for drop in range(4):
+            inputs.append((cross, nest, sorted(rng.sample(range(g.m), g.m - drop)), False))
+    verdicts = set()
+    for cross, nest, active, separated in inputs:
+        for mode in modes:
+            specs = solver.mode_specs(mode)
+            want = any(criticality_oracle._fits(cross, nest, active, spec, 10**7)[0]
+                       for spec in specs)
+            for flag in {False, separated}:
+                fits = solver.mode_verdict(specs, flag)
+                for budget in (0, 40, 10**7):
+                    got, nodes = fits(cross, nest, active, budget)
+                    if len(specs[0]) <= 2:
+                        assert (got, nodes) == (want, 0), (mode, active)
+                    elif got is None:
+                        assert nodes == budget + 1, (mode, active, budget)
+                    else:
+                        assert got == want and nodes <= budget, (mode, active, budget)
+                    verdicts.add((mode, got))
+    assert {got for _, got in verdicts} == {True, False, None}
+    assert all((mode, want) in verdicts for mode in modes[1:] for want in (True, False))
 
 
 def test_clique_matches_recursive_oracle():
@@ -914,27 +1021,38 @@ def test_find_critical_matches_per_candidate_oracle(family):
 @pytest.mark.parametrize("mode", [("k", 1), ("sq", 3, 0)], ids=str)
 def test_level_tables_give_each_candidate_its_own_masks(monkeypatch, mode):
     """Every candidate of every level, all solved (no level lookup-first),
-    reaches `solver._fits` with ascending ids into its level's conflict
-    table; the table's masks at those ids, restricted to them and indexed
-    by edge position, are the pair scan's `core._conflict_masks`. Searched
-    specs (three pages, not separated) get masks that name no other id;
-    the pure specs of separated families are decided by the chain test,
-    which needs no restriction."""
+    reaches its level's verdict kernel with ascending ids into the level's
+    conflict table, and the kernel of a separated family is told so; the
+    table's masks at those ids, restricted to them and indexed by edge
+    position, are the pair scan's `core._conflict_masks`. Searched specs
+    (three pages, not separated) are searched on masks that name no other
+    id; the pure specs of separated families are decided by the chain
+    test, which needs no restriction, and k=1 is never searched."""
     monkeypatch.setattr(enumeration, "LOOKUP_FIRST_SHARE", 2.0)
-    real_decide, real_fits = enumeration._decide, solver._fits
-    calls = []
+    real_decide, real_verdict, real_search = (
+        enumeration._decide, solver.mode_verdict, solver._solve_masks)
+    calls, searches = [], []
 
     def decide(edges, *args):
         calls.append([edges])
         return real_decide(edges, *args)
 
-    def fits(cross, nest, active, spec, budget, separated=False):
-        if len(calls[-1]) == 1:
+    def verdict(specs, separated=False):
+        fits = real_verdict(specs, separated)
+
+        def recorded(cross, nest, active, budget):
             calls[-1] += [cross, nest, list(active), separated]
-        return real_fits(cross, nest, active, spec, budget, separated)
+            return fits(cross, nest, active, budget)
+
+        return recorded
+
+    def search(cross, nest, active, spec, budget):
+        searches.append((cross, nest, list(active)))
+        return real_search(cross, nest, active, spec, budget)
 
     monkeypatch.setattr(enumeration, "_decide", decide)
-    monkeypatch.setattr(solver, "_fits", fits)
+    monkeypatch.setattr(solver, "mode_verdict", verdict)
+    monkeypatch.setattr(solver, "_solve_masks", search)
     families = [enumeration.EnumFamily("separated", 5, 5, 5),
                 enumeration.EnumFamily("separated", 6, 3, 3),
                 enumeration.EnumFamily("matchings", 6)]
@@ -943,15 +1061,17 @@ def test_level_tables_give_each_candidate_its_own_masks(monkeypatch, mode):
     assert {call[4] for call in calls} == {False, True}
     for edges, cross, nest, ids, separated in calls:
         assert all(a < b for a, b in zip(ids, ids[1:])), edges
-        live = sum(1 << e for e in ids)
 
         def by_position(mask):
             return sum(1 << i for i, e in enumerate(ids) if mask >> e & 1)
 
         got = [by_position(cross[e]) for e in ids], [by_position(nest[e]) for e in ids]
         assert got == core._conflict_masks(edges), edges
-        if mode[0] == "sq" and not separated:
-            assert not any((cross[e] | nest[e]) & ~live for e in ids), edges
+    searched_calls = [call for call in calls if mode[0] == "sq" and not call[4]]
+    assert len(searches) == len(searched_calls)
+    for cross, nest, active in searches:
+        live = sum(1 << e for e in active)
+        assert not any((cross[e] | nest[e]) & ~live for e in active), active
 
 
 def test_conflict_tables_match_the_pair_scan_on_every_two_edges():

@@ -123,6 +123,13 @@ class TestFindCritical:
         result = find_critical(EnumFamily("separated", 7, 5, 5), ("k", 2))
         assert (len(result.patterns), result.scanned) == (780, 108597)
 
+    def test_two_critical_matching_count(self):
+        # Pinned counts: no 2-critical matching has fewer than 6 edges.
+        result = find_critical(EnumFamily("matchings", 7), ("k", 2))
+        sizes = [p.m for p in result.patterns]
+        assert (len(sizes), sizes.count(6), sizes.count(7)) == (2473, 547, 1926)
+        assert result.scanned == 146599
+
     def test_nine_one_critical_already_in_small_grids(self):
         result = find_critical(EnumFamily("separated", 5, 3, 3), ("k", 1))
         assert len(result.patterns) == 9

@@ -1,12 +1,13 @@
 import pytest
 
-from conftest import brute_force_mixed_page_number, rand_graph, rand_matching
+from conftest import brute_force_mixed_page_number, delete_edge, rand_graph, rand_matching
 from mixedpages.core import (
     GridMatching,
     OrderedGraph,
     PageAssignment,
     PageSpec,
     build_graph,
+    conflict_masks,
     grid_to_graph,
     validate_assignment,
 )
@@ -21,7 +22,9 @@ from mixedpages.constructions import (
     gen_tight_2k,
 )
 from mixedpages.solver import (
+    DEFAULT_BUDGET,
     SolveResult,
+    _solve_masks,
     criticality,
     feasible,
     mixed_page_number,
@@ -73,7 +76,7 @@ class TestFeasible:
         for spec in splits(2):
             assert not feasible(g, spec).feasible
         for e in range(g.m):
-            assert any(feasible(g.delete_edge(e), spec).feasible for spec in splits(2))
+            assert any(feasible(delete_edge(g, e), spec).feasible for spec in splits(2))
 
     def test_returned_assignment_is_valid(self, rng):
         for _ in range(20):
@@ -133,7 +136,7 @@ class TestPageNumbers:
             g = rand_matching(rng, 5)
             base, _ = mixed_page_number(g)
             for e in range(g.m):
-                assert mixed_page_number(g.delete_edge(e))[0] <= base
+                assert mixed_page_number(delete_edge(g, e))[0] <= base
 
     def test_minimality_reverified(self, rng):
         for _ in range(10):
@@ -165,6 +168,20 @@ class TestCriticality:
     def test_two_page_modes_run_no_search(self):
         verdict = criticality(gen_2critical(40), ("k", 2), budget=1)
         assert verdict.critical and verdict.nodes == 0
+
+    def test_deletions_fit_at_a_portfolio_of_splits(self):
+        # The full graph alone refutes the six splits in 380,092 nodes; its
+        # 22 deletions each fit one split, found without first refuting
+        # the splits before it.
+        g = gen_k_critical(5)
+        cross, nest = conflict_masks(g)
+        full = sum(
+            _solve_masks(cross, nest, list(range(g.m)), spec, DEFAULT_BUDGET)[1]
+            for spec in splits(5)
+        )
+        verdict = criticality(g, ("k", 5))
+        assert verdict.critical and full == 380_092
+        assert verdict.nodes <= 400_000 and verdict.nodes - full <= 10**4
 
 
 class TestModeSpecs:
