@@ -25,20 +25,29 @@ from .errors import BadParamsError, InternalError
 from .patterns import PatternKind, PatternWitness
 
 
-def rsk_shape(grid: GridMatching) -> tuple[int, ...]:
-    """Insertion-tableau shape of pi; prefix sums give max i-chain coverage."""
+def insertion_shape(values) -> tuple[int, ...]:
+    """Shape of the RSK insertion tableau of a sequence of distinct ints
+    (Schensted row insertion).  By Greene's theorem (1974) the first i rows
+    hold as many values as the largest union of i increasing subsequences,
+    and the first j columns as many as that of j decreasing ones; so the
+    first row is the longest increasing subsequence and the row count the
+    longest decreasing one."""
     rows: list[list[int]] = []
-    for value in grid.pi:
+    for value in values:
         for row in rows:
             pos = bisect.bisect_right(row, value)
             if pos == len(row):
                 row.append(value)
-                value = -1
                 break
             row[pos], value = value, row[pos]
-        if value != -1:
+        else:
             rows.append([value])
     return tuple([len(row) for row in rows])
+
+
+def rsk_shape(grid: GridMatching) -> tuple[int, ...]:
+    """Insertion-tableau shape of pi; prefix sums give max i-chain coverage."""
+    return insertion_shape(grid.pi)
 
 
 def conjugate_partition(rows: tuple[int, ...]) -> tuple[int, ...]:

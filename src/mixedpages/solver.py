@@ -10,7 +10,9 @@ every search carries a node budget and reports "unknown" (budget_hit) rather
 than a wrong verdict when it runs out; where any of several splits will do,
 `mode_verdict` searches them as a portfolio.  Callers that need a layout,
 not only a verdict (`feasible`, `mixed_page_number`, `stack_number`),
-always search, one split at a time.
+search one split at a time.  `mixed_page_number` and `stack_number` search
+a split of two pages only once 2-SAT (`_two_pages`) fits it, so no
+two-page split they search is infeasible.
 
 The exceptions are separated graphs, where every left endpoint precedes
 every right one.  On their sorted edges crossing and nesting are strict
@@ -21,8 +23,10 @@ says the masks are separated.  On a separated matching every two edges cross
 or nest, and a split of s stacks and q queues is a partition of its
 permutation into s decreasing and q increasing subsequences, polynomial
 for fixed s and q.  `mixed_page_number` decides every split of such an
-input without search (`greene.split_fits`) and searches only the first
-split that fits, for its layout.
+input without search (the RSK shape, Greene's bound and
+`greene.split_fits`) and searches only the first split that fits, for its
+layout.  The shape and 2-SAT count 0 nodes against a budget; only the DP's
+states and the searches' nodes count.
 """
 
 from __future__ import annotations
@@ -486,52 +490,74 @@ def mixed_page_number(
     """Smallest k such that some split s+q=k is feasible, with a witness.
 
     The splits of each k are tried in the order of `splits`, and the first
-    one found feasible gives the layout.  Pure-stack splits with fewer
-    stacks than the largest twist, and pure-queue splits with fewer queues
-    than the largest rainbow, are skipped unsearched; they are infeasible.
+    one found feasible gives the layout.  A split is searched only if no
+    verdict without search refutes it:
+    - pure-stack splits with fewer stacks than the largest twist, and
+      pure-queue splits with fewer queues than the largest rainbow, are
+      infeasible (a pure-queue split with enough queues always fits);
+    - a split of two pages is 2-SAT (`_two_pages`), so only one that fits
+      is searched, on any graph.
 
     On a separated matching (a simple matching with every left endpoint
     before every right one, and at least one edge) no infeasible split is
     searched.  There a stack is a decreasing and a queue an increasing
-    subsequence of the right endpoints read in left-endpoint order.  So
-    the largest twist is their longest increasing subsequence, the two
-    skips decide every pure split, and a mixed split is decided by
+    subsequence of the right endpoints read in left-endpoint order.  One
+    RSK insertion shape of that sequence gives the largest twist (its first
+    row) and the largest rainbow (its row count), so the two skips decide
+    every pure split.  It also gives Greene's bound: q increasing
+    subsequences hold at most the values of the first q rows, and s
+    decreasing ones those of the first s columns, so a mixed split whose
+    rows and columns hold fewer than m values between them is infeasible.  A
+    mixed split of three or more pages that passes it is decided by
     `greene.split_fits`, a DP whose states grow with s + q and whose
-    expanded states count against `budget`.  Only the first split these
-    verdicts call feasible is searched, for its layout: the split and the
-    layout are the ones the searches alone would give.  A DP or a search
-    that runs out marks its split unknown, and a k with an unknown split
-    and none feasible raises BudgetExceededError.
+    expanded states count against `budget`; the shape test and 2-SAT count
+    0 nodes.  Only the first split these verdicts call feasible is
+    searched, for its layout: the split and the layout are the ones the
+    searches alone would give, and a search that refutes a split a verdict
+    fits is an InternalError.  A DP or a search that runs out marks its
+    split unknown, and a k with an unknown split and none feasible raises
+    BudgetExceededError.
     """
+    m = g.m
     cross, nest = conflict_masks(g)
     rights = _separated_rights(g)
     if rights is None:
         omega = _twist_bound(cross, budget)
+        rainbow = max(nesting_depths(g.edges), default=0)
     else:
         # Imported here, not with the module: solver's other callers, such
         # as enumeration, never need greene, and it would add about a
         # quarter to their import time.
-        from .greene import lis_length, split_fits
+        from .greene import conjugate_partition, insertion_shape, split_fits
 
-        omega = lis_length(rights)
-    rainbow = max(nesting_depths(g.edges), default=0)
+        rows = insertion_shape(rights)
+        cols = conjugate_partition(rows)
+        omega, rainbow = rows[0], len(rows)
+    everyone = (1 << m) - 1
     total_nodes = 0
-    for k in range(g.m + 1):
+    for k in range(m + 1):
         unknown = False
-        for spec in splits(k):
-            if (spec.q == 0 and k < omega) or (spec.s == 0 and k < rainbow):
+        for q in range(k + 1):
+            s = k - q
+            if (not q and k < omega) or (not s and k < rainbow):
                 continue
-            if rights is not None and spec.s and spec.q:
-                fits, nodes = split_fits(rights, spec.s, spec.q, budget)
+            if k == 2:
+                if not _two_pages(cross if s else nest, nest if q else cross, everyone):
+                    continue
+            elif rights is not None and s and q:
+                if sum(rows[:q]) + sum(cols[:s]) < m:
+                    continue
+                fits, nodes = split_fits(rights, s, q, budget)
                 total_nodes += nodes
                 if not fits:
                     unknown = unknown or fits is None
                     continue
+            spec = PageSpec.split(s, q)
             res = _feasible_masks(g, cross, nest, spec, budget)
             total_nodes += res.nodes
             if res.feasible:
                 return k, res.assignment
-            if rights is not None and not res.budget_hit:
+            if (k == 2 or rights is not None) and not res.budget_hit:
                 raise InternalError(f"search refutes {spec}, which the verdicts fit")
             unknown = unknown or res.budget_hit
         if unknown:
@@ -544,16 +570,25 @@ def mixed_page_number(
 def stack_number(
     g: OrderedGraph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, PageAssignment]:
-    """Exact stack number, searching upward from the largest twist."""
+    """Exact stack number, searching upward from the largest twist.
+
+    Two stacks are 2-SAT (`_two_pages` on the crossing masks, 0 nodes), so
+    two stacks are searched only when they fit, for the layout, and a
+    search that refutes them is an InternalError.
+    """
     cross, nest = conflict_masks(g)
     total_nodes = 0
     for s in range(_twist_bound(cross, budget), g.m + 1):
+        if s == 2 and not _two_pages(cross, cross, (1 << g.m) - 1):
+            continue
         res = _feasible_masks(g, cross, nest, PageSpec.split(s, 0), budget)
         total_nodes += res.nodes
         if res.feasible:
             return s, res.assignment
         if res.budget_hit:
             raise BudgetExceededError(f"stack number at s={s} undecided", nodes=total_nodes)
+        if s == 2:
+            raise InternalError("search refutes SS, which 2-SAT fits")
     raise InternalError("a graph always fits on one stack per edge")
 
 

@@ -27,8 +27,9 @@ kernel_oracle.py), and the one transfer lift for both page kinds against
 the mirrored stack-page and queue-page lifts it replaced (kept in
 quotient_oracle.py), and the capped 3-coloring of the stars of a page
 against the uncapped recursive search (kept in quotient_oracle.py), and
-the split verdicts of separated matchings (`greene.split_fits`) and the
-page number they give against the search, and the exact diamond search
+the split verdicts of separated matchings (`greene.split_fits` and
+Greene's bound) and of two-page splits (2-SAT) and the page and stack
+numbers they give against the search, and the exact diamond search
 on an explicit stack against its recursive original (kept in
 recursive_oracle.py), and the per-level conflict tables of enumeration
 against the pair scan of each candidate's own edges, and the candidate
@@ -287,6 +288,93 @@ def test_tiny_budgets_on_a_separated_matching_are_unknown_or_right():
     assert False not in outcomes
     # The SSQQ DP alone needs 83 states, so a smaller budget cannot answer.
     assert set(outcomes[:83]) == {None}
+
+
+def search_only_stack_number(g):
+    """The stack number by searching every stack count upward from 0."""
+    return next(
+        (s, res.assignment)
+        for s in range(g.m + 1)
+        if (res := solver.feasible(g, PageSpec.split(s, 0))).feasible
+    )
+
+
+def test_only_splits_that_fit_are_searched(monkeypatch):
+    """On random matchings and multigraphs with up to 16 edges and on
+    separated matchings with up to 20, `mixed_page_number` and
+    `stack_number` give the page number, the split and every page of the
+    searches alone.  Yet no search they run refutes a split of two pages
+    (2-SAT decides those) or a split of a separated matching (the RSK
+    shape, Greene's bound and the DP decide those)."""
+    rng = random.Random(43)
+    refuted = []
+    real = solver._solve_masks
+
+    def spy(cross, nest, active, spec, budget):
+        page_of, nodes, hit = real(cross, nest, active, spec, budget)
+        if page_of is None and not hit:
+            refuted.append(str(spec))
+        return page_of, nodes, hit
+
+    monkeypatch.setattr(solver, "_solve_masks", spy)
+    kinds = {"matching": 0, "multigraph": 0, "separated": 0}
+    searched_three = 0
+    for i in range(240):
+        kind = ("matching", "multigraph", "separated")[i % 3]
+        if kind == "matching":
+            g = rand_matching(rng, rng.randint(0, 16))
+        elif kind == "multigraph":
+            g = rand_multigraph(rng, 12, 16)
+        else:
+            pi = list(range(1, rng.randint(1, 20) + 1))
+            rng.shuffle(pi)
+            g = grid_to_graph(GridMatching(tuple(pi)))
+        want = search_only_page_number(g)
+        refuted.clear()
+        assert solver.mixed_page_number(g) == want
+        if kind == "separated":
+            assert refuted == []
+        else:
+            assert [spec for spec in refuted if len(spec) <= 2] == []
+            searched_three += bool(refuted)
+        if kind != "separated":
+            want = search_only_stack_number(g)
+            refuted.clear()
+            assert solver.stack_number(g) == want
+            assert [spec for spec in refuted if len(spec) <= 2] == []
+        kinds[kind] += want[0] > 2
+    # Most graphs need three pages or more, and some infeasible split of
+    # three pages is still searched.
+    assert min(kinds.values()) > 20 and searched_three > 0
+
+
+def test_greene_bound_refutes_only_splits_that_do_not_fit():
+    """Greene's bound read off the insertion shape: q increasing and s
+    decreasing subsequences hold at most the values of the first q rows and
+    the first s columns.  No split that it refutes is fitted by the DP, on
+    every permutation with m <= 7 and on 600 random ones with m from 8 to
+    18, at every mixed split of at most m pages.  The shape's first row is
+    the LIS and its row count the LDS."""
+    rng = random.Random(44)
+    perms = [pi for m in range(8) for pi in permutations(range(1, m + 1))]
+    for _ in range(600):
+        pi = list(range(1, rng.randint(8, 18) + 1))
+        rng.shuffle(pi)
+        perms.append(tuple(pi))
+    refuted = 0
+    for pi in perms:
+        m = len(pi)
+        rows = greene.insertion_shape(pi)
+        assert rows == greene.rsk_shape(GridMatching(pi))
+        if m:
+            assert rows[0] == greene.lis_length(pi) and len(rows) == greene.lds_length(pi)
+        cols = greene.conjugate_partition(rows)
+        for k in range(2, m + 1):
+            for q in range(1, k):
+                if sum(rows[:q]) + sum(cols[: k - q]) < m:
+                    assert greene.split_fits(pi, k - q, q, 10**9)[0] is False, (pi, q)
+                    refuted += 1
+    assert refuted > 2000
 
 
 SHORT_SPECS = [PageSpec.from_string(s) for s in ("", "S", "Q", "SS", "SQ", "QS", "QQ")]

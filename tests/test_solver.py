@@ -272,9 +272,15 @@ class TestSeparatedMatchings:
         assert searched == ["SSSQQQ"] and validate_assignment(g, a) == []
 
     def test_other_graphs_keep_the_search(self, monkeypatch):
+        """On other graphs 2-SAT decides the two-page splits, so the
+        2-critical graph searches only SSS; splits of three pages or more
+        are still searched, infeasible ones too."""
         searched = searched_specs(monkeypatch)
         assert mixed_page_number(gen_2critical(2))[0] == 3
-        assert len(searched) > 1
+        assert searched == ["SSS"]
+        searched.clear()
+        assert mixed_page_number(gen_k_critical(3))[0] == 4
+        assert searched == ["SSQ", "SQQ", "SSSS"]
 
     @pytest.mark.parametrize("g", [
         build_graph(4, []),
@@ -321,6 +327,24 @@ class TestInternalChecks:
         )
         with pytest.raises(InternalError, match="search refutes SS, which the verdicts fit"):
             mixed_page_number(grid_to_graph(gen_diamond(2)))
+
+    def test_search_that_refutes_a_two_page_split_2sat_fits_is_an_internal_error(
+        self, monkeypatch
+    ):
+        """On graphs that are not separated matchings too: two disjoint
+        crossing pairs fit on two stacks by 2-SAT, so a search that refutes
+        them is wrong."""
+        from mixedpages import solver
+
+        monkeypatch.setattr(
+            solver, "_solve_masks", lambda cross, nest, active, spec, budget: (None, 1, False)
+        )
+        g = build_graph(8, [(0, 2), (1, 3), (4, 6), (5, 7)])
+        assert solver._separated_rights(g) is None
+        with pytest.raises(InternalError, match="search refutes SS, which the verdicts fit"):
+            mixed_page_number(g)
+        with pytest.raises(InternalError, match="search refutes SS, which 2-SAT fits"):
+            stack_number(g)
 
     def test_queue_number_checks_its_layout(self, monkeypatch):
         from mixedpages import solver

@@ -3,10 +3,14 @@
 `python -O` strips `assert` statements, so a check written as one would
 vanish from optimised runs: every check in `src/mixedpages` raises instead.
 No function calls itself by name, so no input runs into the recursion
-limit: searches and walks keep their own stacks.
+limit: searches and walks keep their own stacks.  Importing enumeration
+does not load greene.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mixedpages"
@@ -48,3 +52,16 @@ def test_no_function_calls_itself():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and calls_itself(node)
     ]
     assert found == []
+
+
+def test_enumeration_does_not_import_greene():
+    """`mixed_page_number` imports greene inside the function, so importing
+    enumeration, which reaches the solver, leaves greene unloaded and adds
+    nothing to the set-up of an enumeration run."""
+    code = "import sys, mixedpages.enumeration; print('mixedpages.greene' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
