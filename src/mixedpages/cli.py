@@ -519,6 +519,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad arguments
         return ERROR if exc.code else OK
     try:
+        if getattr(args, "budget", None) is not None and args.budget < 0:
+            raise InvalidInputError(f"budget must be at least 0, got {args.budget}")
         return args.func(args)
     except BudgetExceededError:
         print("unknown (budget exceeded)")

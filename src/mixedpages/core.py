@@ -180,16 +180,19 @@ def nesting_depths(edges) -> list[int]:
     return depth
 
 
-def increasing_levels(points) -> list[int]:
-    """Length of the longest strictly increasing run of y values ending at
-    each (x, y) point, in list order; the largest level is the LIS.
+def increasing_levels(values) -> list[int]:
+    """Length of the longest strictly increasing subsequence ending at each
+    value, in sequence order; the largest level is the LIS.
 
-    Points must be sorted by x.  Patience sorting: `tails[l]` is the
-    smallest y that ends a run of length l + 1 so far; O(m log m).
+    The kernel reads the values alone: for points sorted by x, pass their
+    y values, and their negations for decreasing runs (a permutation such
+    as `GridMatching.pi` goes in as it is).  Patience sorting (Schensted
+    1961): `tails[l]` is the smallest value that ends a run of length
+    l + 1 so far; O(m log m).
     """
     tails: list[int] = []
     levels = []
-    for _, y in points:
+    for y in values:
         pos = bisect_left(tails, y)
         if pos == len(tails):
             tails.append(y)

@@ -122,11 +122,11 @@ class ChainFamily:
 
 
 def lis_length(pi) -> int:
-    return max(increasing_levels(list(enumerate(pi))), default=0)
+    return max(increasing_levels(pi), default=0)
 
 
 def lds_length(pi) -> int:
-    return max(increasing_levels([(i, -y) for i, y in enumerate(pi)]), default=0)
+    return max(increasing_levels([-y for y in pi]), default=0)
 
 
 def split_fits(pi, s: int, q: int, budget: int) -> tuple[bool | None, int]:
@@ -514,11 +514,13 @@ def max_family(grid: GridMatching, kind: FamilyKind, k: int) -> ChainFamily:
 
 def _diamond_levels(grid: GridMatching, elements) -> tuple[list[int], list[int], list[int]]:
     """The elements sorted, with the longest increasing and the longest
-    decreasing subsequence ending at each, within the element set."""
+    decreasing subsequence ending at each, within the element set: the
+    kernel reads their values in `grid.pi` in id order."""
     pts = sorted(elements)
-    coords = [(e + 1, grid.pi[e]) for e in pts]
-    ups = increasing_levels(coords)
-    downs = increasing_levels([(x, -y) for x, y in coords])
+    pi = grid.pi
+    values = [pi[e] for e in pts]
+    ups = increasing_levels(values)
+    downs = increasing_levels([-y for y in values])
     return pts, ups, downs
 
 
@@ -530,7 +532,7 @@ def _fill_matrix(pts: list[int], ups: list[int], downs: list[int], nrows: int, n
         if not (1 <= u <= ncols and 1 <= d <= nrows) or matrix[d - 1][u - 1] is not None:
             raise InternalError("diamond statistics are not a bijection")
         matrix[d - 1][u - 1] = e
-    if any(cell is None for row in matrix for cell in row):
+    if any(None in row for row in matrix):
         raise InternalError("diamond statistics are not a bijection")
     return matrix
 

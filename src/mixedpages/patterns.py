@@ -310,7 +310,7 @@ def largest_twist(g, budget: int = DEFAULT_SEARCH_BUDGET) -> PatternWitness:
     """Maximum pairwise-crossing set (exact maximum clique of the crossing
     relation); separated matchings use the longest-increasing fast path."""
     if isinstance(g, GridMatching):
-        chain = _lis_indices([(i + 1, y) for i, y in enumerate(g.pi)])
+        chain = _lis_indices(g.pi)
         return _single_group(PatternKind.TWIST, tuple(chain))
     cross, _ = conflict_masks(g)
     return _single_group(PatternKind.TWIST, _max_clique(cross, budget))
@@ -322,15 +322,15 @@ def has_twist(g: OrderedGraph, size: int, budget: int = DEFAULT_SEARCH_BUDGET):
     return _clique_of_size(cross, size, budget)
 
 
-def _lis_indices(points: list[tuple[int, int]]) -> list[int]:
-    """Indices of one longest strictly-increasing subsequence (points by x).
+def _lis_indices(values) -> list[int]:
+    """Indices of one longest strictly-increasing subsequence of `values`.
 
     Walked back over `core.increasing_levels`, as `rainbow_chain` walks
     depths: from the end, take the first index whose level is the one still
-    needed.  Points of one level never increase, so the last point of level
-    l before a point of level l + 1 lies below it; O(m) after the kernel.
+    needed.  Values of one level never increase, so the last value of level
+    l before a value of level l + 1 lies below it; O(m) after the kernel.
     """
-    levels = increasing_levels(points)
+    levels = increasing_levels(values)
     need = max(levels, default=0)
     chain = []
     for i in range(len(levels) - 1, -1, -1):
@@ -340,8 +340,8 @@ def _lis_indices(points: list[tuple[int, int]]) -> list[int]:
     return chain[::-1]
 
 
-def _lds_indices(points: list[tuple[int, int]]) -> list[int]:
-    return _lis_indices([(x, -y) for x, y in points])
+def _lds_indices(values) -> list[int]:
+    return _lis_indices([-y for y in values])
 
 
 # Diamond patterns
@@ -532,19 +532,22 @@ def largest_square_thick(g, budget: int = DEFAULT_SEARCH_BUDGET) -> PatternWitne
 # Subdivision extraction of thick patterns from diamond patterns
 
 
-def _quadrant_split(pts: list[tuple[int, int]], matrix):
+def _quadrant_split(pi, matrix):
     """Split a diamond matrix into the preferred opposite-quadrant pair.
 
-    pts are the points of the grid.  Each element is classified once, as
-    2 if it is in the lower half by x plus 1 if it is in the lower half by
-    y, and each row or column counts its members of a quadrant from that.
+    pi is the grid's permutation: element e sits at x = e + 1, y = pi[e].
+    Each element's quadrant code, 2 if it is in the lower half by x plus 1
+    if it is in the lower half by y, is set once in a list over the ids,
+    and each row or column counts its members of a quadrant from that.
     """
     ids = [e for row in matrix for e in row]
     half = len(ids) // 2
-    # Points have distinct x, so sorting them sorts by x.
-    low_x = set(sorted(ids, key=pts.__getitem__)[:half])
-    low_y = set(sorted(ids, key=lambda e: pts[e][1])[:half])
-    quads = [[2 * (e in low_x) + (e in low_y) for e in row] for row in matrix]
+    code = [0] * len(pi)
+    for e in sorted(ids)[:half]:
+        code[e] = 2
+    for e in sorted(ids, key=pi.__getitem__)[:half]:
+        code[e] += 1
+    quads = [list(map(code.__getitem__, row)) for row in matrix]
     count = [sum(row.count(quad) for row in quads) for quad in range(4)]
     total = len(ids)
     diag_ok = 4 * min(count[3], count[0]) >= total
@@ -584,7 +587,11 @@ def thick_from_diamond(grid: GridMatching, k: int) -> PatternWitness:
     Implements the recursive four-quadrant subdivision with h = 2*ceil(log2 k)
     rounds followed by an Erdos-Szekeres step on the permutation of the leaf
     squares.  Guaranteed to reach thickness k when the input holds a diamond
-    of side k**7; otherwise the best achievable witness is returned.
+    of side k**7.  A round that finds no opposite quadrant pair holding a
+    quarter of some leaf raises InsufficientInputError, as does an empty
+    matching; when every round splits, the better of the thick twist and
+    the thick rainbow the leaves give is returned, which may be thinner
+    than k.  The subdivision reads only `grid.pi`.
     """
     from . import greene
 
@@ -594,19 +601,23 @@ def thick_from_diamond(grid: GridMatching, k: int) -> PatternWitness:
     if not matrix:
         raise InsufficientInputError("empty matching")
     rounds = 2 * math.ceil(math.log2(k)) if k > 1 else 0
-    pts = grid.points()
+    # A list, not the tuple: list.__getitem__, the sort key and the map
+    # function below, is a plain method, about twice as fast as the tuple's
+    # slot wrapper.
+    pi = list(grid.pi)
     leaves = [matrix]
     for _ in range(rounds):
         nxt = []
         for leaf in leaves:
-            first, second = _quadrant_split(pts, leaf)
-            nxt.extend((first, second))
+            nxt.extend(_quadrant_split(pi, leaf))
         leaves = nxt
 
-    leaves.sort(key=lambda mat: min(pts[e][0] for row in mat for e in row))
-    leaf_pts = [(i + 1, min(pts[e][1] for row in mat for e in row)) for i, mat in enumerate(leaves)]
-    inc = _lis_indices(leaf_pts)
-    dec = _lds_indices(leaf_pts)
+    # A leaf is ordered by its least id (x = id + 1) and read at its least
+    # value in pi.
+    leaves.sort(key=lambda mat: min(map(min, mat)))
+    lows = [min(min(map(pi.__getitem__, row)) for row in mat) for mat in leaves]
+    inc = _lis_indices(lows)
+    dec = _lds_indices(lows)
 
     def assemble(seq, kind):
         if not seq:

@@ -138,13 +138,13 @@ def _twist_through(g: OrderedGraph, block_edges: list[int], a: int, v: int, k: i
     for e in block_edges:
         x, y = g.edges[e]
         if x < a < y < v:
-            stabbed.append((x, y))
+            stabbed.append((x, -y))
     if len(stabbed) < k:
         return False
-    # Equal left endpoints in decreasing right order: two edges that share a
-    # vertex never both join a strictly increasing run.
-    stabbed.sort(key=lambda xy: (xy[0], -xy[1]))
-    return max(increasing_levels(stabbed)) >= k
+    # By left endpoint, equal ones in decreasing right order: two edges that
+    # share a vertex never both join a strictly increasing run.
+    stabbed.sort()
+    return max(increasing_levels([-y for _, y in stabbed])) >= k
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """The longest increasing chain and the thick-pattern search as they were
 before they moved onto the shared kernels, kept verbatim as oracles for the
 differential tests: `_lis_indices` with its own patience sort and parent
-links, `largest_thick_of_kind` with its recursive clique search over the
-groups, and `thick_with_recursive_grow`, the later search on `_max_clique`
-that still enumerated the groups recursively.
+links, `increasing_levels` as it was when it read (x, y) points,
+`largest_thick_of_kind` with its recursive clique search over the groups,
+and `thick_with_recursive_grow`, the later search on `_max_clique` that
+still enumerated the groups recursively.
 
-The package must return the same chain as `_lis_indices`, and the same k
-as `largest_thick_of_kind`; its thick witness may be another clique of
-that size, so it is checked with `witness_violations` instead.  Against
+The package must return the same chain as `_lis_indices`, the same levels
+as `increasing_levels` given the points' y values, and the same k as
+`largest_thick_of_kind`; its thick witness may be another clique of that
+size, so it is checked with `witness_violations` instead.  Against
 `thick_with_recursive_grow` it must return the same witness, or raise the
 same `SizeLimitError`, at every budget.
 """
@@ -49,6 +51,27 @@ def _lis_indices(points: list[tuple[int, int]]) -> list[int]:
         out.append(i)
         i = parent[i]
     return out[::-1]
+
+
+def increasing_levels(points) -> list[int]:
+    """Length of the longest strictly increasing run of y values ending at
+    each (x, y) point, in list order; the largest level is the LIS.
+
+    Points must be sorted by x.  Patience sorting: `tails[l]` is the
+    smallest y that ends a run of length l + 1 so far; O(m log m).
+    """
+    from bisect import bisect_left
+
+    tails: list[int] = []
+    levels = []
+    for _, y in points:
+        pos = bisect_left(tails, y)
+        if pos == len(tails):
+            tails.append(y)
+        else:
+            tails[pos] = y
+        levels.append(pos + 1)
+    return levels
 
 
 def largest_thick_of_kind(

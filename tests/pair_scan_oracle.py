@@ -10,8 +10,8 @@ same size, since another chain of that size may come back.
 
 from __future__ import annotations
 
+from kernel_oracle import increasing_levels as _increasing_levels
 from mixedpages.core import GridMatching, OrderedGraph
-from mixedpages.core import increasing_levels as _increasing_levels
 from mixedpages.errors import InternalError
 from mixedpages.greene import (
     FamilyKind,

@@ -408,6 +408,25 @@ class TestCommands:
         ]) == 2
         assert capsys.readouterr().out == "unknown (budget exceeded)\n"
 
+    @pytest.mark.parametrize("args", [
+        ["solve", "{g}", "--mn"],
+        ["critical", "{g}", "--k", "3"],
+        ["layout", "{g}", "--k", "2"],
+        ["enumerate-critical", "--matchings", "--k", "3", "--max-m", "3"],
+        ["detect", "{g}", "--kind", "twist"],
+    ])
+    def test_negative_budget_is_an_error(self, capsys, twist_file, args):
+        """A budget below 0 exits 3 with one error line, never as a budget
+        hit (exit 2) that a script could not tell from a real one; 0 stays
+        a valid budget."""
+        argv = [a.format(g=twist_file) for a in args]
+        assert main([*argv, "--budget", "-1"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: budget must be at least 0, got -1\n"
+        assert main([*argv, "--budget", "0"]) != 3
+        assert "error" not in capsys.readouterr().err
+
     def test_arc_colors_match_page_count(self, tmp_path):
         from mixedpages.constructions import gen_2critical
         from mixedpages import solver as slv

@@ -20,13 +20,16 @@ masks that stop at an edge's end, the rainbow on nesting depths and the
 one-pass diamond matrix against the pair scans and repeated passes they
 replaced (kept in pair_scan_oracle.py), and the quadrant split that
 classifies each element once against its closure-based original (kept in
-quadrant_oracle.py), and the LIS chain walked over the shared levels and
-the thick search on `_max_clique` against their originals, and its group
-enumeration on an explicit stack against the recursive one (kept in
-kernel_oracle.py), and the one transfer lift for both page kinds against
-the mirrored stack-page and queue-page lifts it replaced (kept in
-quotient_oracle.py), and the capped 3-coloring of the stars of a page
-against the uncapped recursive search (kept in quotient_oracle.py), and
+quadrant_oracle.py), and `thick_from_diamond` with its diamond levels and
+subdivision on the permutation against the points-based path it replaced
+(kept in subdivision_oracle.py), and the LIS levels over values, the LIS
+chain walked over them and the thick search on `_max_clique` against their
+originals, and its group enumeration on an explicit stack against the
+recursive one (kept in kernel_oracle.py), and the one transfer lift for
+both page kinds against the mirrored stack-page and queue-page lifts it
+replaced (kept in quotient_oracle.py), and the capped 3-coloring of the
+stars of a page against the uncapped recursive search (kept in
+quotient_oracle.py), and
 the split verdicts of separated matchings (`greene.split_fits` and
 Greene's bound) and of two-page splits (2-SAT) and the page and stack
 numbers they give against the search, and the exact diamond search
@@ -56,6 +59,7 @@ import quotient_oracle
 import recursive_oracle
 import simplex_oracle
 import stream_oracle
+import subdivision_oracle
 from conftest import brute_force_fits, rand_graph, rand_matching
 from mixedpages import core, enumeration, greene, patterns, quotient, solver
 from mixedpages.constructions import (
@@ -861,7 +865,6 @@ def test_quadrant_split_matches_the_closure_code():
     grids += [rand_grid(rng, m) for m in (10, 30, 60, 100, 200) for _ in range(4)]
     splits = refusals = 0
     for grid in grids:
-        pts = grid.points()
         leaves = [greene.diamond_matrix(grid)]
         for _ in range(4):
             children = []
@@ -870,10 +873,10 @@ def test_quadrant_split_matches_the_closure_code():
                     want = quadrant_oracle._quadrant_split(grid, leaf)
                 except InsufficientInputError:
                     with pytest.raises(InsufficientInputError):
-                        patterns._quadrant_split(pts, leaf)
+                        patterns._quadrant_split(grid.pi, leaf)
                     refusals += 1
                     continue
-                assert patterns._quadrant_split(pts, leaf) == want
+                assert patterns._quadrant_split(grid.pi, leaf) == want
                 splits += 1
                 children += [child for child in want if child]
             leaves = children
@@ -888,7 +891,54 @@ def test_lis_walk_matches_the_parent_links():
         n = rng.randint(0, 30)
         top = rng.choice((3, n, 3 * n)) or 1
         points = [(x, rng.randint(1, top)) for x in range(1, n + 1)]
-        assert patterns._lis_indices(points) == kernel_oracle._lis_indices(points)
+        values = [y for _, y in points]
+        assert patterns._lis_indices(values) == kernel_oracle._lis_indices(points)
+
+
+def test_levels_over_values_match_the_points_kernel():
+    """The LIS levels of a sequence of values are those the points-based
+    kernel gave for the points (x, value), also with repeated and negative
+    values, and an empty sequence has none."""
+    rng = random.Random(29)
+    for _ in range(5000):
+        n = rng.randint(0, 40)
+        top = rng.choice((1, 3, n + 1, 3 * n + 1))
+        values = [rng.randint(-top, top) for _ in range(n)]
+        points = list(enumerate(values, 1))
+        assert core.increasing_levels(values) == kernel_oracle.increasing_levels(points)
+        assert core.increasing_levels(tuple(values)) == core.increasing_levels(values)
+
+
+def _thick_or_error(thick, grid, k):
+    """The witness `thick(grid, k)` returns, or the type and message of the
+    MixedPagesError it raises."""
+    try:
+        return thick(grid, k)
+    except MixedPagesError as exc:
+        return type(exc), str(exc)
+
+
+def test_thick_from_diamond_matches_the_points_path():
+    """The same witness, or the same error with the same message, as the
+    points-based subdivision: on diamonds of side 1 to 40 at k = 1 to 4
+    (the extremal route, no flow), and on random grids of up to 120 edges at
+    k = 1 to 3 (the flow route, and the empty matching)."""
+    cases = [(gen_diamond(side), k) for side in range(1, 41) for k in range(1, 5)]
+    rng = random.Random(30)
+    grids = [rand_grid(rng, m) for m in (0, 1, 2, 5, 9, 17, 30, 48, 64, 80, 100, 120)]
+    grids += [rand_grid(rng, rng.randint(3, 120)) for _ in range(12)]
+    cases += [(grid, k) for grid in grids for k in range(1, 4)]
+    outcomes = {"witness": 0, "refused": 0}
+    for grid, k in cases:
+        got = _thick_or_error(patterns.thick_from_diamond, grid, k)
+        assert got == _thick_or_error(subdivision_oracle.thick_from_diamond, grid, k), (grid, k)
+        if isinstance(got, patterns.PatternWitness):
+            assert witness_violations(grid, got) == []
+            outcomes["witness"] += 1
+        else:
+            assert got[0] is InsufficientInputError
+            outcomes["refused"] += 1
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_thick_search_matches_the_recursive_clique():

@@ -257,6 +257,37 @@ class TestThickFromDiamond:
         with pytest.raises(InsufficientInputError):
             thick_from_diamond(GridMatching((1,)), 2)
 
+    def test_non_extremal_grid_takes_the_flow_route(self, monkeypatch):
+        """LIS * LDS != m, so the diamond comes from two maximum families;
+        every round splits and the witness, thinner than the k asked for,
+        passes its re-check."""
+        import random
+
+        from mixedpages import greene
+
+        pi = list(range(1, 101))
+        random.Random(0).shuffle(pi)
+        grid = GridMatching(tuple(pi))
+        assert lis_length(pi) * lds_length(pi) != grid.m
+        kinds = []
+        flow = greene.max_family
+
+        def counted(grid, kind, k):
+            kinds.append(kind)
+            return flow(grid, kind, k)
+
+        monkeypatch.setattr(greene, "max_family", counted)
+        w = thick_from_diamond(grid, 2)
+        assert len(kinds) == 2
+        assert w.kind is PatternKind.THICK_TWIST and w.size == (1, 1)
+        assert witness_violations(grid, w) == []
+
+    def test_round_without_a_quarter_pair_raises(self):
+        """gen_diamond(8) at k=3 runs four rounds; one of them finds no
+        opposite quadrant pair holding a quarter of a leaf."""
+        with pytest.raises(InsufficientInputError, match="quarter"):
+            thick_from_diamond(gen_diamond(8), 3)
+
 
 class TestWitnessSerialization:
     def test_json_round_trip(self):
