@@ -20,6 +20,7 @@ from .core import (
     PageAssignment,
     PageKind,
     PageSpec,
+    check_coverage,
     dump_assignment,
     dump_olg,
     dump_perm,
@@ -31,6 +32,7 @@ from .core import (
     validate_assignment,
 )
 from .errors import (
+    BadEdgeIdError,
     BadParamsError,
     BudgetExceededError,
     InvalidInputError,
@@ -40,6 +42,7 @@ from .errors import (
 from .patterns import (
     DEFAULT_SEARCH_BUDGET,
     PatternWitness,
+    ids_out_of_range,
     largest_diamond,
     largest_rainbow,
     largest_square_thick,
@@ -384,11 +387,15 @@ def cmd_render(args) -> int:
         _refuse(args, ("witness", "svg"), "by --arcs")
         g = load_graph(args.input)
         assignment = parse_assignment(read_input(args.assignment)) if args.assignment else None
+        if assignment is not None:
+            check_coverage(g, assignment)
         sys.stdout.write(render_arcs(g, assignment))
     else:
         _refuse(args, ("assignment",), "by the grid rendering")
         witness = PatternWitness.from_json(read_input(args.witness)) if args.witness else None
         grid = load_grid(args.input)
+        if witness is not None and ids_out_of_range(witness, grid.m):
+            raise BadEdgeIdError(f"witness edge id out of range: the grid has {grid.m} edges")
         if args.svg:
             sys.stdout.write(render_grid_svg(grid, witness))
         else:

@@ -356,6 +356,18 @@ def _page_violations(edges, members: list[int], stack: bool) -> list[tuple[int, 
     return pairs
 
 
+def check_coverage(g: OrderedGraph, a: PageAssignment) -> None:
+    """Raise CoverageMismatchError unless `a` puts each edge of g, and no
+    other, on one of its pages."""
+    if len(a.page_of) != g.m:
+        raise CoverageMismatchError(
+            f"assignment covers {len(a.page_of)} edges, graph has {g.m}"
+        )
+    for e, p in enumerate(a.page_of):
+        if not 0 <= p < len(a.spec):
+            raise CoverageMismatchError(f"edge {e} mapped to missing page {p}")
+
+
 def validate_assignment(g: OrderedGraph, a: PageAssignment) -> list[Violation]:
     """Empty iff no stack page holds a crossing pair and no queue a nesting pair.
 
@@ -364,13 +376,7 @@ def validate_assignment(g: OrderedGraph, a: PageAssignment) -> list[Violation]:
     order of the pairwise scan (by page, then by edge ids), at a cost of
     O(m log m + violations), not of all pairs.
     """
-    if len(a.page_of) != g.m:
-        raise CoverageMismatchError(
-            f"assignment covers {len(a.page_of)} edges, graph has {g.m}"
-        )
-    for e, p in enumerate(a.page_of):
-        if not 0 <= p < len(a.spec):
-            raise CoverageMismatchError(f"edge {e} mapped to missing page {p}")
+    check_coverage(g, a)
     violations = []
     for p, (members, kind) in enumerate(zip(a.pages(), a.spec.kinds)):
         stack = kind is PageKind.STACK

@@ -129,11 +129,13 @@ def lds_length(pi) -> int:
     return max(increasing_levels([-y for y in pi]), default=0)
 
 
-def split_fits(pi, s: int, q: int, budget: int) -> tuple[bool | None, int]:
-    """Can `pi`, distinct positive ints, be split into s decreasing and q
-    increasing subsequences?  On a separated matching these are s stacks
-    and q queues.  Returns (fits, nodes), where fits is None when the
-    states to expand exceed `budget`; a node is one state expanded.
+def split_layout(pi, s: int, q: int, budget: int) -> tuple[list[int] | bool | None, int]:
+    """Split `pi`, distinct positive ints, into s decreasing and q
+    increasing subsequences.  On a separated matching these are s stacks
+    and q queues.  Returns (page_of, nodes): page_of[t] is the page of
+    pi[t], stacks 0..s-1 holding decreasing and queues s..s+q-1 increasing
+    subsequences; False when no split exists, and None when the states to
+    expand exceed `budget`.  A node is one state expanded.
 
     A left-to-right DP (the problem is polynomial for fixed s and q: Kézdy,
     Snevily & Wang, JCTA 1996).  A state is one tuple: the sorted last
@@ -149,11 +151,23 @@ def split_fits(pi, s: int, q: int, budget: int) -> tuple[bool | None, int]:
     every state after the states that dominate it, and one sweep keeps the
     states that no kept state dominates.  The sweep tries the last kept
     state first: it is the nearest in that order, so a repeated state is
-    dropped at once.
+    dropped at once.  The two children of one state each raise a slot that
+    the other keeps, so neither dominates the other, and a step from a
+    single state keeps both without a sweep.
+
+    A move writes x into the slot whose value it replaces, and that slot
+    keeps its place in the sorted tuple, since x lies between its old value
+    and the next one.  So a slot is one subsequence throughout: slot i < q
+    is queue s + i, and slot i >= q is stack i - q.  Each step keeps only
+    one int per kept state, its parent's index times s + q plus the slot
+    of its move (carried through the sort at the end of the child tuple),
+    and the walk back from a final state reads every value's page off
+    these.
     """
     k = q + s
     top = max(pi, default=0) + 1
     states = [(0,) * k]
+    steps = []
     nodes = 0
     for x in pi:
         nodes += len(states)
@@ -161,27 +175,39 @@ def split_fits(pi, s: int, q: int, budget: int) -> tuple[bool | None, int]:
             return None, nodes
         flipped = top - x
         children = []
+        base = -1  # the parent's index times k, less one
         for state in states:
             i = bisect.bisect_left(state, x, 0, q)
             if i:
-                children.append(state[: i - 1] + (x,) + state[i:])
+                children.append(state[: i - 1] + (x,) + state[i:] + (base + i,))
             j = bisect.bisect_left(state, flipped, q)
             if j > q:
-                children.append(state[: j - 1] + (flipped,) + state[j:])
-        if len(children) > 1:
-            children.sort()
-            states = []
-            for state in children:
-                for other in reversed(states):
-                    if all(map(le, other, state)):
-                        break
-                else:
-                    states.append(state)
-        elif children:
-            states = children
-        else:
+                children.append(state[: j - 1] + (flipped,) + state[j:] + (base + j,))
+            base += k
+        if not children:
             return False, nodes
-    return True, nodes
+        if len(states) == 1:
+            states = [child[:k] for child in children]
+            steps.append([child[k] for child in children])
+            continue
+        children.sort()
+        states = []
+        kept = []
+        for child in children:
+            # `other` has no move slot, so map stops before the child's.
+            for other in reversed(states):
+                if all(map(le, other, child)):
+                    break
+            else:
+                states.append(child[:k])
+                kept.append(child[k])
+        steps.append(kept)
+    page_of = [0] * len(steps)
+    n = 0
+    for t in range(len(steps) - 1, -1, -1):
+        n, slot = divmod(steps[t][n], k)
+        page_of[t] = s + slot if slot < q else slot - q
+    return page_of, nodes
 
 
 def _hasse_covers(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -92,6 +92,11 @@ def _as_graph(host) -> OrderedGraph:
     return grid_to_graph(host) if isinstance(host, GridMatching) else host
 
 
+def ids_out_of_range(witness: PatternWitness, m: int) -> bool:
+    """Does a group of `witness` name an edge id outside 0..m-1?"""
+    return any(not 0 <= e < m for grp in witness.groups for e in grp)
+
+
 def witness_violations(host, witness: PatternWitness) -> list[str]:
     """Re-check a witness against its defining relations; empty iff valid."""
     g = _as_graph(host)
@@ -101,7 +106,7 @@ def witness_violations(host, witness: PatternWitness) -> list[str]:
         out.append("groups overlap")
     if set(flat) != set(witness.edges):
         out.append("edge list disagrees with groups")
-    if any(not 0 <= e < g.m for e in flat):
+    if ids_out_of_range(witness, g.m):
         return out + ["edge id out of range"]
 
     def rel(e1, e2):

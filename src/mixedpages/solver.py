@@ -12,7 +12,8 @@ than a wrong verdict when it runs out; where any of several splits will do,
 not only a verdict (`feasible`, `mixed_page_number`, `stack_number`),
 search one split at a time.  `mixed_page_number` and `stack_number` search
 a split of two pages only once 2-SAT (`_two_pages`) fits it, so no
-two-page split they search is infeasible.
+two-page split they search is infeasible, and `mixed_page_number` lays the
+first pure-queue split it reaches out by nesting depth, unsearched.
 
 The exceptions are separated graphs, where every left endpoint precedes
 every right one.  On their sorted edges crossing and nesting are strict
@@ -22,11 +23,12 @@ decides such a spec of a separated pattern without search when its caller
 says the masks are separated.  On a separated matching every two edges cross
 or nest, and a split of s stacks and q queues is a partition of its
 permutation into s decreasing and q increasing subsequences, polynomial
-for fixed s and q.  `mixed_page_number` decides every split of such an
-input without search (the RSK shape, Greene's bound and
-`greene.split_fits`) and searches only the first split that fits, for its
-layout.  The shape and 2-SAT count 0 nodes against a budget; only the DP's
-states and the searches' nodes count.
+for fixed s and q.  `mixed_page_number` and `stack_number` decide and lay
+out every split of such an input without conflict masks or search: the
+RSK shape and Greene's bound refute splits, and `greene.split_layout`
+decides the rest and returns the layout its DP's path holds.  The shape
+and 2-SAT count 0 nodes against a budget; only the DP's states and the
+searches' nodes count.
 """
 
 from __future__ import annotations
@@ -424,6 +426,14 @@ def _force(bar0: list[int], bar1: list[int], free: int, new0: int, new1: int) ->
     return on0 | on1
 
 
+def _checked(g: OrderedGraph, assignment: PageAssignment, route: str) -> PageAssignment:
+    """`assignment` if it is a valid layout of g, else an InternalError that
+    names the `route` that gave it."""
+    if validate_assignment(g, assignment):
+        raise InternalError(f"{route} returned an invalid layout")
+    return assignment
+
+
 def _feasible_masks(
     g: OrderedGraph,
     cross: list[int],
@@ -436,9 +446,7 @@ def _feasible_masks(
     page_of, nodes, hit = _solve_masks(cross, nest, list(range(m)), spec, budget)
     if page_of is not None:
         assignment = PageAssignment(spec, tuple([page_of[e] for e in range(m)]))
-        if validate_assignment(g, assignment):
-            raise InternalError(f"search returned an invalid layout on {spec}")
-        return SolveResult(True, assignment, nodes, False)
+        return SolveResult(True, _checked(g, assignment, f"search on {spec}"), nodes, False)
     return SolveResult(False, None, nodes, hit)
 
 
@@ -484,6 +492,30 @@ def _separated_rights(g: OrderedGraph) -> list[int] | None:
     return [v for _, v in sorted(edges)]
 
 
+def _split_layout(
+    g: OrderedGraph, rights: list[int], s: int, q: int, budget: int
+) -> tuple[PageAssignment | bool | None, int]:
+    """`greene.split_layout` on the separated matching g, whose right
+    endpoints in left-endpoint order are `rights` (at least one, so a
+    layout is a nonempty list): (the layout on s stacks and q queues, or
+    False, or None past `budget`; nodes).  The layout is checked: an
+    invalid one is an InternalError."""
+    # Imported here, not with the module: solver's other callers, such as
+    # enumeration, never need greene, and it would add about a quarter to
+    # their import time.
+    from .greene import split_layout
+
+    pages, nodes = split_layout(rights, s, q, budget)
+    if not pages:
+        return pages, nodes
+    edges = g.edges
+    page_of = [0] * g.m
+    for e, p in zip(sorted(range(g.m), key=edges.__getitem__), pages):
+        page_of[e] = p
+    spec = PageSpec.split(s, q)
+    return _checked(g, PageAssignment(spec, tuple(page_of)), f"split DP on {spec}"), nodes
+
+
 def mixed_page_number(
     g: OrderedGraph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, PageAssignment]:
@@ -491,75 +523,91 @@ def mixed_page_number(
 
     The splits of each k are tried in the order of `splits`, and the first
     one found feasible gives the layout.  A split is searched only if no
-    verdict without search refutes it:
+    verdict without search decides it:
     - pure-stack splits with fewer stacks than the largest twist, and
       pure-queue splits with fewer queues than the largest rainbow, are
-      infeasible (a pure-queue split with enough queues always fits);
+      infeasible;
+    - the first pure-queue split reached has as many queues as the largest
+      rainbow, and the nesting depths lay it out (`queue_layout`);
     - a split of two pages is 2-SAT (`_two_pages`), so only one that fits
       is searched, on any graph.
+    A search that refutes a two-page split that 2-SAT fits is an
+    InternalError.
 
-    On a separated matching (a simple matching with every left endpoint
-    before every right one, and at least one edge) no infeasible split is
-    searched.  There a stack is a decreasing and a queue an increasing
-    subsequence of the right endpoints read in left-endpoint order.  One
-    RSK insertion shape of that sequence gives the largest twist (its first
-    row) and the largest rainbow (its row count), so the two skips decide
-    every pure split.  It also gives Greene's bound: q increasing
-    subsequences hold at most the values of the first q rows, and s
-    decreasing ones those of the first s columns, so a mixed split whose
-    rows and columns hold fewer than m values between them is infeasible.  A
-    mixed split of three or more pages that passes it is decided by
-    `greene.split_fits`, a DP whose states grow with s + q and whose
-    expanded states count against `budget`; the shape test and 2-SAT count
-    0 nodes.  Only the first split these verdicts call feasible is
-    searched, for its layout: the split and the layout are the ones the
-    searches alone would give, and a search that refutes a split a verdict
-    fits is an InternalError.  A DP or a search that runs out marks its
-    split unknown, and a k with an unknown split and none feasible raises
-    BudgetExceededError.
+    A separated matching (a simple matching with every left endpoint
+    before every right one, and at least one edge) is never searched, and
+    its conflict masks are never built.  There a stack is a decreasing and
+    a queue an increasing subsequence of the right endpoints read in
+    left-endpoint order.  One RSK insertion shape of that sequence gives
+    Greene's bound: q increasing subsequences hold at most the values of
+    its first q rows, and s decreasing ones those of its first s columns,
+    so a split whose rows and columns hold fewer than m values between them
+    is infeasible.  For a pure split this is the twist or rainbow skip: the
+    first row is the largest twist and the row count the largest rainbow.
+    Every split that passes it, pure, mixed or of two pages, is laid out by
+    `greene.split_layout`, a DP whose states grow with s + q and whose
+    expanded states are the only nodes that count against `budget`.  The
+    layout is the DP's, checked by `validate_assignment`; an invalid one is
+    an InternalError.
+
+    A DP or a search that runs out marks its split unknown, and a k with an
+    unknown split and none feasible raises BudgetExceededError.
     """
     m = g.m
-    cross, nest = conflict_masks(g)
     rights = _separated_rights(g)
-    if rights is None:
-        omega = _twist_bound(cross, budget)
-        rainbow = max(nesting_depths(g.edges), default=0)
-    else:
-        # Imported here, not with the module: solver's other callers, such
-        # as enumeration, never need greene, and it would add about a
-        # quarter to their import time.
-        from .greene import conjugate_partition, insertion_shape, split_fits
+    if rights is not None:
+        # Imported here, not with the module, as in `_split_layout`.
+        from .greene import conjugate_partition, insertion_shape
 
         rows = insertion_shape(rights)
         cols = conjugate_partition(rows)
-        omega, rainbow = rows[0], len(rows)
+
+        def place(s: int, q: int):
+            if sum(rows[:q]) + sum(cols[:s]) < m:
+                return False, 0
+            return _split_layout(g, rights, s, q, budget)
+
+        return _smallest_split(m, place)
+    cross, nest = conflict_masks(g)
+    omega = _twist_bound(cross, budget)
+    depth = nesting_depths(g.edges)
+    rainbow = max(depth, default=0)
     everyone = (1 << m) - 1
+
+    def place(s: int, q: int):
+        k = s + q
+        if (not q and k < omega) or (not s and k < rainbow):
+            return False, 0
+        if not s:
+            return _checked(g, _depth_layout(depth), "nesting depth"), 0
+        if k == 2 and not _two_pages(cross, nest if q else cross, everyone):
+            return False, 0
+        spec = PageSpec.split(s, q)
+        res = _feasible_masks(g, cross, nest, spec, budget)
+        if res.feasible:
+            return res.assignment, res.nodes
+        if k == 2 and not res.budget_hit:
+            raise InternalError(f"search refutes {spec}, which the verdicts fit")
+        return (None if res.budget_hit else False), res.nodes
+
+    return _smallest_split(m, place)
+
+
+def _smallest_split(m: int, place) -> tuple[int, PageAssignment]:
+    """The page count and layout of the first split, in `splits` order, that
+    place(s, q) lays out.  `place` returns (layout, nodes), where layout is
+    False for a split that does not fit and None for one left undecided; a
+    page count with an undecided split and none laid out raises
+    BudgetExceededError with the nodes of every call so far."""
     total_nodes = 0
     for k in range(m + 1):
         unknown = False
         for q in range(k + 1):
-            s = k - q
-            if (not q and k < omega) or (not s and k < rainbow):
-                continue
-            if k == 2:
-                if not _two_pages(cross if s else nest, nest if q else cross, everyone):
-                    continue
-            elif rights is not None and s and q:
-                if sum(rows[:q]) + sum(cols[:s]) < m:
-                    continue
-                fits, nodes = split_fits(rights, s, q, budget)
-                total_nodes += nodes
-                if not fits:
-                    unknown = unknown or fits is None
-                    continue
-            spec = PageSpec.split(s, q)
-            res = _feasible_masks(g, cross, nest, spec, budget)
-            total_nodes += res.nodes
-            if res.feasible:
-                return k, res.assignment
-            if (k == 2 or rights is not None) and not res.budget_hit:
-                raise InternalError(f"search refutes {spec}, which the verdicts fit")
-            unknown = unknown or res.budget_hit
+            layout, nodes = place(k - q, q)
+            total_nodes += nodes
+            if layout:
+                return k, layout
+            unknown = unknown or layout is None
         if unknown:
             raise BudgetExceededError(
                 f"mixed page number at k={k} undecided", nodes=total_nodes
@@ -575,7 +623,23 @@ def stack_number(
     Two stacks are 2-SAT (`_two_pages` on the crossing masks, 0 nodes), so
     two stacks are searched only when they fit, for the layout, and a
     search that refutes them is an InternalError.
+
+    On a separated matching the answer is the largest twist, the longest
+    increasing subsequence of the right endpoints in left-endpoint order,
+    and `greene.split_layout` lays it out with one DP state per edge (m
+    nodes against `budget`), without conflict masks or search.
     """
+    rights = _separated_rights(g)
+    if rights is not None:
+        from .greene import lis_length
+
+        s = lis_length(rights)
+        layout, nodes = _split_layout(g, rights, s, 0, budget)
+        if layout is None:
+            raise BudgetExceededError(f"stack number at s={s} undecided", nodes=nodes)
+        if not layout:
+            raise InternalError(f"the split DP refutes {s} stacks, the largest twist")
+        return s, layout
     cross, nest = conflict_masks(g)
     total_nodes = 0
     for s in range(_twist_bound(cross, budget), g.m + 1):
@@ -592,6 +656,14 @@ def stack_number(
     raise InternalError("a graph always fits on one stack per edge")
 
 
+def _depth_layout(depth: list[int]) -> PageAssignment:
+    """The pure-queue layout that puts each edge on its nesting depth less
+    one, given the `nesting_depths` of the edges."""
+    return PageAssignment(
+        PageSpec.split(0, max(depth, default=0)), tuple([d - 1 for d in depth])
+    )
+
+
 def queue_layout(g: OrderedGraph) -> PageAssignment:
     """Optimal pure-queue layout by nesting depth; exact in polynomial time.
 
@@ -599,11 +671,7 @@ def queue_layout(g: OrderedGraph) -> PageAssignment:
     equals the largest rainbow, which is also a lower bound.  An edge's
     page is its depth less one.
     """
-    depth = nesting_depths(g.edges)
-    q = max(depth, default=0)
-    return PageAssignment(
-        PageSpec.split(0, q), tuple(d - 1 for d in depth)
-    )
+    return _depth_layout(nesting_depths(g.edges))
 
 
 def queue_number(g: OrderedGraph) -> tuple[int, PageAssignment]:
@@ -622,9 +690,7 @@ def queue_number(g: OrderedGraph) -> tuple[int, PageAssignment]:
         not (u < x and y < v) for (u, v), (x, y) in zip(chain, chain[1:])
     ):
         raise InternalError(f"{q} queue levels but no rainbow of {q} edges")
-    if validate_assignment(g, a):
-        raise InternalError("queue layout by nesting depth is invalid")
-    return q, a
+    return q, _checked(g, a, "nesting depth")
 
 
 @dataclass(frozen=True)

@@ -86,17 +86,21 @@ class TestCommands:
         (["{g}", "--spec", "S"], 1, "S", "infeasible"),
         (["{c}", "--spec", "SS", "--budget", "3"], 2, "SS", "unknown"),
         (["{g}", "--mn"], 0, 1, "feasible"),
-        (["{c}", "--mn", "--budget", "3"], 2, None, "unknown"),
+        (["{k}", "--mn", "--budget", "3"], 2, None, "unknown"),
         (["{g}", "--sn"], 0, 2, "feasible"),
         (["{c}", "--sn", "--budget", "3"], 2, None, "unknown"),
         (["{g}", "--qn"], 0, 1, "feasible"),
     ])
     def test_solve_json_on_every_outcome(self, capsys, tmp_path, twist_file, args, code, value, status):
-        from mixedpages.constructions import gen_2critical
+        from mixedpages.constructions import gen_2critical, gen_k_critical
 
         critical = tmp_path / "c.olg"
         critical.write_text(dump_olg(gen_2critical(4)))
-        argv = ["solve", *(a.format(g=twist_file, c=critical) for a in args)]
+        # Three pages are not enough and a budget of 3 decides none of the
+        # mixed splits of three pages, so --mn stays unknown.
+        four = tmp_path / "k.olg"
+        four.write_text(dump_olg(gen_k_critical(3)))
+        argv = ["solve", *(a.format(g=twist_file, c=critical, k=four) for a in args)]
         assert main([*argv, "--json"]) == code
         data = json.loads(capsys.readouterr().out)
         task = "spec" if "--spec" in args else args[1][2:]
@@ -108,10 +112,10 @@ class TestCommands:
             assert text == ("infeasible\n" if status == "infeasible" else "unknown (budget exceeded)\n")
 
     def test_solve_budget_unknown_exit_code(self, capsys, tmp_path):
-        from mixedpages.constructions import gen_2critical
+        from mixedpages.constructions import gen_k_critical
 
         path = tmp_path / "g.olg"
-        path.write_text(dump_olg(gen_2critical(4)))
+        path.write_text(dump_olg(gen_k_critical(3)))
         assert main(["solve", str(path), "--mn", "--budget", "3"]) == 2
 
     def test_detect_twist(self, capsys, twist_file):
@@ -206,6 +210,42 @@ class TestCommands:
     def test_render_grid_cli(self, capsys, diamond_file):
         assert main(["render", diamond_file, "--grid"]) == 0
         assert parse_grid_ascii(capsys.readouterr().out).pi == (3, 4, 1, 2)
+
+    @pytest.mark.parametrize("pages, why", [
+        ([0, 3], "edge 1 mapped to missing page 3"),
+        ([0], "assignment covers 1 edges, graph has 2"),
+        ([0, -1], "edge 1 mapped to missing page -1"),
+    ])
+    def test_render_arcs_refuses_an_assignment_that_misses_the_graph(
+        self, capsys, tmp_path, pages, why
+    ):
+        """The coverage check of `verify`: an exit 3 with one error line,
+        not a traceback or the style of another page."""
+        graph = tmp_path / "a.olg"
+        graph.write_text("4 2\n0 1\n2 3\n")
+        layout = tmp_path / "a.json"
+        layout.write_text(json.dumps({"spec": ["S"], "pages": pages}))
+        assert main(["render", str(graph), "--arcs", "--assignment", str(layout)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {why}\n"
+        layout.write_text(json.dumps({"spec": ["S"], "pages": [0, 0]}))
+        assert main(["render", str(graph), "--arcs", "--assignment", str(layout)]) == 0
+        assert ET.fromstring(capsys.readouterr().out) is not None
+
+    @pytest.mark.parametrize("edge", [99, -3, 4])
+    @pytest.mark.parametrize("svg", [[], ["--svg"]])
+    def test_render_grid_refuses_witness_ids_out_of_range(
+        self, capsys, tmp_path, diamond_file, edge, svg
+    ):
+        """The id check of `verify`, which says "edge id out of range"."""
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps({"kind": "twist", "k": 1, "t": 1, "groups": [[edge]]}))
+        assert main(["verify", diamond_file, "--witness", str(wfile)]) == 1
+        assert "edge id out of range" in capsys.readouterr().out
+        assert main(["render", diamond_file, "--grid", *svg, "--witness", str(wfile)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: witness edge id out of range: the grid has 4 edges\n"
 
     def test_verify_assignment_ok_and_bad(self, capsys, tmp_path, twist_file):
         good = tmp_path / "good.json"

@@ -30,9 +30,9 @@ both page kinds against the mirrored stack-page and queue-page lifts it
 replaced (kept in quotient_oracle.py), and the capped 3-coloring of the
 stars of a page against the uncapped recursive search (kept in
 quotient_oracle.py), and
-the split verdicts of separated matchings (`greene.split_fits` and
-Greene's bound) and of two-page splits (2-SAT) and the page and stack
-numbers they give against the search, and the exact diamond search
+the split layouts of separated matchings (`greene.split_layout`, against
+a brute force) and Greene's bound, and of two-page splits (2-SAT), and
+the page and stack numbers they give against the search, and the exact diamond search
 on an explicit stack against its recursive original (kept in
 recursive_oracle.py), and the per-level conflict tables of enumeration
 against the pair scan of each candidate's own edges, and the candidate
@@ -41,6 +41,7 @@ stack, against the walks it replaced and the ids `_decide` mapped (kept in
 stream_oracle.py), and the doubling loop of `gen_alternating_subdivision`
 against its recursive build (kept in recursive_oracle.py)."""
 
+import functools
 import json
 import math
 import random
@@ -182,9 +183,20 @@ def test_search_matches_oracle_on_larger_matchings():
     assert rescued > 0
 
 
+def same_page_number(g, got, want):
+    """`got` has the page number and split of `want` and is a valid layout
+    of g; a split with a stack outside separated matchings is searched, so
+    its layout is the search's too."""
+    (k, layout), (want_k, want_layout) = got, want
+    assert (k, layout.spec) == (want_k, want_layout.spec)
+    assert validate_assignment(g, layout) == []
+    if layout.spec.s and solver._separated_rights(g) is None:
+        assert layout == want_layout
+
+
 def test_mixed_page_number_matches_unskipped_split_loop():
     """Splits below the twist (pure stack) or the rainbow (pure queue) are
-    skipped; the answer and witness are those of a search of every split."""
+    skipped; the answer and split are those of a search of every split."""
     rng = random.Random(23)
     skipped = 0
     for i in range(300):
@@ -195,52 +207,91 @@ def test_mixed_page_number_matches_unskipped_split_loop():
             for spec in solver.splits(k)
             if (res := solver.feasible(g, spec)).feasible
         )
-        assert solver.mixed_page_number(g) == want
+        same_page_number(g, solver.mixed_page_number(g), want)
         skipped += want[0] > 1 and max(nesting_depths(g.edges)) > 1
     assert skipped > 20
 
 
-MIXED_SPLITS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]
+# Every split of at most five pages.
+SMALL_SPLITS = [(k - q, q) for k in range(6) for q in range(k + 1)]
 
 
-def search_verdicts(pi):
-    """The search's verdict on each of MIXED_SPLITS for the separated
-    matching of `pi`."""
-    g = grid_to_graph(GridMatching(tuple(pi)))
-    cross, nest = conflict_masks(g)
-    verdicts = []
-    for s, q in MIXED_SPLITS:
-        page_of, _, hit = _solve_masks(cross, nest, list(range(g.m)), PageSpec.split(s, q), 10**9)
-        assert not hit
-        verdicts.append(page_of is not None)
-    return verdicts
+def brute_force_split(pi, s, q) -> bool:
+    """Do the values of `pi` go onto s decreasing and q increasing
+    sequences?  Tries every sequence for every value, in order, so it is
+    exhaustive; the cache only skips a repeated set of last values (sorted,
+    since the sequences of a kind are interchangeable), and an unused
+    sequence reads m + 1 (decreasing) or 0 (increasing)."""
+    m = len(pi)
+
+    @functools.cache
+    def place(t, downs, ups):
+        if t == m:
+            return True
+        x = pi[t]
+        return any(
+            place(t + 1, tuple(sorted(downs[:n] + (x,) + downs[n + 1:])), ups)
+            for n, last in enumerate(downs)
+            if last > x
+        ) or any(
+            place(t + 1, downs, tuple(sorted(ups[:n] + (x,) + ups[n + 1:])))
+            for n, last in enumerate(ups)
+            if last < x
+        )
+
+    return place(0, (m + 1,) * s, (0,) * q)
 
 
-def test_split_fits_matches_search_on_every_small_permutation():
-    """Every permutation with m <= 7, at every mixed split of at most four
-    pages: the DP's verdict is the search's."""
+def check_split_layout(pi, s, q, page_of):
+    """`page_of` puts every value of `pi` on one of s + q pages, and the
+    values of each stack (pages below s) decrease and those of each queue
+    increase, read in `pi`'s order."""
+    assert len(page_of) == len(pi)
+    last = {}
+    for x, p in zip(pi, page_of):
+        assert 0 <= p < s + q
+        if p in last:
+            assert x < last[p] if p < s else x > last[p], (pi, s, q, page_of)
+        last[p] = x
+
+
+def test_split_layout_matches_brute_force_on_every_small_permutation():
+    """Every permutation with m <= 7, at every split of at most five pages:
+    the DP lays the split out exactly when the brute force does, on pages
+    whose stacks decrease and whose queues increase."""
     verdicts = set()
     for m in range(8):
         for pi in permutations(range(1, m + 1)):
-            for (s, q), want in zip(MIXED_SPLITS, search_verdicts(pi)):
-                assert greene.split_fits(pi, s, q, 10**9)[0] == want, (pi, s, q)
+            for s, q in SMALL_SPLITS:
+                want = brute_force_split(pi, s, q)
+                page_of, _ = greene.split_layout(pi, s, q, 10**9)
+                assert (page_of is not False) == want, (pi, s, q)
+                if want:
+                    check_split_layout(pi, s, q, page_of)
                 verdicts.add(want)
     assert verdicts == {True, False}
 
 
-def test_split_fits_matches_search_on_random_permutations():
-    """600 random permutations with m from 8 to 18.  The DP's verdict is the
-    search's, and a budget one below the DP's node count is unknown."""
+def test_split_layout_matches_brute_force_on_random_permutations():
+    """300 random permutations with m from 8 to 18, at every split of at
+    most five pages: the brute force's verdict, a layout that holds, and a
+    budget one below the DP's node count is unknown.  A pure split takes
+    one state per value."""
     rng = random.Random(41)
     verdicts = set()
-    for _ in range(600):
+    for _ in range(300):
         pi = list(range(1, rng.randint(8, 18) + 1))
         rng.shuffle(pi)
-        for (s, q), want in zip(MIXED_SPLITS, search_verdicts(pi)):
-            fits, nodes = greene.split_fits(pi, s, q, 10**9)
-            assert fits == want, (pi, s, q)
-            assert greene.split_fits(pi, s, q, nodes) == (fits, nodes)
-            assert greene.split_fits(pi, s, q, nodes - 1) == (None, nodes)
+        for s, q in SMALL_SPLITS:
+            want = brute_force_split(pi, s, q)
+            page_of, nodes = greene.split_layout(pi, s, q, 10**9)
+            assert (page_of is not False) == want, (pi, s, q)
+            if want:
+                check_split_layout(pi, s, q, page_of)
+                if not (s and q):
+                    assert nodes == len(pi)
+            assert greene.split_layout(pi, s, q, nodes) == (page_of, nodes)
+            assert greene.split_layout(pi, s, q, nodes - 1) == (None, nodes)
             verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -255,9 +306,25 @@ def search_only_page_number(g):
     )
 
 
-def test_mixed_page_number_on_separated_matchings_matches_the_search():
-    """Separated matchings take the verdicts and search one split; the page
-    number, the split and every page are those of the search alone."""
+def spy_on_searches(monkeypatch) -> list[str]:
+    """The names of the calls of `_solve_masks`, `conflict_masks` and
+    `_two_pages` in the solver from now on."""
+    calls = []
+    for name in ("_solve_masks", "conflict_masks", "_two_pages"):
+        real = getattr(solver, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(solver, name, spy)
+    return calls
+
+
+def test_mixed_page_number_on_separated_matchings_matches_the_search(monkeypatch):
+    """Separated matchings are laid out by the split DP: the page number
+    and the split are those of the search alone, and the layout is valid.
+    No search, conflict mask or 2-SAT runs."""
     rng = random.Random(42)
     grids = [gen_tight_2k(1), gen_tight_2k(2), gen_diamond(3), gen_diamond(4),
              gen_alternating_subdivision(2)]
@@ -265,33 +332,46 @@ def test_mixed_page_number_on_separated_matchings_matches_the_search():
         pi = list(range(1, rng.randint(1, 14) + 1))
         rng.shuffle(pi)
         grids.append(GridMatching(tuple(pi)))
+    wants = [search_only_page_number(grid_to_graph(grid)) for grid in grids]
+    calls = spy_on_searches(monkeypatch)
     mixed = 0
-    for grid in grids:
+    for grid, want in zip(grids, wants):
         g = grid_to_graph(grid)
         assert solver._separated_rights(g) is not None
         k, assignment = solver.mixed_page_number(g)
-        assert (k, assignment) == search_only_page_number(g)
+        same_page_number(g, (k, assignment), want)
         mixed += 0 < assignment.spec.q < k
+    assert calls == []
     assert mixed > 50
 
 
 def test_tiny_budgets_on_a_separated_matching_are_unknown_or_right():
-    """Each budget below what the verdicts and the one search need raises
-    BudgetExceededError; none returns a wrong answer."""
+    """Each budget below the most states that one of its DP runs expands
+    raises BudgetExceededError with more nodes than the budget; none
+    returns a wrong answer."""
     g = grid_to_graph(gen_tight_2k(2))
     want = search_only_page_number(g)
     assert want[0] == 4
-    outcomes = []
-    for budget in range(120):
+    real = greene.split_layout
+    runs = []
+
+    def spy(pi, s, q, budget):
+        out = real(pi, s, q, budget)
+        runs.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(greene, "split_layout", spy)
+        same_page_number(g, solver.mixed_page_number(g), want)
+    need = max(runs)
+    for budget in range(need + 3):
         try:
-            outcomes.append(solver.mixed_page_number(g, budget) == want)
+            got = solver.mixed_page_number(g, budget)
         except BudgetExceededError as exc:
-            assert exc.nodes > budget
-            outcomes.append(None)
-    assert outcomes[0] is None and outcomes[-1] is True
-    assert False not in outcomes
-    # The SSQQ DP alone needs 83 states, so a smaller budget cannot answer.
-    assert set(outcomes[:83]) == {None}
+            assert budget < need and exc.nodes > budget
+            continue
+        assert budget >= need
+        same_page_number(g, got, want)
 
 
 def search_only_stack_number(g):
@@ -306,21 +386,23 @@ def search_only_stack_number(g):
 def test_only_splits_that_fit_are_searched(monkeypatch):
     """On random matchings and multigraphs with up to 16 edges and on
     separated matchings with up to 20, `mixed_page_number` and
-    `stack_number` give the page number, the split and every page of the
-    searches alone.  Yet no search they run refutes a split of two pages
-    (2-SAT decides those) or a split of a separated matching (the RSK
-    shape, Greene's bound and the DP decide those)."""
+    `stack_number` give the page number and the split of the searches
+    alone, and a valid layout.  Yet no search they run refutes a split of
+    two pages (2-SAT decides those), and a separated matching is not
+    searched at all (the RSK shape, Greene's bound and the DP decide and
+    lay out its splits)."""
     rng = random.Random(43)
+    searched = []
     refuted = []
     real = solver._solve_masks
 
     def spy(cross, nest, active, spec, budget):
         page_of, nodes, hit = real(cross, nest, active, spec, budget)
+        searched.append(str(spec))
         if page_of is None and not hit:
             refuted.append(str(spec))
         return page_of, nodes, hit
 
-    monkeypatch.setattr(solver, "_solve_masks", spy)
     kinds = {"matching": 0, "multigraph": 0, "separated": 0}
     searched_three = 0
     for i in range(240):
@@ -334,21 +416,24 @@ def test_only_splits_that_fit_are_searched(monkeypatch):
             rng.shuffle(pi)
             g = grid_to_graph(GridMatching(tuple(pi)))
         want = search_only_page_number(g)
+        want_stacks = search_only_stack_number(g)
+        searched.clear()
         refuted.clear()
-        assert solver.mixed_page_number(g) == want
-        if kind == "separated":
-            assert refuted == []
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_solve_masks", spy)
+            same_page_number(g, solver.mixed_page_number(g), want)
+            got_stacks = solver.stack_number(g)
+        if solver._separated_rights(g) is not None:
+            assert searched == []
+            assert got_stacks[0] == want_stacks[0]
+            assert validate_assignment(g, got_stacks[1]) == []
         else:
             assert [spec for spec in refuted if len(spec) <= 2] == []
-            searched_three += bool(refuted)
-        if kind != "separated":
-            want = search_only_stack_number(g)
-            refuted.clear()
-            assert solver.stack_number(g) == want
-            assert [spec for spec in refuted if len(spec) <= 2] == []
-        kinds[kind] += want[0] > 2
-    # Most graphs need three pages or more, and some infeasible split of
-    # three pages is still searched.
+            searched_three += any(len(spec) > 2 for spec in refuted)
+            assert got_stacks == want_stacks
+        kinds[kind] += (want if kind == "separated" else want_stacks)[0] > 2
+    # Most separated matchings need three pages or more, and most others
+    # three stacks; some infeasible split of three pages is still searched.
     assert min(kinds.values()) > 20 and searched_three > 0
 
 
@@ -376,7 +461,7 @@ def test_greene_bound_refutes_only_splits_that_do_not_fit():
         for k in range(2, m + 1):
             for q in range(1, k):
                 if sum(rows[:q]) + sum(cols[: k - q]) < m:
-                    assert greene.split_fits(pi, k - q, q, 10**9)[0] is False, (pi, q)
+                    assert greene.split_layout(pi, k - q, q, 10**9)[0] is False, (pi, q)
                     refuted += 1
     assert refuted > 2000
 

@@ -29,6 +29,7 @@ from mixedpages.solver import (
     feasible,
     mixed_page_number,
     mode_specs,
+    queue_layout,
     queue_number,
     splits,
     stack_number,
@@ -221,6 +222,10 @@ class TestLargeInputs:
 
 class TestTwistRefutation:
     def test_same_witness_as_a_plain_split_scan(self, rng):
+        """The page number and split are those of a scan of every split.  A
+        split with a stack keeps the scan's layout; a pure-queue one is the
+        nesting-depth layout, which the scan's search need not give."""
+        queued = 0
         for _ in range(15):
             g = rand_matching(rng, 9)
             k, a = mixed_page_number(g)
@@ -230,21 +235,32 @@ class TestTwistRefutation:
                 for spec in splits(j)
                 if (res := feasible(g, spec)).feasible
             )
-            assert a == first and len(a.spec) == k
+            assert a.spec == first.spec and len(a.spec) == k
+            if a.spec.s:
+                assert a == first
+            else:
+                assert a == queue_layout(g)
+                queued += 1
             s, b = stack_number(g)
             assert b == next(
                 res.assignment
                 for j in range(g.m + 1)
                 if (res := feasible(g, PageSpec.split(j, 0))).feasible
             )
+        assert 0 < queued < 15
 
     def test_pure_stack_splits_below_the_twist_are_not_searched(self, monkeypatch):
+        """A separated twist is laid out by the split DP and the first
+        pure-queue split by nesting depth, so neither is searched."""
         searched = searched_specs(monkeypatch)
-        assert stack_number(twist(4))[0] == 4
+        beside = build_graph(10, [(0, 4), (1, 5), (2, 6), (3, 7), (8, 9)])
+        assert stack_number(beside)[0] == 4
         assert searched == ["SSSS"]
         searched.clear()
+        assert stack_number(twist(4))[0] == 4
+        assert searched == []
         assert mixed_page_number(twist(4))[0] == 1
-        assert searched == ["Q"]
+        assert searched == []
 
     def test_pure_queue_splits_below_the_rainbow_are_not_searched(self, monkeypatch):
         searched = searched_specs(monkeypatch)
@@ -256,20 +272,29 @@ class TestTwistRefutation:
 
 
 class TestSeparatedMatchings:
-    """Separated matchings: every split decided without search, and only the
-    first split that fits is searched, for its layout."""
+    """Separated matchings: every split decided and laid out by Greene's
+    bound and the split DP, with nothing searched."""
 
-    def test_only_the_split_that_fits_is_searched(self, monkeypatch):
+    def test_nothing_is_searched(self, monkeypatch):
         searched = searched_specs(monkeypatch)
-        k, a = mixed_page_number(grid_to_graph(gen_tight_2k(2)))
-        assert k == 4 and searched == ["SSQQ"] == [str(a.spec)]
+        g = grid_to_graph(gen_tight_2k(2))
+        k, a = mixed_page_number(g)
+        assert (k, str(a.spec)) == (4, "SSQQ") and searched == []
+        assert validate_assignment(g, a) == []
 
     def test_tight_2k_3_needs_six_pages(self, monkeypatch):
         searched = searched_specs(monkeypatch)
         g = grid_to_graph(gen_tight_2k(3))
         k, a = mixed_page_number(g)
         assert (g.m, k, str(a.spec)) == (51, 6, "SSSQQQ")
-        assert searched == ["SSSQQQ"] and validate_assignment(g, a) == []
+        assert searched == [] and validate_assignment(g, a) == []
+
+    def test_every_page_of_the_layout_is_used(self):
+        """A minimal layout leaves no page empty, so the DP's layout has as
+        many pages of each kind in use as its split names."""
+        for grid in (gen_tight_2k(2), gen_tight_2k(3), gen_diamond(4)):
+            _, a = mixed_page_number(grid_to_graph(grid))
+            assert all(a.pages())
 
     def test_other_graphs_keep_the_search(self, monkeypatch):
         """On other graphs 2-SAT decides the two-page splits, so the
@@ -320,31 +345,62 @@ class TestInternalChecks:
         assert feasible(twist(2), PageSpec.from_string("Q")).feasible
 
     def test_search_that_refutes_a_fitting_split_is_an_internal_error(self, monkeypatch):
+        """A 3-twist beside a 3-rainbow is not separated and fits SQ first,
+        by 2-SAT, so a search that refutes SQ is wrong."""
         from mixedpages import solver
 
         monkeypatch.setattr(
             solver, "_solve_masks", lambda cross, nest, active, spec, budget: (None, 1, False)
         )
-        with pytest.raises(InternalError, match="search refutes SS, which the verdicts fit"):
-            mixed_page_number(grid_to_graph(gen_diamond(2)))
+        both = build_graph(12, [(0, 3), (1, 4), (2, 5), (6, 11), (7, 10), (8, 9)])
+        assert solver._separated_rights(both) is None
+        with pytest.raises(InternalError, match="search refutes SQ, which the verdicts fit"):
+            mixed_page_number(both)
 
     def test_search_that_refutes_a_two_page_split_2sat_fits_is_an_internal_error(
         self, monkeypatch
     ):
-        """On graphs that are not separated matchings too: two disjoint
-        crossing pairs fit on two stacks by 2-SAT, so a search that refutes
-        them is wrong."""
+        """A crossing pair beside a nesting pair fits on two stacks by
+        2-SAT, and not on one queue, so a search that refutes SS is wrong."""
         from mixedpages import solver
 
         monkeypatch.setattr(
             solver, "_solve_masks", lambda cross, nest, active, spec, budget: (None, 1, False)
         )
-        g = build_graph(8, [(0, 2), (1, 3), (4, 6), (5, 7)])
+        g = build_graph(8, [(0, 2), (1, 3), (4, 7), (5, 6)])
         assert solver._separated_rights(g) is None
         with pytest.raises(InternalError, match="search refutes SS, which the verdicts fit"):
             mixed_page_number(g)
         with pytest.raises(InternalError, match="search refutes SS, which 2-SAT fits"):
             stack_number(g)
+
+    def test_invalid_split_dp_layout_is_an_internal_error(self, monkeypatch):
+        """On a separated matching the DP's layout is checked: pages that
+        put every edge on one page are an internal error, in
+        `mixed_page_number` and in `stack_number`."""
+        from mixedpages import greene
+
+        monkeypatch.setattr(greene, "split_layout", lambda pi, s, q, budget: ([0] * len(pi), 1))
+        with pytest.raises(InternalError, match="split DP on SS returned an invalid layout"):
+            stack_number(twist(2))
+        with pytest.raises(InternalError, match="split DP on SS returned an invalid layout"):
+            mixed_page_number(grid_to_graph(gen_diamond(2)))
+
+    def test_invalid_depth_layout_is_an_internal_error(self, monkeypatch):
+        """The first pure-queue split of a graph that is not a separated
+        matching is laid out by nesting depth, and that layout is checked:
+        a crossing pair on one stack is an internal error."""
+        from mixedpages import solver
+
+        monkeypatch.setattr(
+            solver,
+            "_depth_layout",
+            lambda depth: PageAssignment(PageSpec.split(1, 0), (0,) * len(depth)),
+        )
+        g = build_graph(6, [(0, 2), (1, 3), (4, 5)])
+        assert solver._separated_rights(g) is None
+        with pytest.raises(InternalError, match="nesting depth returned an invalid layout"):
+            mixed_page_number(g)
 
     def test_queue_number_checks_its_layout(self, monkeypatch):
         from mixedpages import solver
