@@ -226,22 +226,22 @@ def cmd_detect(args) -> int:
         _refuse(args, ("t",), f"by --kind {args.kind}")
     if args.kind != "diamond":
         _refuse(args, ("exact",), f"by --kind {args.kind}")
-    if args.kind == "rainbow" or (args.kind == "diamond" and not args.exact):
+    if not args.exact:
         _refuse(args, ("budget",), f"by --kind {args.kind}, which runs no search")
-    budget = _or_default(args.budget, DEFAULT_SEARCH_BUDGET)
     if args.kind == "diamond":
         host = load_grid(args.input)
+        budget = _or_default(args.budget, DEFAULT_SEARCH_BUDGET)
         w = largest_diamond(host, exact=args.exact, budget=budget)
     else:
         host = load_graph(args.input)
         if args.kind == "twist":
-            w = largest_twist(host, budget)
+            w = largest_twist(host)
         elif args.kind == "rainbow":
             w = largest_rainbow(host)
         elif args.t is not None:
-            w = largest_thick(host, args.t, budget)
+            w = largest_thick(host, args.t)
         else:
-            w = largest_square_thick(host, budget)
+            w = largest_square_thick(host)
     if args.json:
         print(w.to_json())
     else:
@@ -434,7 +434,9 @@ def main(argv=None) -> int:
     p.add_argument("input")
     task = p.add_mutually_exclusive_group(required=True)
     task.add_argument("--spec", help="page spec such as SSQ")
-    task.add_argument("--mn", action="store_true")
+    task.add_argument("--mn", action="store_true",
+                      help="mixed page number; the count never depends on --budget, but the "
+                      "split shown is the first laid out within it, most stacks first")
     task.add_argument("--sn", action="store_true")
     task.add_argument("--qn", action="store_true")
     p.add_argument("--budget", type=int, help=f"search nodes (default {solver.DEFAULT_BUDGET})")
@@ -447,7 +449,8 @@ def main(argv=None) -> int:
     p.add_argument("--kind", choices=["twist", "rainbow", "diamond", "thick"], required=True)
     p.add_argument("--t", type=int, help="thickness (--kind thick)")
     p.add_argument("--exact", action="store_true", help="exact search (--kind diamond)")
-    p.add_argument("--budget", type=int, help=f"search nodes (default {DEFAULT_SEARCH_BUDGET})")
+    p.add_argument("--budget", type=int,
+                   help=f"search nodes of --kind diamond --exact (default {DEFAULT_SEARCH_BUDGET})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_detect)
 
@@ -533,7 +536,8 @@ def main(argv=None) -> int:
         print("unknown (budget exceeded)")
         return UNKNOWN
     except SizeLimitError as exc:
-        # Exact pattern searches say on stderr which one ran out.
+        # A bounded pattern search (the exact diamond, or `has_twist` in a
+        # layout) says on stderr which one ran out.
         print(f"unknown (budget exceeded): {exc}", file=sys.stderr)
         return UNKNOWN
     except MixedPagesError as exc:

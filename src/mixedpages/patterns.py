@@ -1,14 +1,18 @@
 """Detection and witness extraction for twists, rainbows, diamond patterns,
 and thick patterns.
 
-Exact twist and thick searches are NP-flavored; they take an explicit node
-budget and raise SizeLimitError instead of silently degrading.
+The edges of a twist, rainbow or thick pattern pairwise cross or nest, so
+they share a point, where crossing and nesting are the two dominance orders
+of the (u, v) pairs: the largest is a longest run, exact and polynomial,
+with no budget.  Only `has_twist` and `largest_diamond(exact=True)` search,
+and raise SizeLimitError past their node budget.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -197,85 +201,6 @@ def largest_rainbow(g) -> PatternWitness:
     return _single_group(PatternKind.RAINBOW, tuple(chain))
 
 
-def _color_classes(masks: list[int], cands: list[int]) -> list[tuple[int, int]]:
-    """Greedy sequential coloring of `cands` in list order, as (vertex,
-    color) pairs sorted by color (colors from 1, ties in list order); a
-    clique among them has at most max-color vertices.
-
-    Built one color class at a time, which for a symmetric relation gives
-    the same classes as coloring vertex by vertex: a class takes, in list
-    order, each uncolored vertex with no neighbour in the class so far.  A class stops as soon as
-    no uncolored vertex outside the neighbourhoods of its members is left,
-    so on a dense candidate set each class costs a few mask operations.
-    """
-    uncolored = 0
-    for v in cands:
-        uncolored |= 1 << v
-    out = []
-    color = 0
-    first = 0
-    size = len(cands)
-    while uncolored:
-        color += 1
-        while not uncolored >> cands[first] & 1:
-            first += 1
-        v = cands[first]
-        uncolored ^= 1 << v
-        out.append((v, color))
-        room = uncolored & ~masks[v]
-        i = first + 1
-        while room and i < size:
-            u = cands[i]
-            if room >> u & 1:
-                uncolored ^= 1 << u
-                out.append((u, color))
-                room &= ~masks[u] & ~(1 << u)
-            i += 1
-    return out
-
-
-def _max_clique(masks: list[int], budget: int) -> tuple[int, ...]:
-    """Maximum clique via branch and bound with a greedy coloring bound.
-
-    Depth-first on an explicit stack of colored candidate lists, so a clique
-    of any size is found without recursion.  Branches take the candidate of
-    highest color first and are cut when the color bound cannot beat the
-    best clique so far.  Each expanded candidate list counts as one node.
-    """
-    order = sorted(range(len(masks)), key=lambda v: -masks[v].bit_count())
-    if not order:
-        return ()
-    best: list[int] = []
-    current: list[int] = []
-    nodes = 1
-    if nodes > budget:
-        raise SizeLimitError(f"clique search exceeded {budget} nodes")
-    frames = [_color_classes(masks, order)]
-    while frames:
-        colored = frames[-1]
-        if colored:
-            v, c = colored.pop()
-            if len(current) + c > len(best):
-                current.append(v)
-                neighbours = masks[v]
-                rest = [u for u, _ in colored if neighbours >> u & 1]
-                if rest:
-                    nodes += 1
-                    if nodes > budget:
-                        raise SizeLimitError(f"clique search exceeded {budget} nodes")
-                    frames.append(_color_classes(masks, rest))
-                    continue
-                if len(current) > len(best):
-                    best = current[:]
-                current.pop()
-                continue
-        # The frame is exhausted or cut by its bound: return to the parent.
-        frames.pop()
-        if frames:
-            current.pop()
-    return tuple(sorted(best))
-
-
 def _clique_of_size(masks: list[int], size: int, budget: int) -> tuple[int, ...] | None:
     """Some clique of exactly the given size, or None.
 
@@ -311,14 +236,81 @@ def _clique_of_size(masks: list[int], size: int, budget: int) -> tuple[int, ...]
         cands &= masks[v]
 
 
-def largest_twist(g, budget: int = DEFAULT_SEARCH_BUDGET) -> PatternWitness:
-    """Maximum pairwise-crossing set (exact maximum clique of the crossing
-    relation); separated matchings use the longest-increasing fast path."""
+def _twist_levels(stabbed: list[tuple[int, int, int]]) -> list[int]:
+    """Sort `stabbed`, (u, -v, id) triples of edges that all hold one point
+    strictly inside, and return the `core.increasing_levels` of their right
+    endpoints: the largest twist ending at each.  Two such edges with u < x
+    cross when v < y and nest when v > y; sorted by (u, -v), two that share
+    a left endpoint never both join an increasing run."""
+    stabbed.sort()
+    return increasing_levels([-y for _, y, _ in stabbed])
+
+
+def _later_partners(edges, cross: list[int], i: int) -> list[tuple[int, int, int]]:
+    """The (u, -v, id) triples of the crossing partners of edge i with
+    higher ids, in id order."""
+    mask = cross[i] >> (i + 1)
+    out = []
+    j = i
+    while mask:
+        step = (mask & -mask).bit_length()
+        j += step
+        x, y = edges[j]
+        out.append((x, -y, j))
+        mask >>= step
+    return out
+
+
+def _twist_of_masks(edges, cross: list[int]) -> tuple[int, int]:
+    """(size, first edge) of a largest twist of the sorted `edges` with
+    crossing masks `cross`; (0, -1) without edges.
+
+    Each edge i = (u, v) is tried as the first edge: its partners of higher
+    id start after u, so they all hold v strictly inside (`_twist_levels`).
+    In id order their right endpoints are in the order `_twist_levels` sorts
+    them into unless two share a left endpoint, so only then are they
+    sorted.  Edges go in decreasing order of partner count, and the first
+    whose count cannot beat the best twist so far ends the loop.
+    """
+    m = len(cross)
+    counts = [(cross[i] >> i).bit_count() for i in range(m)]
+    rights = [v for _, v in edges]
+    shared = len({u for u, _ in edges}) < m
+    best, first = 0, -1
+    for i in sorted(range(m), key=counts.__getitem__, reverse=True):
+        if counts[i] < best:
+            break
+        if shared:
+            levels = _twist_levels(_later_partners(edges, cross, i))
+        else:
+            mask = cross[i] >> (i + 1)
+            ys = []
+            j = i
+            while mask:
+                step = (mask & -mask).bit_length()
+                j += step
+                ys.append(rights[j])
+                mask >>= step
+            levels = increasing_levels(ys)
+        size = max(levels, default=0)
+        if size >= best:
+            best, first = size + 1, i
+    return best, first
+
+
+def largest_twist(g) -> PatternWitness:
+    """Maximum pairwise-crossing set, left endpoint first (`_twist_of_masks`);
+    on a grid, the longest increasing subsequence of its permutation."""
     if isinstance(g, GridMatching):
         chain = _lis_indices(g.pi)
         return _single_group(PatternKind.TWIST, tuple(chain))
     cross, _ = conflict_masks(g)
-    return _single_group(PatternKind.TWIST, _max_clique(cross, budget))
+    _, first = _twist_of_masks(g.edges, cross)
+    if first < 0:
+        return _single_group(PatternKind.TWIST, ())
+    run = sorted(_later_partners(g.edges, cross, first))
+    twist = [first, *[run[p][2] for p in _lis_indices([-y for _, y, _ in run])]]
+    return _single_group(PatternKind.TWIST, tuple(twist))
 
 
 def has_twist(g: OrderedGraph, size: int, budget: int = DEFAULT_SEARCH_BUDGET):
@@ -435,89 +427,108 @@ def largest_diamond(
 # Thick patterns
 
 
-def largest_thick_of_kind(
-    g, t: int, kind: PatternKind, budget: int = DEFAULT_SEARCH_BUDGET
-) -> PatternWitness:
-    """Largest k with a t-thick k-twist (k-rainbow); exact within budget."""
+def _box_chain(edges, ids, t: int, sign: int) -> list[list[int]]:
+    """The groups of a t-thick pattern with the most groups among the
+    edges `ids`, which all hold one point strictly inside.
+
+    Edge (u, v) is the point (u, sign * v); two with u < x cross when v < y
+    and nest when v > y.  So a thick twist (sign 1) or rainbow (sign -1) is
+    a chain of groups, each a falling run (x rises, y falls) spanning a box
+    from its first point a to its last b, each box strictly below-left of
+    the next.  One falling pass per a (`core.increasing_levels`) gives each
+    b with a run of t points from a, and a sweep by x with a Fenwick prefix
+    maximum over the boxes' tops the longest chain; O(n^2 log n).
+    """
+    pts = sorted(ids, key=lambda e: (edges[e][0], sign * edges[e][1]))
+    xs = [edges[e][0] for e in pts]
+    ys = [sign * edges[e][1] for e in pts]
+    n = len(pts)
+    boxes = []  # (first, last) point of a group's run
+    for a in range(n):
+        # Sorted by (x, y), the points after a with a lower y lie below-right
+        # of it, and two of one x never both join a falling run.
+        run = [a]
+        if t > 1:
+            run += [p for p in range(a + 1, n) if ys[p] < ys[a]]
+        levels = increasing_levels([-ys[p] for p in run])
+        boxes += [(a, p) for p, level in zip(run, levels) if level >= t]
+
+    rank = {y: r for r, y in enumerate(sorted(set(ys)), start=1)}
+    size = len(rank)
+    tree = [(0, -1)] * (size + 1)  # (longest chain, its last box) over a range of tops
+    chain = [(0, -1)] * len(boxes)  # (longest chain ending at a box, the box before)
+    ends = sorted(range(len(boxes)), key=lambda i: xs[boxes[i][1]])
+    done = 0
+    for i in sorted(range(len(boxes)), key=lambda i: xs[boxes[i][0]]):
+        a, b = boxes[i]
+        # Enter every box that ends left of this one's start, at its top.
+        while done < len(ends) and xs[boxes[ends[done]][1]] < xs[a]:
+            f = ends[done]
+            done += 1
+            entry = (chain[f][0], f)
+            pos = rank[ys[boxes[f][0]]]
+            while pos <= size:
+                if tree[pos] < entry:
+                    tree[pos] = entry
+                pos += pos & -pos
+        # The longest chain among the boxes whose tops lie below this bottom.
+        best = (0, -1)
+        pos = rank[ys[b]] - 1
+        while pos > 0:
+            if tree[pos] > best:
+                best = tree[pos]
+            pos &= pos - 1
+        chain[i] = (best[0] + 1, best[1])
+
+    # Each box holds a falling run of t - 1 points after its first.
+    groups = []
+    i = max(range(len(boxes)), key=chain.__getitem__, default=-1)
+    while i >= 0:
+        a, b = boxes[i]
+        inside = [p for p in range(a + 1, b + 1) if ys[b] <= ys[p] < ys[a]]
+        run = [a, *[inside[j] for j in _lis_indices([-ys[p] for p in inside])]]
+        groups.append([pts[p] for p in run[:t]])
+        i = chain[i][1]
+    return groups[::-1]
+
+
+def largest_thick_of_kind(g, t: int, kind: PatternKind) -> PatternWitness:
+    """Largest k with a t-thick k-twist (k-rainbow), exact and polynomial.
+
+    The pattern's spans meet pairwise, so it lies in the edges (u, v) with
+    u < r <= v for r its least right endpoint (`_box_chain`).  An r is
+    skipped when no left endpoint lies between it and the right endpoint
+    before it (its set is inside that one's), or when its set holds at most
+    best * t edges.
+    """
     if t < 1:
         raise BadParamsError("thickness must be positive")
-    g = _as_graph(g)
-    cross, nest = conflict_masks(g)
-    inner = nest if kind is PatternKind.THICK_TWIST else cross
-    outer = cross if kind is PatternKind.THICK_TWIST else nest
-    groups: list[tuple[int, ...]] = []
-    nodes = 0
-
-    def words() -> int:
-        # Each group gets a mask of one bit per group: n groups also count
-        # the n * n // 64 machine words of their masks, so the budget bounds
-        # their memory too.
-        return len(groups) ** 2 // 64
-
-    # The groups, depth-first on an explicit stack: a node is one candidate
-    # set entered (the root included), which tries its edges lowest first,
-    # each with the higher candidates it is inner-related to.
-    members: list[int] = []
-    pending: list[int] = []  # per open set: its candidates above the edge tried
-    cands = (1 << g.m) - 1
-    while True:
-        nodes += 1
-        if nodes + words() > budget:
-            raise SizeLimitError(f"thick group enumeration exceeded {budget} nodes")
-        if len(members) == t:
-            groups.append(tuple(members))
-            cands = 0
-        while not cands and pending:
-            cands = pending.pop()
-            members.pop()
-        if not cands:
-            break
-        e = (cands & -cands).bit_length() - 1
-        cands &= cands - 1
-        pending.append(cands)
-        members.append(e)
-        cands &= inner[e]
-
-    # Two groups are compatible when every edge of one is outer-related to
-    # every edge of the other, a symmetric relation; the largest compatible
-    # set is a maximum clique.  Bitmasks over the groups: at[p][f] holds the
-    # groups whose p-th edge is f, and fits[e] the groups inside outer[e].
-    at = [[0] * g.m for _ in range(t)]
-    for j, members in enumerate(groups):
-        for p, f in enumerate(members):
-            at[p][f] |= 1 << j
-    fits = []
-    for e in range(g.m):
-        inside = (1 << len(groups)) - 1
-        for by_edge in at:
-            some = 0
-            rest = outer[e]
-            while rest:
-                some |= by_edge[(rest & -rest).bit_length() - 1]
-                rest &= rest - 1
-            inside &= some
-        fits.append(inside)
-    masks = []
-    for members in groups:
-        mask = fits[members[0]]
-        for e in members[1:]:
-            mask &= fits[e]
-        masks.append(mask)
-    try:
-        best = _max_clique(masks, budget - nodes - words())
-    except SizeLimitError:
-        raise SizeLimitError(f"thick clique search exceeded {budget} nodes") from None
-    return PatternWitness.of(kind, len(best), t, [groups[i] for i in best])
+    edges = _as_graph(g).edges
+    sign = 1 if kind is PatternKind.THICK_TWIST else -1
+    lefts = sorted([u for u, _ in edges])
+    rights = sorted([v for _, v in edges])
+    best: list[list[int]] = []
+    seen = 0
+    for r in sorted(set(rights)):
+        # The edges with u < r, less those with v < r, which all have u < r.
+        starts = bisect_left(lefts, r)
+        if starts > seen and starts - bisect_left(rights, r) > len(best) * t:
+            ids = [e for e, (u, v) in enumerate(edges) if u < r <= v]
+            groups = _box_chain(edges, ids, t, sign)
+            if len(groups) > len(best):
+                best = groups
+        seen = starts
+    return PatternWitness.of(kind, len(best), t, best)
 
 
-def largest_thick(g, t: int, budget: int = DEFAULT_SEARCH_BUDGET) -> PatternWitness:
+def largest_thick(g, t: int) -> PatternWitness:
     """Best of the two thick kinds; ties prefer the thick twist."""
-    tw = largest_thick_of_kind(g, t, PatternKind.THICK_TWIST, budget)
-    rb = largest_thick_of_kind(g, t, PatternKind.THICK_RAINBOW, budget)
+    tw = largest_thick_of_kind(g, t, PatternKind.THICK_TWIST)
+    rb = largest_thick_of_kind(g, t, PatternKind.THICK_RAINBOW)
     return tw if tw.k >= rb.k else rb
 
 
-def largest_square_thick(g, budget: int = DEFAULT_SEARCH_BUDGET) -> PatternWitness:
+def largest_square_thick(g) -> PatternWitness:
     """Largest k such that a k-thick k-pattern (thickness equal to length)
     exists.  This is the quantity the thick-pattern page-number bounds are
     stated in; it is monotone in k since trimming groups of a larger square
@@ -526,7 +537,7 @@ def largest_square_thick(g, budget: int = DEFAULT_SEARCH_BUDGET) -> PatternWitne
     best = PatternWitness.of(PatternKind.THICK_TWIST, 0, 0, [])
     k = 1
     while k * k <= g.m:
-        w = largest_thick(g, k, budget)
+        w = largest_thick(g, k)
         if w.k < k:
             break
         best = PatternWitness.of(w.kind, k, k, [grp[:k] for grp in w.groups[:k]])

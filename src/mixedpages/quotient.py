@@ -19,7 +19,6 @@ from .core import (
     classify_pair,
     conflict_masks,
     grid_edge_order,
-    increasing_levels,
     nesting_depths,
     to_grid,
     validate_assignment,
@@ -36,6 +35,7 @@ from .patterns import (
     DEFAULT_SEARCH_BUDGET,
     PatternKind,
     PatternWitness,
+    _twist_levels,
     has_twist,
 )
 from . import greene, solver
@@ -133,18 +133,14 @@ def interval_partition_by_twists(
 
 def _twist_through(g: OrderedGraph, block_edges: list[int], a: int, v: int, k: int) -> bool:
     """Do the block edges that cross (a, v) hold a k-twist?  Every block
-    edge ends at or before v, so these are the edges with x < a < y < v."""
+    edge ends at or before v, so these are the edges with x < a < y < v,
+    which all hold the point a strictly inside (`patterns._twist_levels`)."""
     stabbed = []
     for e in block_edges:
         x, y = g.edges[e]
         if x < a < y < v:
-            stabbed.append((x, -y))
-    if len(stabbed) < k:
-        return False
-    # By left endpoint, equal ones in decreasing right order: two edges that
-    # share a vertex never both join a strictly increasing run.
-    stabbed.sort()
-    return max(increasing_levels([-y for _, y in stabbed])) >= k
+            stabbed.append((x, -y, e))
+    return len(stabbed) >= k and max(_twist_levels(stabbed)) >= k
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ permutation into s decreasing and q increasing subsequences, polynomial
 for fixed s and q.  `mixed_page_number` and `stack_number` decide and lay
 out every split of such an input without conflict masks or search: the
 RSK shape and Greene's bound refute splits, and `greene.split_layout`
-decides the rest and returns the layout its DP's path holds.  The shape
-and 2-SAT count 0 nodes against a budget; only the DP's states and the
-searches' nodes count.
+decides the rest and returns the layout its DP's path holds (the stacks of
+`stack_number` are the levels of `core.increasing_levels`).  The shape, the
+levels and 2-SAT count 0 nodes; only the DP's states and searches count.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ from .core import (
     PageKind,
     PageSpec,
     conflict_masks,
+    increasing_levels,
     nesting_depths,
     validate_assignment,
 )
-from .errors import BudgetExceededError, InternalError, InvalidInputError, SizeLimitError
-from .patterns import _max_clique, rainbow_chain
+from .errors import BudgetExceededError, InternalError, InvalidInputError
+from .patterns import _twist_of_masks, rainbow_chain
 
 DEFAULT_BUDGET = 10**8
 
@@ -462,16 +463,14 @@ def feasible(
     return _feasible_masks(g, cross, nest, spec, budget)
 
 
-def _twist_bound(cross: list[int], budget: int) -> int:
-    """Size of the largest twist, or 0 if the clique search runs out.
+def _twist_bound(edges, cross: list[int]) -> int:
+    """Size of the largest twist of the sorted `edges` with crossing masks
+    `cross`: exact and polynomial (`patterns._twist_of_masks`), no budget.
 
     A twist of size w needs w stacks when there is no queue, so every
     pure-stack split with fewer stacks is infeasible without search.
     """
-    try:
-        return len(_max_clique(cross, budget))
-    except SizeLimitError:
-        return 0
+    return _twist_of_masks(edges, cross)[0]
 
 
 def splits(k: int) -> list[PageSpec]:
@@ -490,30 +489,6 @@ def _separated_rights(g: OrderedGraph) -> list[int] | None:
     if len(set(map(itemgetter(0), edges))) < m or len(set(map(itemgetter(1), edges))) < m:
         return None
     return [v for _, v in sorted(edges)]
-
-
-def _split_layout(
-    g: OrderedGraph, rights: list[int], s: int, q: int, budget: int
-) -> tuple[PageAssignment | bool | None, int]:
-    """`greene.split_layout` on the separated matching g, whose right
-    endpoints in left-endpoint order are `rights` (at least one, so a
-    layout is a nonempty list): (the layout on s stacks and q queues, or
-    False, or None past `budget`; nodes).  The layout is checked: an
-    invalid one is an InternalError."""
-    # Imported here, not with the module: solver's other callers, such as
-    # enumeration, never need greene, and it would add about a quarter to
-    # their import time.
-    from .greene import split_layout
-
-    pages, nodes = split_layout(rights, s, q, budget)
-    if not pages:
-        return pages, nodes
-    edges = g.edges
-    page_of = [0] * g.m
-    for e, p in zip(sorted(range(g.m), key=edges.__getitem__), pages):
-        page_of[e] = p
-    spec = PageSpec.split(s, q)
-    return _checked(g, PageAssignment(spec, tuple(page_of)), f"split DP on {spec}"), nodes
 
 
 def mixed_page_number(
@@ -551,25 +526,38 @@ def mixed_page_number(
     an InternalError.
 
     A DP or a search that runs out marks its split unknown, and a k with an
-    unknown split and none feasible raises BudgetExceededError.
+    unknown split and none feasible raises BudgetExceededError.  So the
+    spec is the first split, in `splits` order, laid out within the budget;
+    an earlier split of the same k may be undecided, so the spec can change
+    with the budget, but the page count never does.
     """
     m = g.m
     rights = _separated_rights(g)
     if rights is not None:
-        # Imported here, not with the module, as in `_split_layout`.
-        from .greene import conjugate_partition, insertion_shape
+        # Imported here, not with the module: solver's other callers, such as
+        # enumeration, never need greene, and it would add about a quarter to
+        # their import time.
+        from .greene import conjugate_partition, insertion_shape, split_layout
 
         rows = insertion_shape(rights)
         cols = conjugate_partition(rows)
+        order = sorted(range(m), key=g.edges.__getitem__)
 
         def place(s: int, q: int):
             if sum(rows[:q]) + sum(cols[:s]) < m:
                 return False, 0
-            return _split_layout(g, rights, s, q, budget)
+            pages, nodes = split_layout(rights, s, q, budget)
+            if not pages:  # False, or None past the budget
+                return pages, nodes
+            page_of = [0] * m
+            for e, p in zip(order, pages):
+                page_of[e] = p
+            spec = PageSpec.split(s, q)
+            return _checked(g, PageAssignment(spec, tuple(page_of)), f"split DP on {spec}"), nodes
 
         return _smallest_split(m, place)
     cross, nest = conflict_masks(g)
-    omega = _twist_bound(cross, budget)
+    omega = _twist_bound(g.edges, cross)
     depth = nesting_depths(g.edges)
     rainbow = max(depth, default=0)
     everyone = (1 << m) - 1
@@ -624,25 +612,22 @@ def stack_number(
     two stacks are searched only when they fit, for the layout, and a
     search that refutes them is an InternalError.
 
-    On a separated matching the answer is the largest twist, the longest
-    increasing subsequence of the right endpoints in left-endpoint order,
-    and `greene.split_layout` lays it out with one DP state per edge (m
-    nodes against `budget`), without conflict masks or search.
+    On a separated matching a stack is a decreasing subsequence of the
+    right endpoints in left-endpoint order, so each level of their
+    `increasing_levels` is one stack, and the levels are as many as the
+    largest twist: checked, in 0 nodes, with no masks, search or budget.
     """
     rights = _separated_rights(g)
     if rights is not None:
-        from .greene import lis_length
-
-        s = lis_length(rights)
-        layout, nodes = _split_layout(g, rights, s, 0, budget)
-        if layout is None:
-            raise BudgetExceededError(f"stack number at s={s} undecided", nodes=nodes)
-        if not layout:
-            raise InternalError(f"the split DP refutes {s} stacks, the largest twist")
-        return s, layout
+        levels = increasing_levels(rights)
+        page_of = [0] * g.m
+        for e, level in zip(sorted(range(g.m), key=g.edges.__getitem__), levels):
+            page_of[e] = level - 1
+        layout = PageAssignment(PageSpec.split(max(levels), 0), tuple(page_of))
+        return max(levels), _checked(g, layout, "increasing levels")
     cross, nest = conflict_masks(g)
     total_nodes = 0
-    for s in range(_twist_bound(cross, budget), g.m + 1):
+    for s in range(_twist_bound(g.edges, cross), g.m + 1):
         if s == 2 and not _two_pages(cross, cross, (1 << g.m) - 1):
             continue
         res = _feasible_masks(g, cross, nest, PageSpec.split(s, 0), budget)

@@ -127,17 +127,14 @@ class TestCommands:
         assert main(["detect", diamond_file, "--kind", "diamond", "--exact", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["k"] == 2
 
-    @pytest.mark.parametrize(
-        "kind", [["twist"], ["thick"], ["thick", "--t", "2"], ["diamond", "--exact"]]
-    )
+    @pytest.mark.parametrize("kind", [["diamond", "--exact"]])
     def test_detect_out_of_budget_is_unknown(self, capsys, tmp_path, kind):
+        """Only the exact diamond search reads a budget; twists and thick
+        patterns refuse `--budget` (`test_unread_options_exit_3`)."""
         from mixedpages.constructions import gen_tight_2k
 
-        path = tmp_path / "tight.olg"
-        path.write_text(dump_olg(grid_to_graph(gen_tight_2k(2))))
-        if kind[0] == "diamond":
-            path = tmp_path / "tight.perm"
-            path.write_text(dump_perm(gen_tight_2k(2)))
+        path = tmp_path / "tight.perm"
+        path.write_text(dump_perm(gen_tight_2k(2)))
         assert main(["detect", str(path), "--kind", *kind, "--budget", "1"]) == 2
         out = capsys.readouterr()
         assert out.out == ""
@@ -345,6 +342,9 @@ class TestCommands:
         (["render", "{p}", "--assignment", "a.json"], "--assignment not read by the grid"),
         (["render", "{g}", "--arcs", "--witness", "w.json"], "--witness not read by --arcs"),
         (["render", "{g}", "--arcs", "--svg"], "--svg not read by --arcs"),
+        (["detect", "{g}", "--kind", "twist", "--budget", "5"], "--budget not read by --kind twist"),
+        (["detect", "{g}", "--kind", "thick", "--budget", "5"], "--budget not read by --kind thick"),
+        (["detect", "{g}", "--kind", "thick", "--t", "2", "--budget", "5"], "--budget"),
     ])
     def test_unread_options_exit_3(self, capsys, twist_file, diamond_file, args, unread):
         argv = [a.format(g=twist_file, p=diamond_file) for a in args]
@@ -453,13 +453,13 @@ class TestCommands:
         ["critical", "{g}", "--k", "3"],
         ["layout", "{g}", "--k", "2"],
         ["enumerate-critical", "--matchings", "--k", "3", "--max-m", "3"],
-        ["detect", "{g}", "--kind", "twist"],
+        ["detect", "{p}", "--kind", "diamond", "--exact"],
     ])
-    def test_negative_budget_is_an_error(self, capsys, twist_file, args):
+    def test_negative_budget_is_an_error(self, capsys, twist_file, diamond_file, args):
         """A budget below 0 exits 3 with one error line, never as a budget
         hit (exit 2) that a script could not tell from a real one; 0 stays
         a valid budget."""
-        argv = [a.format(g=twist_file) for a in args]
+        argv = [a.format(g=twist_file, p=diamond_file) for a in args]
         assert main([*argv, "--budget", "-1"]) == 3
         out = capsys.readouterr()
         assert out.out == ""

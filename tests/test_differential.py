@@ -22,10 +22,13 @@ replaced (kept in pair_scan_oracle.py), and the quadrant split that
 classifies each element once against its closure-based original (kept in
 quadrant_oracle.py), and `thick_from_diamond` with its diamond levels and
 subdivision on the permutation against the points-based path it replaced
-(kept in subdivision_oracle.py), and the LIS levels over values, the LIS
-chain walked over them and the thick search on `_max_clique` against their
-originals, and its group enumeration on an explicit stack against the
-recursive one (kept in kernel_oracle.py), and the one transfer lift for
+(kept in subdivision_oracle.py), and the LIS levels over values and the
+LIS chain walked over them against their originals, the twist kernel on
+stabbing points against the clique search `_max_clique` it replaced, and
+the thick kernel against the recursive clique search over the groups and
+the later search on `_max_clique`, whose group enumeration on an explicit
+stack is checked against the recursive one (all kept in kernel_oracle.py),
+and the one transfer lift for
 both page kinds against the mirrored stack-page and queue-page lifts it
 replaced (kept in quotient_oracle.py), and the capped 3-coloring of the
 stars of a page against the uncapped recursive search (kept in
@@ -102,8 +105,9 @@ from mixedpages.patterns import (
     PatternKind,
     _clique_of_size,
     _exact_diamond_matrix,
-    _max_clique,
+    _lis_indices,
     largest_rainbow,
+    largest_twist,
     witness_violations,
 )
 from mixedpages.solver import _solve_masks
@@ -743,13 +747,15 @@ def test_mode_kernels_match_the_ordered_loop():
 
 
 def test_clique_matches_recursive_oracle():
+    """The clique search on an explicit stack, now the oracle of the twist
+    and thick kernels, against its recursive original."""
     rng = random.Random(13)
     for _ in range(600):
         g = rand_multigraph(rng, 12, 16)
         cross, nest = conflict_masks(g)
         for masks in (cross, nest, [c | q for c, q in zip(cross, nest)]):
             budget = rng.choice([1, 2, 3, 10, 10**6])
-            assert outcome(_max_clique, masks, budget) == outcome(
+            assert outcome(kernel_oracle._max_clique, masks, budget) == outcome(
                 recursive_oracle._max_clique, masks, budget
             )
 
@@ -765,7 +771,38 @@ def test_clique_matches_oracle_on_random_dense_graphs():
                 if rng.random() < density:
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
-        assert _max_clique(masks, 10**6) == recursive_oracle._max_clique(masks, 10**6)
+        assert kernel_oracle._max_clique(masks, 10**6) == recursive_oracle._max_clique(
+            masks, 10**6
+        )
+
+
+def test_twist_kernel_matches_the_clique_search():
+    """`largest_twist`, through the twist kernel over the crossing masks,
+    has the size of the maximum clique of the crossing relation on random
+    graphs, matchings (whose edges start at distinct vertices, so the
+    kernel reads their partners unsorted) and multigraphs, and on grids the
+    size of the longest increasing subsequence; every witness passes its
+    re-check."""
+    rng = random.Random(31)
+    sizes = set()
+    for i in range(3000):
+        if i % 3 == 0:
+            g = rand_multigraph(rng, 14, 25)
+        elif i % 3 == 1:
+            g = rand_matching(rng, rng.randint(0, 12))
+        else:
+            g = rand_graph(rng, rng.randint(2, 14), rng.randint(0, 25))
+        cross, _ = conflict_masks(g)
+        w = largest_twist(g)
+        assert w.k == len(kernel_oracle._max_clique(cross, 10**7)), g
+        assert witness_violations(g, w) == []
+        sizes.add(w.k)
+    assert set(range(5)) <= sizes
+    for _ in range(300):
+        grid = rand_grid(rng, rng.randint(0, 30))
+        w = largest_twist(grid_to_graph(grid))
+        assert w.k == len(_lis_indices(grid.pi))
+        assert witness_violations(grid, w) == []
 
 
 def pairwise_scan(g, a):
@@ -1027,22 +1064,40 @@ def test_thick_from_diamond_matches_the_points_path():
 
 
 def test_thick_search_matches_the_recursive_clique():
-    """The same largest k as the recursive clique search over the groups,
-    with a witness of k groups of t edges that passes its re-check."""
+    """The same largest k as the recursive clique search over the groups
+    and as the clique search on an explicit stack it became, with a
+    witness of k groups of t edges that passes its re-check."""
     rng = random.Random(28)
     graphs = [rand_graph(rng, rng.randint(2, 10), rng.randint(0, 14)) for _ in range(150)]
     graphs += [rand_matching(rng, rng.randint(0, 14)) for _ in range(150)]
+    graphs += [rand_multigraph(rng, 10, 14) for _ in range(100)]
     found = 0
     for g in graphs:
         for t in (1, 2, 3):
             for kind in (PatternKind.THICK_TWIST, PatternKind.THICK_RAINBOW):
                 got = patterns.largest_thick_of_kind(g, t, kind)
                 assert got.k == kernel_oracle.largest_thick_of_kind(g, t, kind).k
+                assert got.k == kernel_oracle.thick_on_a_stack(g, t, kind).k
                 assert (got.kind, got.t, len(got.groups)) == (kind, t, got.k)
                 assert all(len(group) == t for group in got.groups)
                 assert witness_violations(g, got) == []
                 found += got.k >= 2
-    assert found > 300
+    assert found > 400
+
+
+def test_thick_search_answers_on_tight_2k():
+    """`gen_tight_2k(4)` (120 edges), where the clique search over the
+    groups ran out of budget for every t >= 3, answers for every t <= 8 and
+    both kinds, with witnesses that pass their re-check."""
+    g = grid_to_graph(gen_tight_2k(4))
+    ks = {}
+    for kind in (PatternKind.THICK_TWIST, PatternKind.THICK_RAINBOW):
+        for t in range(1, 9):
+            w = patterns.largest_thick_of_kind(g, t, kind)
+            assert witness_violations(g, w) == []
+            ks.setdefault(kind, []).append(w.k)
+    assert ks[PatternKind.THICK_TWIST] == [17, 17, 17, 17, 1, 1, 1, 1]
+    assert ks[PatternKind.THICK_RAINBOW] == [17, 14, 14, 14, 1, 1, 1, 1]
 
 
 def thick_or_limit(fn, g, t, kind, budget):
@@ -1067,13 +1122,13 @@ def least_budget(fn, g, t, kind):
 
 
 def test_thick_groups_on_a_stack_match_the_recursive_grow():
-    """The group enumeration on an explicit stack gives the recursive one's
-    whole witness, counts the same nodes, and raises the same error at
-    every small budget."""
+    """The group enumeration on an explicit stack, now an oracle of the
+    thick kernel, gives the recursive one's whole witness, counts the same
+    nodes, and raises the same error at every small budget."""
     rng = random.Random(30)
     graphs = [rand_graph(rng, rng.randint(2, 10), rng.randint(0, 14)) for _ in range(60)]
     graphs += [rand_matching(rng, rng.randint(0, 14)) for _ in range(60)]
-    old, new = kernel_oracle.thick_with_recursive_grow, patterns.largest_thick_of_kind
+    old, new = kernel_oracle.thick_with_recursive_grow, kernel_oracle.thick_on_a_stack
     outcomes = set()
     for g in graphs:
         for t in (1, 2, 3):

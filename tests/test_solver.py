@@ -147,6 +147,37 @@ class TestPageNumbers:
                 assert all(not feasible(g, spec).feasible for spec in splits(k - 1))
 
 
+    def test_split_contract_on_a_graph_that_is_not_separated(self):
+        """The spec is the first split, in `splits` order, laid out within
+        the budget; the page count does not depend on the budget.  On
+        `gen_2critical(4)` three nodes leave SSS undecided and lay QQQ out
+        by nesting depth, and the default budget lays out SSS."""
+        g = gen_2critical(4)
+        for budget, spec in ((3, "QQQ"), (DEFAULT_BUDGET, "SSS")):
+            k, a = mixed_page_number(g, budget)
+            assert (k, str(a.spec)) == (3, spec)
+            assert validate_assignment(g, a) == []
+        assert mixed_page_number(g) == mixed_page_number(g, DEFAULT_BUDGET)
+
+    def test_stack_number_of_a_separated_matching_reads_no_budget(self, monkeypatch):
+        """A separated matching's stacks are the levels of its increasing
+        runs: no split DP, no search, and any budget answers."""
+        from mixedpages import greene
+
+        searched = searched_specs(monkeypatch)
+        monkeypatch.setattr(greene, "split_layout", None)
+        g = twist(10)
+        for budget in (0, 5, DEFAULT_BUDGET):
+            s, a = stack_number(g, budget)
+            assert (s, str(a.spec)) == (10, "S" * 10)
+            assert validate_assignment(g, a) == []
+        for pi in ((3, 1, 4, 2, 5), (5, 4, 3, 2, 1), (2, 4, 1, 6, 3, 8, 5, 7)):
+            g = grid_to_graph(GridMatching(pi))
+            s, a = stack_number(g, 0)
+            assert s == largest_twist(g).k and validate_assignment(g, a) == []
+        assert searched == []
+
+
 class TestCriticality:
     def test_two_rainbow_is_the_unique_01_critical(self):
         assert criticality(rainbow(2), ("sq", 0, 1)).critical
@@ -250,7 +281,7 @@ class TestTwistRefutation:
         assert 0 < queued < 15
 
     def test_pure_stack_splits_below_the_twist_are_not_searched(self, monkeypatch):
-        """A separated twist is laid out by the split DP and the first
+        """A separated twist is laid out by its increasing levels and the first
         pure-queue split by nesting depth, so neither is searched."""
         searched = searched_specs(monkeypatch)
         beside = build_graph(10, [(0, 4), (1, 5), (2, 6), (3, 7), (8, 9)])
@@ -376,15 +407,24 @@ class TestInternalChecks:
 
     def test_invalid_split_dp_layout_is_an_internal_error(self, monkeypatch):
         """On a separated matching the DP's layout is checked: pages that
-        put every edge on one page are an internal error, in
-        `mixed_page_number` and in `stack_number`."""
+        put every edge on one page are an internal error in
+        `mixed_page_number`.  `stack_number` does not run the DP."""
         from mixedpages import greene
 
         monkeypatch.setattr(greene, "split_layout", lambda pi, s, q, budget: ([0] * len(pi), 1))
         with pytest.raises(InternalError, match="split DP on SS returned an invalid layout"):
-            stack_number(twist(2))
-        with pytest.raises(InternalError, match="split DP on SS returned an invalid layout"):
             mixed_page_number(grid_to_graph(gen_diamond(2)))
+        assert stack_number(twist(2))[0] == 2
+
+    def test_invalid_level_layout_is_an_internal_error(self, monkeypatch):
+        """On a separated matching `stack_number` checks the layout of its
+        increasing levels: levels that put a crossing pair on one stack are
+        an internal error."""
+        from mixedpages import solver
+
+        monkeypatch.setattr(solver, "increasing_levels", lambda values: [1] * len(values))
+        with pytest.raises(InternalError, match="increasing levels returned an invalid layout"):
+            stack_number(twist(2))
 
     def test_invalid_depth_layout_is_an_internal_error(self, monkeypatch):
         """The first pure-queue split of a graph that is not a separated

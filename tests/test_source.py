@@ -4,10 +4,12 @@
 vanish from optimised runs: every check in `src/mixedpages` raises instead.
 No function calls itself by name, so no input runs into the recursion
 limit: searches and walks keep their own stacks.  Importing enumeration
-does not load greene.
+does not load greene.  Twists and thick patterns are read off stabbing
+points, with no clique search and no budget.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -65,3 +67,25 @@ def test_enumeration_does_not_import_greene():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_twists_and_thick_patterns_run_no_clique_search():
+    """No module defines the clique search `_max_clique` or its colouring
+    `_color_classes`, and none of the twist and thick functions takes a
+    budget: they are exact and polynomial."""
+    from mixedpages import patterns
+
+    found = [
+        f"{path}:{node.lineno} {node.name}"
+        for path, node in package_nodes()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("_max_clique", "_color_classes")
+    ]
+    assert found == []
+    functions = (
+        patterns.largest_twist,
+        patterns.largest_thick_of_kind,
+        patterns.largest_thick,
+        patterns.largest_square_thick,
+    )
+    assert [f.__name__ for f in functions if "budget" in inspect.signature(f).parameters] == []
