@@ -127,7 +127,9 @@ class TestCommands:
         assert main(["detect", diamond_file, "--kind", "diamond", "--exact", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["k"] == 2
 
-    @pytest.mark.parametrize("kind", [["diamond", "--exact"]])
+    # The id keeps the case's name from when twists and thick patterns were
+    # cases here too (kind0..kind2).
+    @pytest.mark.parametrize("kind", [pytest.param(["diamond", "--exact"], id="kind3")])
     def test_detect_out_of_budget_is_unknown(self, capsys, tmp_path, kind):
         """Only the exact diamond search reads a budget; twists and thick
         patterns refuse `--budget` (`test_unread_options_exit_3`)."""
