@@ -4,6 +4,8 @@ maximum chain/antichain k-families, diamond witnesses, and the constructive
 
 Edges of a grid matching are identified with their 0-based column index
 throughout.  The poset order is e < f iff both grid coordinates increase.
+A diamond matrix comes from one LIS pass: its columns are LIS levels and
+its rows chains, and an extremal matching needs no flow for it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from math import ceil, sqrt
-from operator import le
+from operator import le, lt
 
 from .core import (
     GridMatching,
@@ -211,17 +213,19 @@ def split_layout(pi, s: int, q: int, budget: int) -> tuple[list[int] | bool | No
 
 
 def _hasse_covers(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Cover pairs (i, j) of the dominance order on points sorted by x."""
-    m = len(points)
+    """Cover pairs (i, j) of the dominance order on points sorted by x with
+    y values 1..m.  The least y above y_i so far blocks covers of i, and
+    after y_i + 1 none can follow."""
+    ys = [y for _, y in points]
     covers = []
-    for i in range(m):
-        _, yi = points[i]
-        # smallest y above yi seen so far while scanning right blocks covers
-        low = None
-        for j in range(i + 1, m):
-            _, yj = points[j]
-            if yj > yi and (low is None or yj < low):
+    for i, yi in enumerate(ys):
+        low = len(ys) + 1
+        for j in range(i + 1, len(ys)):
+            yj = ys[j]
+            if yi < yj < low:
                 covers.append((i, j))
+                if yj == yi + 1:
+                    break
                 low = yj
     return covers
 
@@ -538,61 +542,50 @@ def max_family(grid: GridMatching, kind: FamilyKind, k: int) -> ChainFamily:
     return family
 
 
-def _diamond_levels(grid: GridMatching, elements) -> tuple[list[int], list[int], list[int]]:
-    """The elements sorted, with the longest increasing and the longest
-    decreasing subsequence ending at each, within the element set: the
-    kernel reads their values in `grid.pi` in id order."""
-    pts = sorted(elements)
-    pi = grid.pi
-    values = [pi[e] for e in pts]
-    ups = increasing_levels(values)
-    downs = increasing_levels([-y for y in values])
-    return pts, ups, downs
+def _level_rows(pi, ids) -> list[list[int]] | None:
+    """The diamond matrix of `ids`, ascending ids of the permutation `pi`,
+    if LIS * LDS = len(ids) (an Erdős–Szekeres extremal set), else None.
 
-
-def _fill_matrix(pts: list[int], ups: list[int], downs: list[int], nrows: int, ncols: int):
-    """Place each element at row `down`, column `up`; the statistics must
-    fill the nrows x ncols matrix exactly once."""
-    matrix: list[list[int | None]] = [[None] * ncols for _ in range(nrows)]
-    for e, u, d in zip(pts, ups, downs):
-        if not (1 <= u <= ncols and 1 <= d <= nrows) or matrix[d - 1][u - 1] is not None:
-            raise InternalError("diamond statistics are not a bijection")
-        matrix[d - 1][u - 1] = e
-    if any(None in row for row in matrix):
-        raise InternalError("diamond statistics are not a bijection")
-    return matrix
-
-
-def _diamond_matrix(grid: GridMatching, elements: list[int], nrows: int, ncols: int):
-    """Arrange nrows*ncols poset elements into a diamond matrix.
-
-    Within the element set, the map (longest-decreasing-ending, longest-
-    increasing-ending) is injective; with nrows*ncols elements and the two
-    statistics bounded by nrows and ncols it is a bijection onto the full
-    range, and reading it as a matrix gives increasing rows and decreasing
-    columns.
+    One LIS pass: an element's level is its column, its rank by id within
+    the level its row.  Accepted when the levels are equally large and
+    every row rises in id and value: then the rows are chains covering the
+    set and each level a decreasing run as long, so LDS = rows.  On an
+    extremal set the rank is the LDS ending at the element, so the matrix
+    is the grid pattern's.
     """
-    return _fill_matrix(*_diamond_levels(grid, elements), nrows, ncols)
+    values = list(map(pi.__getitem__, ids))
+    levels = increasing_levels(values)
+    # A stable sort, so columns rise in id.  Every level up to the largest
+    # occurs, so the columns are the levels when each holds a single level.
+    order = sorted(range(len(ids)), key=levels.__getitem__)
+    nrows, rest = divmod(len(ids), levels[order[-1]])
+    if rest:
+        return None
+    columns = [order[i : i + nrows] for i in range(0, len(order), nrows)]
+    if any(levels[column[0]] != levels[column[-1]] for column in columns):
+        return None
+    heights = [list(map(values.__getitem__, column)) for column in columns]
+    for lines in (columns, heights):
+        if not all(all(map(lt, a, b)) for a, b in zip(lines, lines[1:])):
+            return None
+    return [list(map(ids.__getitem__, row)) for row in zip(*columns)]
 
 
 def diamond_matrix(grid: GridMatching) -> list[list[int]]:
-    """Diamond of side equal to the Ferrers square, as a row-major matrix.
+    """Diamond of side equal to the Ferrers square, as a row-major matrix
+    whose rows rise in id and value and columns rise in id, fall in value.
 
-    One LIS pass each way over the whole matching gives LIS and LDS as the
-    largest levels.  In the extremal case LIS * LDS = m the same levels fill
-    the matrix; otherwise the two maximum families of the square's side
-    (two min-cost flows) pick the elements, and their levels are taken.
+    An extremal matching (LIS * LDS = m) is its own LDS x LIS diamond, built
+    from one LIS pass with no flow.  Otherwise two maximum families of the
+    square's side (min-cost flows) pick the elements, arranged the same way.
     """
     m = grid.m
     if m == 0:
         return []
-    pts, ups, downs = _diamond_levels(grid, range(m))
-    lis, lds = max(ups), max(downs)
-    if lis * lds == m:
-        # Extremal case: the whole matching is an lds x lis grid pattern,
-        # so the square side is min(lis, lds) and no flow is needed.
-        side = min(lis, lds)
-        full = _fill_matrix(pts, ups, downs, lds, lis)
+    pi = list(grid.pi)  # list.__getitem__ maps faster than the tuple's
+    full = _level_rows(pi, list(range(m)))
+    if full is not None:
+        side = min(len(full), len(full[0]))
         return [row[:side] for row in full[:side]]
     side = ferrers(grid).square
     chains = max_family(grid, FamilyKind.CHAINS, side)
@@ -602,7 +595,10 @@ def diamond_matrix(grid: GridMatching) -> list[list[int]]:
         raise InternalError(
             f"maximum {side}-families share {len(shared)} != {side * side} elements"
         )
-    return _diamond_matrix(grid, shared, side, side)
+    matrix = _level_rows(pi, shared)
+    if matrix is None or len(matrix) != side:
+        raise InternalError("diamond statistics are not a bijection")
+    return matrix
 
 
 def diamond_witness(grid: GridMatching) -> PatternWitness:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -552,22 +552,22 @@ def _quadrant_split(pi, matrix):
     """Split a diamond matrix into the preferred opposite-quadrant pair.
 
     pi is the grid's permutation: element e sits at x = e + 1, y = pi[e].
-    Each element's quadrant code, 2 if it is in the lower half by x plus 1
-    if it is in the lower half by y, is set once in a list over the ids,
-    and each row or column counts its members of a quadrant from that.
+    Rows rise in id and value, columns rise in id and fall in value (the
+    sub-diamond invariant), so a row's lower halves by x and by y are
+    prefixes, found by bisection at the cuts: the least id and the least
+    value above the lower halves.  Down a column the lower half by x is a
+    prefix and the lower half by y a suffix.
     """
     ids = [e for row in matrix for e in row]
-    half = len(ids) // 2
-    code = [0] * len(pi)
-    for e in sorted(ids)[:half]:
-        code[e] = 2
-    for e in sorted(ids, key=pi.__getitem__)[:half]:
-        code[e] += 1
-    quads = [list(map(code.__getitem__, row)) for row in matrix]
-    count = [sum(row.count(quad) for row in quads) for quad in range(4)]
     total = len(ids)
-    diag_ok = 4 * min(count[3], count[0]) >= total
-    anti_ok = 4 * min(count[2], count[1]) >= total
+    half = total // 2
+    x_cut = sorted(ids)[half]
+    y_cut = sorted(map(pi.__getitem__, ids))[half]
+    low = [(bisect_left(row, x_cut), bisect_left(row, y_cut, key=pi.__getitem__)) for row in matrix]
+    both_low = sum(min(bounds) for bounds in low)
+    # Each off-diagonal quadrant holds the lower half by x less Q11.
+    diag_ok = 4 * min(both_low, total - 2 * half + both_low) >= total
+    anti_ok = 4 * (half - both_low) >= total
     if not diag_ok and not anti_ok:
         raise InsufficientInputError("no opposite quadrant pair holds a quarter of the points")
 
@@ -583,16 +583,20 @@ def _quadrant_split(pi, matrix):
     q = len(matrix)
     if diag_ok:
         # Q11 holds row prefixes, Q22 row suffixes.
-        side, rows = largest_square([row.count(3) for row in quads])
+        side, rows = largest_square([min(bounds) for bounds in low])
         first = [matrix[i][:side] for i in rows]
-        side, rows = largest_square([row.count(0) for row in quads])
+        side, rows = largest_square([q - max(bounds) for bounds in low])
         second = [matrix[i][q - side:] for i in rows]
     else:
-        # Q12 holds column prefixes, Q21 column suffixes.
-        columns = list(zip(*quads))
-        side, cols = largest_square([col.count(2) for col in columns])
+        # Q12 holds column prefixes, Q21 column suffixes.  Per column, the
+        # lengths of its lower half by x and its upper half by y (prefixes).
+        ends = [
+            (bisect_left(col, x_cut), bisect_right(col, -y_cut, key=lambda e: -pi[e]))
+            for col in zip(*matrix)
+        ]
+        side, cols = largest_square([min(bounds) for bounds in ends])
         first = [[matrix[i][c] for c in cols] for i in range(side)]
-        side, cols = largest_square([col.count(1) for col in columns])
+        side, cols = largest_square([q - max(bounds) for bounds in ends])
         second = [[matrix[i][c] for c in cols] for i in range(q - side, q)]
     return first, second
 
@@ -607,7 +611,10 @@ def thick_from_diamond(grid: GridMatching, k: int) -> PatternWitness:
     quarter of some leaf raises InsufficientInputError, as does an empty
     matching; when every round splits, the better of the thick twist and
     the thick rainbow the leaves give is returned, which may be thinner
-    than k.  The subdivision reads only `grid.pi`.
+    than k.  The subdivision reads only `grid.pi` and counts by bisection:
+    each leaf keeps the diamond's rows rising in id and value and columns
+    rising in id and falling in value, so it is ordered by its top-left id
+    and read at its bottom-left value, the least in it.
     """
     from . import greene
 
@@ -617,9 +624,8 @@ def thick_from_diamond(grid: GridMatching, k: int) -> PatternWitness:
     if not matrix:
         raise InsufficientInputError("empty matching")
     rounds = 2 * math.ceil(math.log2(k)) if k > 1 else 0
-    # A list, not the tuple: list.__getitem__, the sort key and the map
-    # function below, is a plain method, about twice as fast as the tuple's
-    # slot wrapper.
+    # A list: list.__getitem__, mapped and used as the bisection key in
+    # _quadrant_split, is about twice as fast as the tuple's slot wrapper.
     pi = list(grid.pi)
     leaves = [matrix]
     for _ in range(rounds):
@@ -628,10 +634,8 @@ def thick_from_diamond(grid: GridMatching, k: int) -> PatternWitness:
             nxt.extend(_quadrant_split(pi, leaf))
         leaves = nxt
 
-    # A leaf is ordered by its least id (x = id + 1) and read at its least
-    # value in pi.
-    leaves.sort(key=lambda mat: min(map(min, mat)))
-    lows = [min(min(map(pi.__getitem__, row)) for row in mat) for mat in leaves]
+    leaves.sort(key=lambda mat: mat[0][0])
+    lows = [pi[mat[-1][0]] for mat in leaves]
     inc = _lis_indices(lows)
     dec = _lds_indices(lows)
 

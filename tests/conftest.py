@@ -43,6 +43,27 @@ def parse_grid_ascii(text: str) -> GridMatching:
     return GridMatching(tuple(pi))
 
 
+def rand_extremal_grid(rng: random.Random, a: int, b: int) -> GridMatching:
+    """A random grid matching with LIS a and LDS b on a * b edges, an
+    Erdős–Szekeres extremal set.
+
+    It starts from the block permutation of `gen_diamond`, b blocks of a
+    rising values with the blocks falling, and applies random Knuth moves
+    (Knuth 1970) to three neighbouring values: swap the last two when the
+    first lies between them, or the first two when the last does.  The
+    moves keep the RSK insertion tableau, so its shape stays the rectangle
+    of b rows of length a."""
+    pi = [(b - 1 - block) * a + j for block in range(b) for j in range(1, a + 1)]
+    for _ in range(4 * len(pi) if len(pi) > 2 else 0):
+        i = rng.randrange(len(pi) - 2)
+        x, y, z = pi[i : i + 3]
+        if min(y, z) < x < max(y, z):
+            pi[i + 1], pi[i + 2] = z, y
+        elif min(x, y) < z < max(x, y):
+            pi[i], pi[i + 1] = y, x
+    return GridMatching(tuple(pi))
+
+
 def all_grids(m: int):
     for pi in permutations(range(1, m + 1)):
         yield GridMatching(pi)

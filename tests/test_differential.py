@@ -18,8 +18,9 @@ check, Fenwick nesting depths) against the code it replaced (kept in
 quotient_oracle.py), and the sweep-listed page violations, the conflict
 masks that stop at an edge's end, the rainbow on nesting depths and the
 one-pass diamond matrix against the pair scans and repeated passes they
-replaced (kept in pair_scan_oracle.py), and the quadrant split that
-classifies each element once against its closure-based original (kept in
+replaced (kept in pair_scan_oracle.py), also on every permutation of at
+most 8 values and on random extremal grids, and the quadrant split that
+counts by bisection against its closure-based original (kept in
 quadrant_oracle.py), and `thick_from_diamond` with its diamond levels and
 subdivision on the permutation against the points-based path it replaced
 (kept in subdivision_oracle.py), and the LIS levels over values and the
@@ -64,7 +65,7 @@ import recursive_oracle
 import simplex_oracle
 import stream_oracle
 import subdivision_oracle
-from conftest import brute_force_fits, rand_graph, rand_matching
+from conftest import brute_force_fits, rand_extremal_grid, rand_graph, rand_matching
 from mixedpages import core, enumeration, greene, patterns, quotient, solver
 from mixedpages.constructions import (
     gen_2critical,
@@ -1061,6 +1062,82 @@ def test_thick_from_diamond_matches_the_points_path():
             assert got[0] is InsufficientInputError
             outcomes["refused"] += 1
     assert min(outcomes.values()) > 20, outcomes
+
+
+def _run_levels(pi, sign):
+    """Longest run ending at each value of pi, rising for sign 1 and
+    falling for sign -1: the quadratic dynamic program."""
+    levels = []
+    for j, y in enumerate(pi):
+        levels.append(1 + max((levels[i] for i in range(j) if sign * pi[i] < sign * y), default=0))
+    return levels
+
+
+def test_level_rows_on_every_small_permutation():
+    """The one-pass diamond builder on all 46,233 permutations of 1 to 8
+    values: a matrix exactly when LIS * LDS = m, and then the matrix of the
+    four-pass code.  The decoys, whose LIS levels all hold m / LIS values
+    while the LDS is larger, such as (2, 4, 3, 1), are all refused."""
+    seen = {"extremal": 0, "other": 0}
+    decoys = {}
+    for m in range(1, 9):
+        for pi in permutations(range(1, m + 1)):
+            ups = _run_levels(pi, 1)
+            lis, lds = max(ups), max(_run_levels(pi, -1))
+            got = greene._level_rows(list(pi), list(range(m)))
+            if lis * lds == m:
+                assert got == pair_scan_oracle._diamond_matrix(GridMatching(pi), range(m), lds, lis)
+                seen["extremal"] += 1
+                continue
+            assert got is None, pi
+            seen["other"] += 1
+            if all(ups.count(level) * lis == m for level in range(1, lis + 1)):
+                decoys[m] = decoys.get(m, 0) + 1
+    assert sum(seen.values()) == 46233
+    assert decoys == {4: 2, 6: 69, 8: 1254}
+
+
+def _split_route(pi, leaf, pair):
+    """"diagonal" when the first leaf of a split lies in the lower half of
+    `leaf` by y, else "anti-diagonal"."""
+    values = sorted(pi[e] for row in leaf for e in row)
+    low_y = pi[pair[0][0][0]] < values[len(values) // 2]
+    return "diagonal" if low_y else "anti-diagonal"
+
+
+def test_diamond_pipeline_on_random_extremal_grids():
+    """On extremal grids that `gen_diamond` does not make (random Knuth
+    moves from the block permutation, sides a != b up to 24): the diamond
+    matrix of the four-pass code, the leaves or refusals of the closure
+    code over four rounds of the subdivision, and the thick witness or
+    error of the points path at k = 1 to 4."""
+    rng = random.Random(31)
+    seen = {"diagonal": 0, "anti-diagonal": 0, "refused": 0}
+    for _ in range(120):
+        a, b = rng.sample(range(1, 25), 2)
+        grid = rand_extremal_grid(rng, a, b)
+        assert (greene.lis_length(grid.pi), greene.lds_length(grid.pi)) == (a, b)
+        leaves = [greene.diamond_matrix(grid)]
+        assert leaves[0] == pair_scan_oracle.diamond_matrix(grid)
+        for _ in range(4):
+            children = []
+            for leaf in leaves:
+                try:
+                    want = quadrant_oracle._quadrant_split(grid, leaf)
+                except InsufficientInputError:
+                    with pytest.raises(InsufficientInputError):
+                        patterns._quadrant_split(grid.pi, leaf)
+                    seen["refused"] += 1
+                    continue
+                assert patterns._quadrant_split(grid.pi, leaf) == want
+                seen[_split_route(grid.pi, leaf, want)] += 1
+                children += want
+            leaves = children
+        for k in range(1, 5):
+            got = _thick_or_error(patterns.thick_from_diamond, grid, k)
+            assert got == _thick_or_error(subdivision_oracle.thick_from_diamond, grid, k), (grid, k)
+    # On extremal grids the anti-diagonal pair wins nearly every split.
+    assert seen["anti-diagonal"] > 100 and seen["refused"] > 100 and seen["diagonal"] > 0, seen
 
 
 def test_thick_search_matches_the_recursive_clique():

@@ -169,19 +169,51 @@ class TestInternalChecks:
     """Each consistency check in greene raises InternalError, which callers
     catch as a MixedPagesError, rather than a bare AssertionError."""
 
+    @staticmethod
+    def share(monkeypatch, elements):
+        """Both maximum families cover `elements`, whatever is asked."""
+        from mixedpages import greene
+
+        monkeypatch.setattr(
+            greene,
+            "max_family",
+            lambda grid, kind, k: ChainFamily(kind, (tuple(elements),), len(elements)),
+        )
+
     def test_diamond_statistics_collision(self, monkeypatch):
+        """(1, 3, 6, 5, 2, 4) is not extremal and its square side is 2.  Its
+        ids 1 to 4 hold 3, 6, 5, 2, a decoy like (2, 4, 3, 1): two of them
+        on each LIS level, but the second row falls in id, so the diamond
+        builder refuses the shared set."""
         from mixedpages import greene
 
-        monkeypatch.setattr(greene, "increasing_levels", lambda pts: [1] * len(pts))
+        grid = GridMatching((1, 3, 6, 5, 2, 4))
+        assert greene._level_rows(list(grid.pi), [1, 2, 3, 4]) is None
+        self.share(monkeypatch, (1, 2, 3, 4))
         with pytest.raises(InternalError, match="bijection"):
-            greene._diamond_matrix(GridMatching((3, 4, 1, 2)), [0, 1, 2, 3], 2, 2)
+            greene.diamond_matrix(grid)
 
-    def test_diamond_statistics_leave_a_hole(self):
+    def test_diamond_statistics_leave_a_hole(self, monkeypatch):
+        """Ids 0, 1, 4, 5 of the same grid hold 1, 3, 2, 4, on LIS levels
+        1, 2, 2, 3: no 2 x 2 matrix holds them."""
         from mixedpages import greene
 
-        # One element for a 1x2 matrix: no collision, one cell stays empty.
+        grid = GridMatching((1, 3, 6, 5, 2, 4))
+        assert greene._level_rows(list(grid.pi), [0, 1, 4, 5]) is None
+        self.share(monkeypatch, (0, 1, 4, 5))
         with pytest.raises(InternalError, match="bijection"):
-            greene._diamond_matrix(GridMatching((3, 4, 1, 2)), [0], 1, 2)
+            greene.diamond_matrix(grid)
+
+    def test_diamond_of_the_wrong_shape(self, monkeypatch):
+        """(2, 1, 4, 3, 5, 6) is not extremal and its square side is 2.  Its
+        ids 0, 2, 4, 5 are a chain, a 1 x 4 diamond, not a 2 x 2 one."""
+        from mixedpages import greene
+
+        grid = GridMatching((2, 1, 4, 3, 5, 6))
+        assert greene._level_rows(list(grid.pi), [0, 2, 4, 5]) == [[0, 2, 4, 5]]
+        self.share(monkeypatch, (0, 2, 4, 5))
+        with pytest.raises(InternalError, match="bijection"):
+            greene.diamond_matrix(grid)
 
     def test_families_that_share_too_little(self, monkeypatch):
         from mixedpages import greene
@@ -249,6 +281,32 @@ class TestDiamondWitness:
                 w = diamond_witness(grid)
                 assert w.k == ferrers(grid).square
                 assert witness_violations(grid, w) == []
+
+    def test_flows_run_only_off_the_extremal_case(self, monkeypatch):
+        """On every grid of 6 edges: no maximum family when LIS * LDS = m,
+        else the chain and the antichain family of the square's side, in
+        that order."""
+        from mixedpages import greene
+
+        calls = []
+        flow = greene.max_family
+
+        def counted(grid, kind, k):
+            calls.append((kind, k))
+            return flow(grid, kind, k)
+
+        monkeypatch.setattr(greene, "max_family", counted)
+        extremal = 0
+        for grid in all_grids(6):
+            calls.clear()
+            greene.diamond_matrix(grid)
+            if lis_length(grid.pi) * lds_length(grid.pi) == grid.m:
+                assert calls == []
+                extremal += 1
+            else:
+                side = ferrers(grid).square
+                assert calls == [(FamilyKind.CHAINS, side), (FamilyKind.ANTICHAINS, side)]
+        assert extremal > 50
 
     def test_families_share_exactly_square_squared(self):
         for m in range(2, 6):

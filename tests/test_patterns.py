@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import all_grids, rand_graph, rand_matching
+from conftest import all_grids, rand_extremal_grid, rand_graph, rand_matching
 from mixedpages.core import (
     GridMatching,
     Relation,
@@ -264,6 +264,46 @@ class TestThickFromDiamond:
         assert len(kinds) == 2
         assert w.kind is PatternKind.THICK_TWIST and w.size == (1, 1)
         assert witness_violations(grid, w) == []
+
+    def test_leaves_keep_the_sub_diamond_invariant(self):
+        """The premise of the bisections in `_quadrant_split`: the diamond
+        and every leaf of four rounds of the subdivision is square, its rows
+        rise in id and value and its columns rise in id and fall in value.
+        On gen_diamond, on random extremal grids and on the diamond matrices
+        of random grids (the flow route)."""
+        import random
+
+        from mixedpages import greene
+        from mixedpages.patterns import _quadrant_split
+
+        def keeps_invariant(pi, matrix):
+            rows = all(
+                a < b and pi[a] < pi[b] for row in matrix for a, b in zip(row, row[1:])
+            )
+            columns = all(
+                a < b and pi[a] > pi[b] for col in zip(*matrix) for a, b in zip(col, col[1:])
+            )
+            return rows and columns and all(len(row) == len(matrix) for row in matrix)
+
+        rng = random.Random(33)
+        grids = [gen_diamond(side) for side in (2, 3, 5, 8, 16, 33)]
+        grids += [rand_extremal_grid(rng, *rng.sample(range(1, 20), 2)) for _ in range(30)]
+        for m in (10, 30, 60, 100):
+            grids += [GridMatching(tuple(rng.sample(range(1, m + 1), m))) for _ in range(4)]
+        checked = 0
+        for grid in grids:
+            leaves = [greene.diamond_matrix(grid)]
+            for depth in range(5):
+                children = []
+                for leaf in leaves:
+                    assert keeps_invariant(grid.pi, leaf), (grid, depth)
+                    checked += 1
+                    try:
+                        children += _quadrant_split(grid.pi, leaf)
+                    except InsufficientInputError:
+                        pass
+                leaves = children
+        assert checked > 300
 
     def test_round_without_a_quarter_pair_raises(self):
         """gen_diamond(8) at k=3 runs four rounds; one of them finds no

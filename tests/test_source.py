@@ -5,7 +5,8 @@ vanish from optimised runs: every check in `src/mixedpages` raises instead.
 No function calls itself by name, so no input runs into the recursion
 limit: searches and walks keep their own stacks.  Importing enumeration
 does not load greene.  Twists and thick patterns are read off stabbing
-points, with no clique search and no budget.
+points, with no clique search and no budget.  Diamond matrices come from
+one builder on one LIS pass.
 """
 
 import ast
@@ -89,3 +90,23 @@ def test_twists_and_thick_patterns_run_no_clique_search():
         patterns.largest_square_thick,
     )
     assert [f.__name__ for f in functions if "budget" in inspect.signature(f).parameters] == []
+
+
+def test_diamonds_come_from_one_lis_pass():
+    """greene defines no `_fill_matrix` or `_diamond_levels`: the builder
+    `_level_rows` makes the one `increasing_levels` call of a diamond
+    matrix, and `diamond_matrix` makes none of its own."""
+    tree = ast.parse((SRC / "greene.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert {"_fill_matrix", "_diamond_levels"} & functions.keys() == set()
+
+    def level_passes(function) -> int:
+        return sum(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "increasing_levels"
+            for node in ast.walk(function)
+        )
+
+    assert level_passes(functions["_level_rows"]) == 1
+    assert level_passes(functions["diamond_matrix"]) == 0
